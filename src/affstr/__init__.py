@@ -5,7 +5,6 @@ the dominant chamber, with an independent unfolded-recursion oracle."""
 from .algebra import (
     AffineWeight,
     AlgebraSpec,
-    RootVector,
     from_root_basis,
     inner_product,
     load_algebra,
@@ -36,7 +35,6 @@ from .oracle import (
     RacahOracle,
     euler_square_series,
     level1_eta_series,
-    racah_multiplicity,
 )
 from .strings import (
     BlockSystem,
@@ -49,14 +47,6 @@ from .strings import (
     string_table,
     weight_multiplicity,
 )
-from .weyl import (
-    TranslationDatum,
-    WeylOutcome,
-    reflect,
-    shifted_reflect,
-    to_dominant,
-    to_dominant_shifted,
-    translation_datum,
-)
+from .weyl import WeylOutcome, reflect, to_dominant, to_dominant_shifted
 
 __version__ = "0.1.0"

@@ -20,7 +20,6 @@ from .errors import ConfigurationError
 __all__ = [
     "AffineWeight",
     "AlgebraSpec",
-    "RootVector",
     "inner_product",
     "load_algebra",
     "preset",
@@ -83,23 +82,6 @@ class AffineWeight:
         return f"({lab};{self.level};{self.grade})"
 
 
-@dataclass(frozen=True)
-class RootVector:
-    """A root-lattice vector: integer simple-root coordinates plus a grade.
-
-    The level component of a root is always zero.
-    """
-
-    coords: tuple[int, ...]
-    grade: int = 0
-
-    def __post_init__(self):
-        object.__setattr__(self, "coords", tuple(int(c) for c in self.coords))
-        object.__setattr__(self, "grade", int(self.grade))
-        if self.grade < 0:
-            raise ConfigurationError("root grade must be non-negative")
-
-
 class AlgebraSpec:
     """Classical Cartan data with its untwisted affine extension.
 
@@ -148,6 +130,15 @@ class AlgebraSpec:
         self.theta_labels = tuple(
             sum(self.cartan[i][j] * self.marks[j] for j in range(self.rank))
             for i in range(self.rank)
+        )
+        # Affine Cartan columns: column i lists the nonzero affine labels
+        # (j, <alpha_i, alpha_j^vee>) of the simple root alpha_i, j = 0..rank.
+        columns = [(2,) + tuple(-t for t in self.theta_labels)]
+        for i in range(self.rank):
+            column = tuple(row[i] for row in self.cartan)
+            columns.append((-sum(c * a for c, a in zip(self.comarks, column)),) + column)
+        self.affine_columns = tuple(
+            tuple((j, a) for j, a in enumerate(column) if a) for column in columns
         )
 
     def _validate_cartan(self):
@@ -244,6 +235,14 @@ class AlgebraSpec:
         """(lambda_0, lambda_1, ..., lambda_r)."""
         return (self.label0(w),) + w.labels
 
+    def root_labels(self, coords) -> tuple[int, ...]:
+        """Affine labels (level 0) of a root-lattice vector in simple-root coordinates."""
+        labels = [0] * (self.rank + 1)
+        for c, column in zip(coords, self.affine_columns[1:]):
+            for j, a in column:
+                labels[j] += c * a
+        return tuple(labels)
+
     def is_dominant(self, w: AffineWeight) -> bool:
         return all(x >= 0 for x in self.affine_labels(w))
 
@@ -294,15 +293,6 @@ def from_root_basis(spec: AlgebraSpec, coords, level=0, grade=0) -> AffineWeight
         for i in range(spec.rank)
     )
     return AffineWeight(labels, level, grade)
-
-
-def root_weight(spec: AlgebraSpec, root: RootVector, level=0) -> AffineWeight:
-    """The affine weight of a root-lattice vector (level 0 by default)."""
-    labels = tuple(
-        sum(spec.cartan[i][j] * root.coords[j] for j in range(spec.rank))
-        for i in range(spec.rank)
-    )
-    return AffineWeight(labels, level, root.grade)
 
 
 # -- exact linear algebra on small matrices ------------------------------

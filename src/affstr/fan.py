@@ -3,8 +3,12 @@
 Each fan vector is rho - w(rho) for a non-identity affine Weyl element w,
 stored as integer simple-root coordinates with a non-negative grade and
 multiplicity -det(w).  Enumeration is a breadth-first walk over the orbit
-of rho along strictly descending reflections; descent never raises the
-grade, so pruning below the cutoff loses nothing within the window.
+of rho, kept as integer affine labels, along strictly descending
+reflections (weyl.descending_orbit).  Each step s_i with label l adds l
+to the i-th root coordinate of the shift, or for s_0 subtracts l times
+the marks and adds l to the grade, so no basis change is needed.  Descent
+never raises the grade, so pruning below the cutoff loses nothing within
+the window.
 
 verify_denominator is the independent completeness gate: it expands the
 truncated product over the positive affine roots and compares it term by
@@ -14,12 +18,12 @@ term with the fan.
 from __future__ import annotations
 
 import weakref
-from collections import deque
 from dataclasses import dataclass
 from math import comb
 
-from .algebra import AffineWeight, AlgebraSpec, to_root_basis, weyl_vector
+from .algebra import AlgebraSpec
 from .errors import ConfigurationError, ResourceLimitError
+from .weyl import descending_orbit
 
 __all__ = ["Fan", "FanVector", "DenominatorReport", "build_fan", "verify_denominator"]
 
@@ -41,18 +45,19 @@ class FanVector:
 
 
 class Fan:
-    """All fan vectors of one algebra up to a grade cutoff, sorted."""
+    """All fan vectors of one algebra up to a grade cutoff, sorted.
+
+    `affine_labels` holds the affine labels of each vector's classical
+    part, in the same order, for the integer folding and oracle walks.
+    """
 
     def __init__(self, algebra: AlgebraSpec, cutoff: int, vectors):
         self.algebra = algebra
         self.cutoff = int(cutoff)
         self.vectors = tuple(sorted(vectors, key=lambda v: (v.grade, v.root)))
-        self._by_key = {(v.root, v.grade): v.mult for v in self.vectors}
-        if len(self._by_key) != len(self.vectors):
+        if len({(v.root, v.grade) for v in self.vectors}) != len(self.vectors):
             raise ConfigurationError("duplicate fan vectors")
-
-    def mult(self, root, grade) -> int:
-        return self._by_key.get((tuple(root), grade), 0)
+        self.affine_labels = tuple(algebra.root_labels(v.root) for v in self.vectors)
 
     def layer(self, grade: int) -> tuple[FanVector, ...]:
         return tuple(v for v in self.vectors if v.grade == grade)
@@ -98,57 +103,29 @@ def build_fan(
     cached = per_spec.get(cutoff)
     if cached is not None:
         return cached
-    rho = weyl_vector(spec)
-    start = (rho.labels, rho.grade)
-    parity = {start: 0}
-    queue = deque([rho])
+    # orbit point of rho -> (root coordinates of the shift, word length)
+    shifts = {}
     vectors = []
-    while queue:
-        node = queue.popleft()
-        node_parity = parity[(node.labels, node.grade)]
-        labels = spec.affine_labels(node)
-        for i, li in enumerate(labels):
-            if li <= 0:
-                continue
-            child = _reflect_fast(spec, i, node, labels)
-            if child.grade < -cutoff:
-                continue
-            key = (child.labels, child.grade)
-            if key in parity:
-                continue
-            parity[key] = node_parity + 1
-            if len(parity) > max_nodes:
-                raise ResourceLimitError(
-                    f"fan orbit exceeded {max_nodes} nodes at cutoff {cutoff}"
-                )
-            queue.append(child)
-            vectors.append(_fan_vector(spec, rho, child, parity[key]))
+    for parent, i, node in descending_orbit(spec, (1,) * (spec.rank + 1), 0, -cutoff):
+        if parent is None:
+            shifts[node] = ((0,) * spec.rank, 0)
+            continue
+        root, length = shifts[parent]
+        li = parent[0][i]
+        if i:
+            root = root[: i - 1] + (root[i - 1] + li,) + root[i:]
+        else:
+            root = tuple(c - li * m for c, m in zip(root, spec.marks))
+        shifts[node] = (root, length + 1)
+        if len(shifts) > max_nodes:
+            raise ResourceLimitError(
+                f"fan orbit exceeded {max_nodes} nodes at cutoff {cutoff}"
+            )
+        # mult = -det(w), w having length + 1 letters
+        vectors.append(FanVector(root, -node[1], 1 if length % 2 == 0 else -1))
     fan = Fan(spec, cutoff, vectors)
     per_spec[cutoff] = fan
     return fan
-
-
-def _reflect_fast(spec, i, w, labels):
-    # Inline of weyl.reflect, reusing the affine label vector.
-    if i == 0:
-        l0 = labels[0]
-        new = tuple(x + l0 * t for x, t in zip(w.labels, spec.theta_labels))
-        return AffineWeight(new, w.level, w.grade - l0)
-    li = labels[i]
-    new = tuple(x - li * spec.cartan[j][i - 1] for j, x in enumerate(w.labels))
-    return AffineWeight(new, w.level, w.grade)
-
-
-def _fan_vector(spec, rho, node, word_length) -> FanVector:
-    shift = rho - node
-    coords = to_root_basis(spec, shift)
-    root = []
-    for c in coords:
-        if c.denominator != 1:
-            raise ConfigurationError("fan shift left the root lattice")
-        root.append(int(c))
-    sign = -1 if word_length % 2 else 1
-    return FanVector(tuple(root), int(-node.grade), -sign)
 
 
 # -- denominator identity -------------------------------------------------

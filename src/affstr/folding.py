@@ -8,21 +8,22 @@ multiplicities accumulate there.  The zero shift is seeded with
 multiplicity -1, which turns the multiplicity recursion into a solvable
 triangular system (see strings.py).
 
-Folded offsets never drop below the grade of the fan vector (reduction
-only adds non-negative multiples of simple roots), so a fan built to the
-requested cutoff already contains every contributor; the builder still
-grows the fan adaptively until two extra layers contribute nothing, as a
-guard against convention bugs.
+The affine labels of xi and of each fan vector are taken once and added
+as integers; the reduction kernel in weyl.py does the rest.  Reduction
+only ever raises the grade, so a folded offset is never below the grade
+of its fan vector: the fan built exactly to the cutoff holds every
+contributor.  build_folded_fan checks that bound on every fold and raises
+ConventionError if it fails.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .algebra import AffineWeight, AlgebraSpec, RootVector, root_weight
+from .algebra import AffineWeight, AlgebraSpec
 from .errors import CongruenceError, ConfigurationError, ConventionError
 from .fan import Fan, FanVector, build_fan
-from .weyl import to_dominant
+from .weyl import reduce_labels
 
 __all__ = [
     "BaseWeightSet",
@@ -46,15 +47,17 @@ class BaseWeightSet:
     def __post_init__(self):
         if not self.weights:
             raise ConfigurationError("base weight set is empty")
-        seen = set()
-        for w in self.weights:
+        positions = {}
+        for i, w in enumerate(self.weights):
             if w.level != self.level or w.grade != 0:
                 raise ConfigurationError("base weights must sit at grade 0 of the level plane")
             if not self.algebra.is_dominant(w):
                 raise ConfigurationError(f"base weight {w} is not dominant")
-            if w.labels in seen:
+            if w.labels in positions:
                 raise ConfigurationError("base weights must be distinct")
-            seen.add(w.labels)
+            positions[w.labels] = i
+        # labels -> position in `weights`; not a dataclass field.
+        object.__setattr__(self, "positions", positions)
 
     def __len__(self):
         return len(self.weights)
@@ -64,10 +67,10 @@ class BaseWeightSet:
 
     def index_of(self, labels) -> int:
         target = tuple(labels)
-        for i, w in enumerate(self.weights):
-            if tuple(w.labels) == tuple(target):
-                return i
-        raise CongruenceError(f"labels {target} not in base weight set")
+        try:
+            return self.positions[target]
+        except KeyError:
+            raise CongruenceError(f"labels {target} not in base weight set") from None
 
 
 @dataclass
@@ -115,13 +118,22 @@ def fold_shift(spec: AlgebraSpec, xi: AffineWeight, gamma: FanVector):
     s(gamma).  Walls are kept: ordinary weight multiplicities are
     Weyl-invariant, so wall targets accumulate like any other.
     """
-    shifted = xi + root_weight(spec, RootVector(gamma.root, gamma.grade))
-    target = to_dominant(spec, shifted).dominant
-    if target.grade < xi.grade:
+    labels, offset = _fold(
+        spec, spec.affine_labels(xi), xi.grade, spec.root_labels(gamma.root), gamma
+    )
+    return AffineWeight(labels[1:], xi.level, xi.grade + offset), gamma.mult
+
+
+def _fold(spec, xi_labels, xi_grade, gamma_labels, gamma):
+    """Dominant affine labels of xi + gamma and their grade offset from xi."""
+    shifted = [x + y for x, y in zip(xi_labels, gamma_labels)]
+    labels, grade, _ = reduce_labels(spec, shifted, xi_grade + gamma.grade)
+    offset = grade - xi_grade
+    if offset < 0 or offset < gamma.grade:
         raise ConventionError(
-            f"folded offset {target.grade - xi.grade} is negative for shift {gamma}"
+            f"folded offset {offset} is below the grade of shift {gamma} or negative"
         )
-    return target, gamma.mult
+    return labels, offset
 
 
 def build_folded_fan(
@@ -141,56 +153,36 @@ def build_folded_fan(
             f"fan cutoff {fan.cutoff} is below the folded cutoff {cutoff}"
         )
     xi = base.weights[base_index]
-    folded = FoldedFan(base_index, cutoff, {(base_index, 0): -1})
-    for gamma in fan:
-        target, contribution = fold_shift(spec, xi, gamma)
-        offset = target.grade - xi.grade
+    xi_labels = spec.affine_labels(xi)
+    entries = {(base_index, 0): -1}
+    for gamma, gamma_labels in zip(fan.vectors, fan.affine_labels):
+        labels, offset = _fold(spec, xi_labels, xi.grade, gamma_labels, gamma)
         if offset > cutoff:
             continue
         try:
-            s = base.index_of(target.labels)
+            s = base.index_of(labels[1:])
         except CongruenceError:
             raise CongruenceError(
-                f"folded target {target} of base {xi} is outside its congruence class"
+                f"folded target {labels[1:]} at offset {offset} of base {xi} "
+                "is outside its congruence class"
             ) from None
-        key = (s, int(offset))
-        value = folded.entries.get(key, 0) + contribution
+        key = (s, offset)
+        value = entries.get(key, 0) + gamma.mult
         if value:
-            folded.entries[key] = value
+            entries[key] = value
         else:
-            folded.entries.pop(key, None)
-    return folded
+            entries.pop(key, None)
+    return FoldedFan(base_index, cutoff, entries)
 
 
-def build_folded_fans(
-    spec: AlgebraSpec, base: BaseWeightSet, cutoff: int, *, fan: Fan | None = None
-):
-    """Folded fans for every base weight, growing the fan until stable.
+def build_folded_fans(spec: AlgebraSpec, base: BaseWeightSet, cutoff: int):
+    """Folded fans for every base weight, from the fan built to the cutoff.
 
-    Grows the fan cutoff until one whole extra layer folds to nothing
-    within the window, then one more layer as a guard.  Returns the list
-    of folded fans and the fan actually used.
+    Returns the list of folded fans and the fan used.
     """
-    margin = 2
-    while True:
-        if fan is None or fan.cutoff < cutoff + margin:
-            fan = build_fan(spec, cutoff + margin)
-        folded = [
-            build_folded_fan(spec, base, j, fan, cutoff) for j in range(len(base))
-        ]
-        if _top_layers_silent(spec, base, fan, cutoff, layers=2):
-            return folded, fan
-        margin += 2
-
-
-def _top_layers_silent(spec, base, fan, cutoff, layers):
-    for grade in range(fan.cutoff - layers + 1, fan.cutoff + 1):
-        for gamma in fan.layer(grade):
-            for xi in base:
-                target, _ = fold_shift(spec, xi, gamma)
-                if target.grade - xi.grade <= cutoff:
-                    return False
-    return True
+    fan = build_fan(spec, cutoff)
+    folded = [build_folded_fan(spec, base, j, fan, cutoff) for j in range(len(base))]
+    return folded, fan
 
 
 def lemma1_check(

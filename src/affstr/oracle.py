@@ -2,7 +2,7 @@
 
 The Racah-type recursion below walks the unfolded fan directly, so it
 shares nothing with the folding pipeline beyond the algebra data and the
-chamber reduction.  It adjudicates table typos and is the second leg of
+chamber-reduction kernel.  It adjudicates table typos and is the second leg of
 the two-path verification: folded solve and unfolded recursion must agree
 exactly on every multiplicity.
 
@@ -15,15 +15,14 @@ from __future__ import annotations
 
 import threading
 
-from .algebra import AffineWeight, AlgebraSpec, RootVector, root_weight
+from .algebra import AffineWeight, AlgebraSpec
 from .errors import ConfigurationError, ConsistencyError, OutOfWindowError
 from .fan import Fan
 from .strings import classifier_for
-from .weyl import to_dominant, to_dominant_shifted
+from .weyl import reduce_labels, to_dominant
 
 __all__ = [
     "RacahOracle",
-    "racah_multiplicity",
     "euler_square_series",
     "level1_eta_series",
 ]
@@ -87,8 +86,8 @@ def level1_eta_series(n: int) -> list[int]:
 class RacahOracle:
     """Unfolded multiplicity recursion for one module, with memoization.
 
-    Cache keys are dominant representatives only, so the number of states
-    is bounded by (dominant classes at the level) x (grade window).
+    States are dominant (affine labels, grade) integer pairs, so the number
+    of states is bounded by (dominant classes at the level) x (grade window).
     """
 
     def __init__(self, spec: AlgebraSpec, mu: AffineWeight, fan: Fan):
@@ -101,6 +100,11 @@ class RacahOracle:
         self.mu = mu
         self.fan = fan
         self.mu_class = classifier_for(spec).id_of(mu.labels)
+        # mu + rho: the only regular dominant point of the singular term.
+        self._mu_rho = tuple(x + 1 for x in spec.affine_labels(mu))
+        self._shifts = tuple(
+            (labels, v.grade, v.mult) for labels, v in zip(fan.affine_labels, fan.vectors)
+        )
         self._cache: dict[tuple, int] = {}
         self._in_progress = threading.local()
 
@@ -109,23 +113,26 @@ class RacahOracle:
         spec.check_rank(lam)
         if lam.level != self.mu.level:
             raise ConfigurationError("weight level does not match the module level")
-        dom = to_dominant(spec, lam).dominant
-        return self._dominant_multiplicity(dom)
+        # Every weight of the module has integral labels and grade.
+        if not all(isinstance(x, int) for x in lam.labels + (lam.grade,)):
+            return 0
+        dominant = to_dominant(spec, lam).dominant
+        return self._dominant_multiplicity(spec.affine_labels(dominant), dominant.grade)
 
-    def _dominant_multiplicity(self, dom: AffineWeight) -> int:
-        if dom.grade > 0:
+    def _dominant_multiplicity(self, labels: tuple, grade: int) -> int:
+        if grade > 0:
             return 0
-        if any(x.denominator != 1 for x in dom.labels):
-            return 0
-        if dom.grade < -self.fan.cutoff:
+        if grade < -self.fan.cutoff:
             raise OutOfWindowError(
-                f"grade {dom.grade} is beyond the fan cutoff {self.fan.cutoff}"
+                f"grade {grade} is beyond the fan cutoff {self.fan.cutoff}"
             )
-        if classifier_for(self.spec).id_of(dom.labels) != self.mu_class:
+        key = (labels, grade)
+        cached = self._cache.get(key)
+        if cached is not None:
+            return cached
+        # Shifts stay in the class, so only a query can leave it.
+        if classifier_for(self.spec).id_of(labels[1:]) != self.mu_class:
             return 0
-        key = (dom.labels, dom.grade)
-        if key in self._cache:
-            return self._cache[key]
         # Cycle tripwire kept per thread: concurrent duplicate fills of the
         # idempotent cache are tolerated, genuine recursion cycles are not.
         active = getattr(self._in_progress, "keys", None)
@@ -133,35 +140,33 @@ class RacahOracle:
             active = self._in_progress.keys = set()
         if key in active:
             raise ConsistencyError(
-                f"recursion cycle at {dom}; the fan violates well-foundedness"
+                f"recursion cycle at labels {labels} grade {grade}; "
+                "the fan violates well-foundedness"
             )
         active.add(key)
         try:
-            total = self._singular_term(dom)
-            for gamma in self.fan:
-                shifted = dom + root_weight(self.spec, RootVector(gamma.root, gamma.grade))
-                child = to_dominant(self.spec, shifted).dominant
-                if child.grade > 0:
+            total = self._singular_term(labels, grade)
+            for shift, shift_grade, mult in self._shifts:
+                child, child_grade, _ = reduce_labels(
+                    self.spec, [x + y for x, y in zip(labels, shift)], grade + shift_grade
+                )
+                if child_grade > 0:
                     continue
-                term = self._dominant_multiplicity(child)
+                term = self._dominant_multiplicity(child, child_grade)
                 if term:
-                    total += gamma.mult * term
+                    total += mult * term
         finally:
             active.discard(key)
         self._cache[key] = total
         return total
 
-    def _singular_term(self, lam: AffineWeight) -> int:
-        out = to_dominant_shifted(self.spec, lam)
-        if out.on_wall:
+    def _singular_term(self, labels: tuple, grade: int) -> int:
+        # Shifted reduction: add rho (every affine label 1) and reduce.
+        shifted, shifted_grade, word = reduce_labels(
+            self.spec, [x + 1 for x in labels], grade
+        )
+        if 0 in shifted:
             return 0
-        if out.dominant.labels == self.mu.labels and out.dominant.grade == self.mu.grade:
-            return out.sign
+        if shifted == self._mu_rho and shifted_grade == 0:
+            return -1 if len(word) % 2 else 1
         return 0
-
-
-def racah_multiplicity(
-    spec: AlgebraSpec, mu: AffineWeight, lam: AffineWeight, fan: Fan
-) -> int:
-    """One-shot convenience wrapper; use RacahOracle for repeated queries."""
-    return RacahOracle(spec, mu, fan).multiplicity(lam)

@@ -23,7 +23,7 @@ from .errors import (
     OutOfWindowError,
 )
 from .folding import BaseWeightSet, FoldedFan, build_folded_fans
-from .weyl import to_dominant
+from .weyl import descending_orbit, to_dominant
 
 __all__ = [
     "CongruenceClassId",
@@ -180,24 +180,9 @@ class BlockSystem:
     def eta(self, j: int, s: int, n: int) -> int:
         return self.folded[j].eta(s, n)
 
-    def block(self, j: int, s: int):
-        """Materialized (depth+1)-square Toeplitz block."""
-        size = self.depth + 1
-        return [
-            [self.eta(j, s, c - r) if c >= r else 0 for c in range(size)]
-            for r in range(size)
-        ]
-
     def grade_matrix(self, n: int):
         p = len(self.base)
         return [[self.eta(j, s, n) for s in range(p)] for j in range(p)]
-
-    def rhs(self):
-        """Stacked right-hand side, one (depth+1)-vector per block row."""
-        size = self.depth + 1
-        out = [0] * (size * len(self.base))
-        out[self.mu_index * size + size - 1] = -1
-        return out
 
 
 def assemble_system(base: BaseWeightSet, folded, mu_index: int, u: int) -> BlockSystem:
@@ -241,9 +226,6 @@ class StringTable:
     @property
     def depth(self) -> int:
         return -self.cutoff
-
-    def string(self, s: int) -> tuple[int, ...]:
-        return self.coefficients[s]
 
     def to_json(self) -> dict:
         return {
@@ -354,9 +336,7 @@ def grade_zero_determinant(system: BlockSystem) -> int:
     return int(value)
 
 
-def string_table(
-    spec: AlgebraSpec, mu_labels, level: int, u: int, *, fan=None
-) -> StringTable:
+def string_table(spec: AlgebraSpec, mu_labels, level: int, u: int) -> StringTable:
     """Full pipeline: class enumeration, folding, assembly, exact solve."""
     mu_labels = tuple(int(x) for x in mu_labels)
     if any(x < 0 for x in mu_labels):
@@ -370,7 +350,7 @@ def string_table(
     cid = classifier_for(spec).id_of(mu_labels)
     base = classes[cid]
     mu_index = base.index_of(mu_labels)
-    folded, _ = build_folded_fans(spec, base, -int(u), fan=fan)
+    folded, _ = build_folded_fans(spec, base, -int(u))
     system = assemble_system(base, folded, mu_index, u)
     return solve_strings(system)
 
@@ -382,6 +362,9 @@ def weight_multiplicity(spec: AlgebraSpec, table: StringTable, lam: AffineWeight
         raise ConfigurationError(
             f"weight level {lam.level} does not match module level {table.level}"
         )
+    # Every weight of the module has integral labels and grade.
+    if not all(isinstance(x, int) for x in lam.labels + (lam.grade,)):
+        return 0
     dominant = to_dominant(spec, lam).dominant
     if dominant.grade > 0:
         return 0
@@ -389,13 +372,9 @@ def weight_multiplicity(spec: AlgebraSpec, table: StringTable, lam: AffineWeight
         raise OutOfWindowError(
             f"grade {dominant.grade} is beyond the computed cutoff {table.cutoff}"
         )
-    if any(x.denominator != 1 for x in dominant.labels):
-        return 0
-    cid = classifier_for(spec).id_of(dominant.labels)
-    if cid != table.base.class_id:
-        return 0
-    s = table.base.index_of(dominant.labels)
-    return table.coefficients[s][-int(dominant.grade)]
+    # A dominant level-k weight of the module's class is a base weight.
+    s = table.base.positions.get(dominant.labels)
+    return 0 if s is None else table.coefficients[s][-dominant.grade]
 
 
 def character(spec: AlgebraSpec, table: StringTable, window) -> list:
@@ -411,17 +390,21 @@ def character(spec: AlgebraSpec, table: StringTable, window) -> list:
         raise OutOfWindowError(
             f"window floor {bottom} is beyond the computed cutoff {table.cutoff}"
         )
-    found: dict[AffineWeight, int] = {}
+    level = table.level
+    found: dict[tuple, int] = {}
     for s, xi in enumerate(table.base.weights):
+        start = spec.affine_labels(xi)
         for d in range(table.depth + 1):
             mult = table.coefficients[s][d]
             if mult == 0 or -d < bottom:
                 continue
-            start = xi.shift_grade(-d)
-            for w in _orbit_down_to(spec, start, bottom):
-                if bottom <= w.grade <= top:
-                    found[w] = mult
-    return sorted(found.items(), key=lambda kv: (-kv[0].grade, kv[0].labels))
+            for _, _, (labels, grade) in descending_orbit(spec, start, -d, bottom):
+                if grade <= top:
+                    found[labels[1:], grade] = mult
+    return [
+        (AffineWeight(labels, level, grade), mult)
+        for (labels, grade), mult in sorted(found.items(), key=lambda kv: (-kv[0][1], kv[0][0]))
+    ]
 
 
 def _normalize_window(window):
@@ -436,34 +419,3 @@ def _normalize_window(window):
         raise ConfigurationError("window grades must be <= 0")
     return int(top), int(bottom)
 
-
-def _orbit_down_to(spec: AlgebraSpec, start: AffineWeight, floor: int):
-    """Ordinary orbit elements with grade >= floor, by descending walk."""
-    if start.grade < floor:
-        return
-    seen = {(start.labels, start.grade)}
-    stack = [start]
-    while stack:
-        node = stack.pop()
-        yield node
-        labels = spec.affine_labels(node)
-        for i, li in enumerate(labels):
-            if li <= 0:
-                continue
-            child = _reflect(spec, i, node, labels)
-            if child.grade < floor:
-                continue
-            key = (child.labels, child.grade)
-            if key not in seen:
-                seen.add(key)
-                stack.append(child)
-
-
-def _reflect(spec, i, w, labels):
-    if i == 0:
-        l0 = labels[0]
-        new = tuple(x + l0 * t for x, t in zip(w.labels, spec.theta_labels))
-        return AffineWeight(new, w.level, w.grade - l0)
-    li = labels[i]
-    new = tuple(x - li * spec.cartan[j][i - 1] for j, x in enumerate(w.labels))
-    return AffineWeight(new, w.level, w.grade)

@@ -1,35 +1,43 @@
-"""Affine Weyl group actions and reduction to the dominant chamber.
+"""The affine Weyl group: one reflection kernel and dominant-chamber reduction.
 
-Simple reflections act on (labels; level; grade):
+The kernel works on affine Dynkin labels (lambda_0, lambda_1, ..., lambda_r)
+plus the grade; the level is implicit in the labels.  A simple reflection
 
-    s_i (i >= 1):  subtract label_i times the i-th simple root, grade fixed;
-    s_0:           add label_0 times the highest root and lower the grade
-                   by label_0.
+    s_i:  lambda_j -= lambda_i * A[j][i]   (A the affine Cartan matrix),
+          and on s_0 only, grade -= lambda_0,
 
-Reduction applies the reflection at the most negative affine label until
-all labels are non-negative.  Any strategy yields the same dominant
-representative; this one gives deterministic words.  Termination requires
-positive level, guarded by a step budget.
+touches only the nonzero entries of one precomputed affine Cartan column.
+Reduction applies the reflection at the most negative label (lowest index
+on ties) until all labels are non-negative.  Any strategy yields the same
+dominant representative; this one gives deterministic words.  It only ever
+raises the grade.  Termination requires positive level, guarded by a step
+budget.
+
+The reverse walk, `descending_orbit`, visits the orbit of a dominant point
+along reflections at positive labels, which only ever lower the grade.
+
+Every Weyl walk in the package (fan enumeration, folding, the oracle, the
+character orbits) runs on integer labels through these three functions;
+the `AffineWeight` functions below are thin wrappers for the API edge.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .algebra import AffineWeight, AlgebraSpec, classical_inner, to_root_basis, weyl_vector
+from .algebra import AffineWeight, AlgebraSpec
 from .errors import ConfigurationError, NonterminationError
 
 __all__ = [
     "WeylOutcome",
-    "TranslationDatum",
+    "reflect_labels",
+    "reduce_labels",
+    "descending_orbit",
     "reflect",
-    "shifted_reflect",
     "to_dominant",
     "to_dominant_shifted",
-    "translation_datum",
     "apply_word",
-    "translate",
 ]
 
 DEFAULT_STEP_LIMIT = 1_000_000
@@ -51,107 +59,111 @@ class WeylOutcome:
     word: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class TranslationDatum:
-    """Coroot-lattice argument of the translation part of a reducing element."""
+def reflect_labels(spec: AlgebraSpec, i: int, labels: list, grade):
+    """Apply s_i to a mutable affine label list in place; return the new grade."""
+    li = labels[i]
+    for j, a in spec.affine_columns[i]:
+        labels[j] -= li * a
+    return grade - li if i == 0 else grade
 
-    theta: tuple[int, ...]
+
+def reduce_labels(spec: AlgebraSpec, labels, grade, *, max_steps: int = DEFAULT_STEP_LIMIT):
+    """Reduce affine labels to the dominant chamber.
+
+    Returns the dominant labels as a tuple, their grade and the word of
+    reflection indices applied.  The caller guarantees positive level.
+    """
+    labels = list(labels)
+    word: list[int] = []
+    for _ in range(max_steps):
+        low = min(labels)
+        if low >= 0:
+            return tuple(labels), grade, word
+        i = labels.index(low)
+        grade = reflect_labels(spec, i, labels, grade)
+        word.append(i)
+    raise NonterminationError(f"reduction exceeded {max_steps} steps")
+
+
+def descending_orbit(spec: AlgebraSpec, labels, grade, floor):
+    """Breadth-first walk of the orbit of a dominant point down to a grade floor.
+
+    Yields (parent, i, node) once per orbit point with grade >= floor,
+    nodes being (affine labels tuple, grade) and node = s_i(parent); the
+    starting point comes first, with parent and i None.
+    """
+    start = (tuple(labels), grade)
+    seen = {start}
+    queue = deque([start])
+    yield None, None, start
+    while queue:
+        parent = queue.popleft()
+        labels, grade = parent
+        for i, li in enumerate(labels):
+            if li <= 0:
+                continue
+            child = list(labels)
+            child_grade = reflect_labels(spec, i, child, grade)
+            if child_grade < floor:
+                continue
+            node = (tuple(child), child_grade)
+            if node not in seen:
+                seen.add(node)
+                queue.append(node)
+                yield parent, i, node
+
+
+def _weight(labels, level, grade) -> AffineWeight:
+    return AffineWeight(labels[1:], level, grade)
 
 
 def reflect(spec: AlgebraSpec, i: int, w: AffineWeight) -> AffineWeight:
     """Simple reflection s_i, ordinary action.  Involution; level preserved."""
     if not 0 <= i <= spec.rank:
         raise ConfigurationError(f"reflection index {i} out of range 0..{spec.rank}")
-    if i == 0:
-        l0 = spec.label0(w)
-        labels = tuple(x + l0 * t for x, t in zip(w.labels, spec.theta_labels))
-        return AffineWeight(labels, w.level, w.grade - l0)
-    li = w.labels[i - 1]
-    labels = tuple(
-        x - li * spec.cartan[j][i - 1] for j, x in enumerate(w.labels)
-    )
-    return AffineWeight(labels, w.level, w.grade)
+    labels = list(spec.affine_labels(w))
+    grade = reflect_labels(spec, i, labels, w.grade)
+    return _weight(labels, w.level, grade)
 
 
-def shifted_reflect(spec: AlgebraSpec, i: int, w: AffineWeight) -> AffineWeight:
-    """The rho-shifted (dot) action of s_i."""
-    rho = weyl_vector(spec)
-    return reflect(spec, i, w + rho) - rho
+def apply_word(spec: AlgebraSpec, word, w: AffineWeight) -> AffineWeight:
+    """Apply reflections in the order they were recorded."""
+    labels = list(spec.affine_labels(w))
+    grade = w.grade
+    for i in word:
+        if not 0 <= i <= spec.rank:
+            raise ConfigurationError(f"reflection index {i} out of range 0..{spec.rank}")
+        grade = reflect_labels(spec, i, labels, grade)
+    return _weight(labels, w.level, grade)
 
 
 def to_dominant(
     spec: AlgebraSpec, w: AffineWeight, *, max_steps: int = DEFAULT_STEP_LIMIT
 ) -> WeylOutcome:
     """Reduce a positive-level weight to its dominant orbit representative."""
-    spec.check_rank(w)
-    if w.level <= 0:
-        raise NonterminationError(
-            f"to_dominant needs positive level, got {w.level}"
-        )
-    word: list[int] = []
-    current = w
-    for _ in range(max_steps):
-        labels = spec.affine_labels(current)
-        worst = min(range(len(labels)), key=lambda i: (labels[i], i))
-        if labels[worst] >= 0:
-            on_wall = any(x == 0 for x in labels)
-            return WeylOutcome(current, -1 if len(word) % 2 else 1, on_wall, tuple(word))
-        current = reflect(spec, worst, current)
-        word.append(worst)
-    raise NonterminationError(f"reduction exceeded {max_steps} steps")
+    return _reduce(spec, w, 0, max_steps)
 
 
 def to_dominant_shifted(
     spec: AlgebraSpec, w: AffineWeight, *, max_steps: int = DEFAULT_STEP_LIMIT
 ) -> WeylOutcome:
-    """Reduce under the shifted action w -> s.(w).
+    """Reduce under the shifted action w -> s.(w) = s(w + rho) - rho.
 
     `on_wall` means the shifted orbit is singular: signed sums over it
     cancel and the weight contributes nothing.
     """
-    rho = weyl_vector(spec)
-    out = to_dominant(spec, w + rho, max_steps=max_steps)
-    return WeylOutcome(out.dominant - rho, out.sign, out.on_wall, out.word)
+    return _reduce(spec, w, 1, max_steps)
 
 
-def apply_word(spec: AlgebraSpec, word, w: AffineWeight) -> AffineWeight:
-    """Apply reflections in the order they were recorded."""
-    for i in word:
-        w = reflect(spec, i, w)
-    return w
-
-
-def translate(spec: AlgebraSpec, coroot_coords, w: AffineWeight) -> AffineWeight:
-    """Action of the translation t_beta, beta given in simple-coroot coordinates."""
-    if len(coroot_coords) != spec.rank:
-        raise ConfigurationError("coroot coordinate length does not match rank")
-    # beta as a classical weight: root coordinates b_i / d_i.
-    root_coords = tuple(Fraction(b) / d for b, d in zip(coroot_coords, spec.symmetrizer))
-    beta_labels = tuple(
-        sum(Fraction(spec.cartan[i][j]) * root_coords[j] for j in range(spec.rank))
-        for i in range(spec.rank)
-    )
-    beta = AffineWeight(beta_labels, 0, 0)
-    pairing = classical_inner(spec, w.labels, beta.labels)
-    norm2 = classical_inner(spec, beta.labels, beta.labels)
-    labels = tuple(x + w.level * b for x, b in zip(w.labels, beta.labels))
-    return AffineWeight(labels, w.level, w.grade - pairing - w.level * norm2 / 2)
-
-
-def translation_datum(spec: AlgebraSpec, outcome: WeylOutcome) -> TranslationDatum:
-    """Extract theta-vee from the t . s decomposition of the reducing word.
-
-    The word acts on the level-1 zero weight as pure translation data:
-    w(0;1;0) has classical part nu(beta), from which the coroot
-    coordinates are read off exactly.
-    """
-    probe = AffineWeight((0,) * spec.rank, 1, 0)
-    image = apply_word(spec, outcome.word, probe)
-    root_coords = to_root_basis(spec, image)
-    theta = []
-    for y, d in zip(root_coords, spec.symmetrizer):
-        b = y * d
-        if b.denominator != 1:
-            raise ConfigurationError("translation argument left the coroot lattice")
-        theta.append(int(b))
-    return TranslationDatum(tuple(theta))
+def _reduce(spec, w, shift, max_steps) -> WeylOutcome:
+    # rho has every affine label 1, so the shifted action adds `shift`
+    # to each label before reducing and takes it off afterwards.
+    spec.check_rank(w)
+    level = w.level + shift * spec.dual_coxeter
+    if level <= 0:
+        raise NonterminationError(f"to_dominant needs positive level, got {level}")
+    labels = [x + shift for x in spec.affine_labels(w)]
+    labels, grade, word = reduce_labels(spec, labels, w.grade, max_steps=max_steps)
+    on_wall = 0 in labels
+    dominant = _weight([x - shift for x in labels], w.level, grade)
+    return WeylOutcome(dominant, -1 if len(word) % 2 else 1, on_wall, tuple(word))

@@ -3,6 +3,7 @@ import pytest
 from affstr import (
     CongruenceError,
     ConfigurationError,
+    ConventionError,
     build_fan,
     build_folded_fan,
     build_folded_fans,
@@ -11,7 +12,7 @@ from affstr import (
     level1_eta_series,
 )
 from affstr.folding import BaseWeightSet, FoldedFan
-from affstr.fan import FanVector
+from affstr.fan import Fan, FanVector
 from affstr.strings import classifier_for, enumerate_class_weights
 
 
@@ -130,13 +131,27 @@ def test_folded_fan_json_round_trip(a2):
     )
 
 
-def test_adaptive_margin_returns_consistent_fans(a2):
-    # a pre-built longer fan must give identical folded fans
+def test_longer_fan_folds_to_the_same_window(a2, a3):
+    # fan vectors above the cutoff never land inside the window, so the fan
+    # built exactly to the cutoff folds to the same result as a longer one
+    for spec, level, cutoff in [(a2, 2, 6), (a2, 4, 5), (a3, 2, 3)]:
+        for base in enumerate_class_weights(spec, level).values():
+            exact, fan = build_folded_fans(spec, base, cutoff)
+            assert fan.cutoff == cutoff
+            longer = build_fan(spec, cutoff + 6)
+            for j, ff in enumerate(exact):
+                assert build_folded_fan(spec, base, j, longer, cutoff).entries == ff.entries
+
+
+def test_wrong_fan_grade_raises_convention_error(a2):
+    # the root (1,0) of a grade-0 fan vector, given grade -1: it folds onto
+    # (1,1) one grade above the base, below the grade of any real shift
     base = class_of(a2, (0, 0), 2)
-    short, _ = build_folded_fans(a2, base, 6)
-    long, _ = build_folded_fans(a2, base, 6, fan=build_fan(a2, 12))
-    for a, b in zip(short, long):
-        assert a.entries == b.entries
+    wrong = Fan(a2, 4, [FanVector((1, 0), -1, 1)])
+    with pytest.raises(ConventionError):
+        build_folded_fan(a2, base, 0, wrong, 4)
+    with pytest.raises(ConventionError):
+        fold_shift(a2, base.weights[0], wrong.vectors[0])
 
 
 def test_folded_grade_formula(a2):
@@ -144,14 +159,15 @@ def test_folded_grade_formula(a2):
     # correction: n - (k/2)|b|^2 - (v(phi), b), with b read off the word
     from fractions import Fraction
 
-    from affstr.algebra import classical_inner, from_root_basis, root_weight, RootVector
-    from affstr.weyl import apply_word, to_dominant, translation_datum, translate
+    from affstr.algebra import classical_inner, from_root_basis
+    from affstr.weyl import apply_word, to_dominant
+    from weyl_reference import translate, translation_datum
 
     base = class_of(a2, (0, 0), 2)
     fan = build_fan(a2, 8)
     for xi in base.weights:
         for gamma in fan:
-            shifted = xi + root_weight(a2, RootVector(gamma.root, gamma.grade))
+            shifted = xi + from_root_basis(a2, gamma.root, 0, gamma.grade)
             reduction = to_dominant(a2, shifted)
             datum = translation_datum(a2, reduction)
             # classical part of the reducing element, applied to the shift

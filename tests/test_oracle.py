@@ -8,7 +8,6 @@ from affstr import (
     build_fan,
     euler_square_series,
     level1_eta_series,
-    racah_multiplicity,
     string_table,
     weight_multiplicity,
 )
@@ -46,7 +45,7 @@ def test_eta_sigma_convolution():
 def test_racah_highest_weight(a2):
     fan = build_fan(a2, 6)
     mu = a2.weight((0, 0), 2, 0)
-    assert racah_multiplicity(a2, mu, mu, fan) == 1
+    assert RacahOracle(a2, mu, fan).multiplicity(mu) == 1
 
 
 def test_racah_table_values(a2):

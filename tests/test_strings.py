@@ -64,13 +64,11 @@ def test_assemble_level1_block(a2):
     base = enumerate_class_weights(a2, 1)[cid]
     folded, _ = build_folded_fans(a2, base, 5)
     system = assemble_system(base, folded, 0, -5)
-    block = system.block(0, 0)
-    eta = folded[0].eta_row(0)
-    assert block[0] == eta
-    assert all(block[r][r] == eta[0] for r in range(6))
-    assert all(block[r][c] == 0 for r in range(6) for c in range(r))
+    # the single Toeplitz block is read off the folded shifts by grade
+    assert [system.eta(0, 0, n) for n in range(6)] == folded[0].eta_row(0)
+    assert system.grade_matrix(0) == [[-1]]
     assert abs(grade_zero_determinant(system)) == 1
-    assert system.rhs() == [0, 0, 0, 0, 0, -1]
+    assert system.depth == 5 and system.mu_index == 0
 
 
 def test_assemble_depth_zero(a2):
@@ -79,7 +77,6 @@ def test_assemble_depth_zero(a2):
     folded, _ = build_folded_fans(a2, base, 0)
     system = assemble_system(base, folded, 0, 0)
     assert system.grade_matrix(0) == [[-1, 2], [0, -1]]
-    assert system.rhs() == [-1, 0]
     table = solve_strings(system)
     assert table.coefficients == ((1,), (0,))
 
@@ -129,6 +126,28 @@ def test_weight_multiplicity_guards(a2):
         weight_multiplicity(a2, table, a2.weight((0, 0), 2, 0))
     # different congruence class: simply zero
     assert weight_multiplicity(a2, table, a2.weight((1, 0), 1, 0)) == 0
+
+
+def test_weight_multiplicity_off_lattice_is_zero(a2):
+    # fractional grades or labels are no weights of the module; a truncated
+    # grade once read the string at the wrong depth
+    from fractions import Fraction
+
+    from affstr import RacahOracle
+
+    table = string_table(a2, (0, 0), 2, -4)
+    oracle = RacahOracle(a2, table.mu, build_fan(a2, 4))
+    off_lattice = [
+        a2.weight((0, 0), 2, Fraction(-1, 2)),
+        a2.weight((0, 0), 2, Fraction(-3, 2)),
+        a2.weight((1, 1), 2, Fraction(-7, 2)),
+        a2.weight((Fraction(1, 2), 0), 2, -1),
+        a2.weight((Fraction(2, 3), Fraction(-2, 3)), 2, -2),
+    ]
+    for lam in off_lattice:
+        assert weight_multiplicity(a2, table, lam) == oracle.multiplicity(lam) == 0
+    # beyond the window too: nothing to read, so no OutOfWindowError
+    assert weight_multiplicity(a2, table, a2.weight((0, 0), 2, Fraction(-11, 2))) == 0
 
 
 def test_character_grade0(a2):

@@ -1,23 +1,26 @@
+import json
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import weyl_reference as reference
 from affstr import (
     AffineWeight,
     ConfigurationError,
     NonterminationError,
+    character,
     inner_product,
     from_root_basis,
     reflect,
-    shifted_reflect,
+    string_table,
     to_dominant,
     to_dominant_shifted,
-    translation_datum,
     weyl_vector,
 )
 from affstr.algebra import load_algebra
-from affstr.weyl import apply_word, translate
+from affstr.weyl import apply_word
+from weyl_reference import shifted_reflect, translate, translation_datum
 
 
 labels2 = st.tuples(st.integers(-8, 8), st.integers(-8, 8))
@@ -200,3 +203,86 @@ def test_translation_datum_s0(a2):
 def test_reflect_index_guard(a2):
     with pytest.raises(ConfigurationError):
         reflect(a2, 3, a2.weight((1, 0), 1, 0))
+
+
+# -- the integer kernel against the reference reduction --------------------
+
+CONFIGS = {
+    # marks (2, 3) differ from comarks (2, 1); the affine Cartan matrix is
+    # not symmetric
+    "G2": {"label": "G2", "cartan": [[2, -1], [-3, 2]]},
+    "A4": {
+        "label": "A4",
+        "cartan": [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -1], [0, 0, -1, 2]],
+    },
+}
+
+
+@pytest.fixture(scope="module")
+def kernel_specs(tmp_path_factory):
+    specs = {"A2": load_algebra("A2")}
+    folder = tmp_path_factory.mktemp("algebras")
+    for name, config in CONFIGS.items():
+        path = folder / f"{name}.json"
+        path.write_text(json.dumps(config))
+        specs[name] = load_algebra(str(path))
+    return specs
+
+
+def _draw_weight(data, spec):
+    labels = data.draw(st.tuples(*[st.integers(-8, 8)] * spec.rank))
+    return AffineWeight(labels, data.draw(st.integers(1, 5)), data.draw(st.integers(-6, 2)))
+
+
+@given(st.data())
+@settings(max_examples=200)
+def test_kernel_matches_reference_reduction(kernel_specs, data):
+    spec = kernel_specs[data.draw(st.sampled_from(sorted(kernel_specs)))]
+    w = _draw_weight(data, spec)
+    out = to_dominant(spec, w)
+    assert (out.dominant, out.sign, out.on_wall, out.word) == reference.to_dominant(spec, w)
+    rho = weyl_vector(spec)
+    dominant, sign, on_wall, word = reference.to_dominant(spec, w + rho)
+    shifted = to_dominant_shifted(spec, w)
+    assert (shifted.dominant, shifted.sign, shifted.on_wall, shifted.word) == (
+        dominant - rho, sign, on_wall, word
+    )
+
+
+@given(st.data())
+@settings(max_examples=100)
+def test_kernel_reflections_match_reference(kernel_specs, data):
+    spec = kernel_specs[data.draw(st.sampled_from(sorted(kernel_specs)))]
+    w = _draw_weight(data, spec)
+    word = data.draw(st.lists(st.integers(0, spec.rank), max_size=8))
+    assert apply_word(spec, word, w) == reference.apply_word(spec, word, w)
+
+
+def test_kernel_step_budget(a2):
+    lam = a2.weight((-40, 3), 1, 0)
+    steps = len(reference.to_dominant(a2, lam)[3])
+    assert len(to_dominant(a2, lam, max_steps=steps + 1).word) == steps
+    with pytest.raises(NonterminationError):
+        to_dominant(a2, lam, max_steps=steps)
+
+
+@pytest.mark.parametrize(
+    "name,mu,level,depth,window",
+    [("A2", (1, 0), 2, 4, 4), ("G2", (0, 1), 2, 4, (-1, -4))],
+    ids=["A2", "G2"],
+)
+def test_character_orbits_match_brute_force(kernel_specs, name, mu, level, depth, window):
+    spec = kernel_specs[name]
+    table = string_table(spec, mu, level, -depth)
+    top, bottom = (0, -window) if isinstance(window, int) else window
+    want = {}
+    for s, xi in enumerate(table.base.weights):
+        for d in range(depth + 1):
+            mult = table.coefficients[s][d]
+            if mult and -d >= bottom:
+                for w in _orbit(spec, xi.shift_grade(-d), bottom):
+                    if w.grade <= top:
+                        want[w] = mult
+    got = character(spec, table, window)
+    assert len(got) == len(want) > 50
+    assert dict(got) == want

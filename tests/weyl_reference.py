@@ -1,0 +1,92 @@
+"""Reference affine Weyl group code for the tests, independent of affstr.weyl.
+
+Everything here works on `AffineWeight` values with the reflection
+formulas written out in the classical basis: s_0 adds label_0 times the
+highest root and lowers the grade by label_0, s_i subtracts label_i times
+the i-th simple root.  The reduction loop is the one the package used
+before its integer kernel and is the oracle the kernel is tested against.
+The translation helpers decompose a reducing element as t . s.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+
+from affstr import AffineWeight, NonterminationError, weyl_vector
+from affstr.algebra import classical_inner, to_root_basis
+
+
+def reflect(spec, i, w):
+    """Simple reflection s_i, ordinary action."""
+    if i == 0:
+        l0 = spec.label0(w)
+        labels = tuple(x + l0 * t for x, t in zip(w.labels, spec.theta_labels))
+        return AffineWeight(labels, w.level, w.grade - l0)
+    li = w.labels[i - 1]
+    labels = tuple(x - li * spec.cartan[j][i - 1] for j, x in enumerate(w.labels))
+    return AffineWeight(labels, w.level, w.grade)
+
+
+def apply_word(spec, word, w):
+    for i in word:
+        w = reflect(spec, i, w)
+    return w
+
+
+def to_dominant(spec, w, max_steps=1_000_000):
+    """(dominant, sign, on_wall, word): reflect at the most negative label,
+    lowest index on ties."""
+    word = []
+    current = w
+    for _ in range(max_steps):
+        labels = spec.affine_labels(current)
+        worst = min(range(len(labels)), key=lambda i: (labels[i], i))
+        if labels[worst] >= 0:
+            on_wall = any(x == 0 for x in labels)
+            return current, -1 if len(word) % 2 else 1, on_wall, tuple(word)
+        current = reflect(spec, worst, current)
+        word.append(worst)
+    raise NonterminationError(f"reduction exceeded {max_steps} steps")
+
+
+def shifted_reflect(spec, i, w):
+    """The rho-shifted (dot) action of s_i."""
+    rho = weyl_vector(spec)
+    return reflect(spec, i, w + rho) - rho
+
+
+@dataclass(frozen=True)
+class TranslationDatum:
+    """Coroot-lattice argument of the translation part of a reducing element."""
+
+    theta: tuple[int, ...]
+
+
+def translate(spec, coroot_coords, w):
+    """Action of the translation t_beta, beta given in simple-coroot coordinates."""
+    root_coords = tuple(Fraction(b) / d for b, d in zip(coroot_coords, spec.symmetrizer))
+    beta_labels = tuple(
+        sum(Fraction(spec.cartan[i][j]) * root_coords[j] for j in range(spec.rank))
+        for i in range(spec.rank)
+    )
+    pairing = classical_inner(spec, w.labels, beta_labels)
+    norm2 = classical_inner(spec, beta_labels, beta_labels)
+    labels = tuple(x + w.level * b for x, b in zip(w.labels, beta_labels))
+    return AffineWeight(labels, w.level, w.grade - pairing - w.level * norm2 / 2)
+
+
+def translation_datum(spec, outcome):
+    """theta-vee of the t . s decomposition of a reducing word.
+
+    The word acts on the level-1 zero weight as pure translation data:
+    w(0;1;0) has classical part nu(beta), read off in coroot coordinates.
+    """
+    probe = AffineWeight((0,) * spec.rank, 1, 0)
+    image = apply_word(spec, outcome.word, probe)
+    theta = []
+    for y, d in zip(to_root_basis(spec, image), spec.symmetrizer):
+        b = y * d
+        assert b.denominator == 1, "translation argument left the coroot lattice"
+        theta.append(int(b))
+    return TranslationDatum(tuple(theta))
