@@ -25,6 +25,7 @@ from affstr import (  # noqa: E402
     level1_eta_series,
     preset,
     string_table,
+    two_path_mismatches,
     verify_denominator,
 )
 from affstr.strings import enumerate_class_weights, classifier_for  # noqa: E402
@@ -316,12 +317,13 @@ def make_level4():
                             "lists; the unfolded recursion confirms the "
                             "recomputed row",
                 })
-    fan9 = build_fan(spec, depth)
     modules = []
     swap = {(3, 0): ((0, 3), [0, 1, 3, 2, 4])}
     for mu in [(0, 0), (1, 1), (0, 3), (3, 0), (2, 2)]:
         table = string_table(spec, mu, 4, -depth)
-        oracle = RacahOracle(spec, spec.weight(mu, 4, 0), fan9)
+        # The unfolded recursion confirms every value, adjudicated ones included.
+        mismatches = two_path_mismatches(table, RacahOracle(spec, spec.weight(mu, 4, 0), fan))
+        assert not mismatches, (mu, mismatches)
         sigma = [list(r) for r in table.coefficients]
         printed = PRINTED_LEVEL4_SIGMA[mu]
         annotations = []
@@ -335,9 +337,6 @@ def make_level4():
             if sigma[s] == printed[s]:
                 continue
             diffs = [d for d in range(depth + 1) if sigma[s][d] != printed[s][d]]
-            for d in diffs:
-                want = oracle.multiplicity(table.base.weights[s].shift_grade(-d))
-                assert want == sigma[s][d], (mu, s, d, want, sigma[s][d])
             if len(diffs) == 1:
                 d = diffs[0]
                 annotations.append({

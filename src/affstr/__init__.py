@@ -35,6 +35,7 @@ from .oracle import (
     RacahOracle,
     euler_square_series,
     level1_eta_series,
+    two_path_mismatches,
 )
 from .strings import (
     BlockSystem,

@@ -17,10 +17,10 @@ import sys
 
 from . import verify as verify_mod
 from .algebra import load_algebra, to_root_basis
-from .errors import AffstrError, ConfigurationError
+from .errors import AffstrError, ConfigurationError, ConsistencyError
 from .fan import build_fan, verify_denominator
 from .folding import build_folded_fans
-from .oracle import RacahOracle
+from .oracle import RacahOracle, two_path_mismatches
 from .strings import (
     character,
     classifier_for,
@@ -85,7 +85,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("strings", help="string function table for a module")
     common(p)
     p.add_argument("--verify", action="store_true",
-                   help="cross-check shallow coefficients against the unfolded recursion")
+                   help="check every coefficient, depths 0..cutoff, against the unfolded recursion")
     p.set_defaults(handler=cmd_strings)
 
     p = sub.add_parser("mult", help="multiplicity of a single weight")
@@ -138,8 +138,6 @@ def cmd_fan(args) -> str:
     if args.check:
         report = verify_denominator(fan)
         if not report.ok:
-            from .errors import ConsistencyError
-
             raise ConsistencyError(f"denominator identity fails: {report.mismatch}")
     if args.format == "json":
         return _dumps(fan.to_json())
@@ -198,18 +196,15 @@ def cmd_strings(args) -> str:
     spec, mu = _class_data(args)
     table = string_table(spec, mu, args.level, -args.cutoff)
     if args.verify:
-        from .errors import ConsistencyError
-
-        fan = build_fan(spec, min(args.cutoff, 6))
-        oracle = RacahOracle(spec, spec.weight(mu, args.level, 0), fan)
-        for s, xi in enumerate(table.base.weights):
-            for d in range(min(args.cutoff, 6) + 1):
-                want = oracle.multiplicity(xi.shift_grade(-d))
-                if want != table.coefficients[s][d]:
-                    raise ConsistencyError(
-                        f"unfolded recursion gives {want} at string {s} depth {d}, "
-                        f"folded table has {table.coefficients[s][d]}"
-                    )
+        # string_table cached the fan built to the cutoff; the oracle reuses it.
+        oracle = RacahOracle(spec, table.mu, build_fan(spec, args.cutoff))
+        mismatches = two_path_mismatches(table, oracle)
+        if mismatches:
+            s, d, folded, unfolded = mismatches[0]
+            raise ConsistencyError(
+                f"unfolded recursion gives {unfolded} at string {s} depth {d}, "
+                f"folded table has {folded}"
+            )
     if args.format == "json":
         return _dumps(table.to_json())
     if args.format == "csv":

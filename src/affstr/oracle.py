@@ -4,7 +4,8 @@ The Racah-type recursion below walks the unfolded fan directly, so it
 shares nothing with the folding pipeline beyond the algebra data and the
 chamber-reduction kernel.  It adjudicates table typos and is the second leg of
 the two-path verification: folded solve and unfolded recursion must agree
-exactly on every multiplicity.
+exactly on every multiplicity.  `two_path_mismatches` is the one place
+the two are compared.
 
 The level-1 closed forms are pure q-series: the single string function
 is the reciprocal of the squared Euler product, and the level-1 shift
@@ -13,18 +14,17 @@ multiplicities are its negated inverse series.
 
 from __future__ import annotations
 
-import threading
-
 from .algebra import AffineWeight, AlgebraSpec
 from .errors import ConfigurationError, ConsistencyError, OutOfWindowError
 from .fan import Fan
-from .strings import classifier_for
+from .strings import StringTable, classifier_for
 from .weyl import reduce_labels, to_dominant
 
 __all__ = [
     "RacahOracle",
     "euler_square_series",
     "level1_eta_series",
+    "two_path_mismatches",
 ]
 
 
@@ -106,7 +106,6 @@ class RacahOracle:
             (labels, v.grade, v.mult) for labels, v in zip(fan.affine_labels, fan.vectors)
         )
         self._cache: dict[tuple, int] = {}
-        self._in_progress = threading.local()
 
     def multiplicity(self, lam: AffineWeight) -> int:
         spec = self.spec
@@ -117,56 +116,62 @@ class RacahOracle:
         if not all(isinstance(x, int) for x in lam.labels + (lam.grade,)):
             return 0
         dominant = to_dominant(spec, lam).dominant
+        # Shifts stay in the class, so only a query can leave it.
+        if dominant.grade > 0 or classifier_for(spec).id_of(dominant.labels) != self.mu_class:
+            return 0
         return self._dominant_multiplicity(spec.affine_labels(dominant), dominant.grade)
 
     def _dominant_multiplicity(self, labels: tuple, grade: int) -> int:
-        if grade > 0:
-            return 0
+        # Depth-first on an explicit stack: a state is expanded (unknown
+        # children pushed) on its first visit and summed on its second.  An
+        # uncached child this call expanded lies on its path: a cycle.  Other
+        # threads may cache a state this call expanded, so test cache first.
+        cache, expanded = self._cache, {}
+        stack = [(labels, grade)]
+        while stack:
+            state = stack[-1]
+            if state in cache:
+                stack.pop()
+            elif state in expanded:
+                children = expanded.pop(state)
+                cache[state] = self._singular_term(*state) + sum(m * cache[c] for c, m in children)
+            else:
+                expanded[state] = children = list(self._children(*state))
+                for child, _ in children:
+                    if child not in cache:
+                        if child in expanded:
+                            raise ConsistencyError(
+                                f"recursion cycle at state {child}; the fan is not well-founded"
+                            )
+                        stack.append(child)
+        return cache[labels, grade]
+
+    def _children(self, labels: tuple, grade: int):
+        """(dominant child state, shift multiplicity) for every shift."""
         if grade < -self.fan.cutoff:
-            raise OutOfWindowError(
-                f"grade {grade} is beyond the fan cutoff {self.fan.cutoff}"
+            raise OutOfWindowError(f"grade {grade} is beyond the fan cutoff {self.fan.cutoff}")
+        for shift, shift_grade, mult in self._shifts:
+            child, child_grade, _ = reduce_labels(
+                self.spec, [x + y for x, y in zip(labels, shift)], grade + shift_grade
             )
-        key = (labels, grade)
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
-        # Shifts stay in the class, so only a query can leave it.
-        if classifier_for(self.spec).id_of(labels[1:]) != self.mu_class:
-            return 0
-        # Cycle tripwire kept per thread: concurrent duplicate fills of the
-        # idempotent cache are tolerated, genuine recursion cycles are not.
-        active = getattr(self._in_progress, "keys", None)
-        if active is None:
-            active = self._in_progress.keys = set()
-        if key in active:
-            raise ConsistencyError(
-                f"recursion cycle at labels {labels} grade {grade}; "
-                "the fan violates well-foundedness"
-            )
-        active.add(key)
-        try:
-            total = self._singular_term(labels, grade)
-            for shift, shift_grade, mult in self._shifts:
-                child, child_grade, _ = reduce_labels(
-                    self.spec, [x + y for x, y in zip(labels, shift)], grade + shift_grade
-                )
-                if child_grade > 0:
-                    continue
-                term = self._dominant_multiplicity(child, child_grade)
-                if term:
-                    total += mult * term
-        finally:
-            active.discard(key)
-        self._cache[key] = total
-        return total
+            if child_grade <= 0:
+                yield (child, child_grade), mult
 
     def _singular_term(self, labels: tuple, grade: int) -> int:
         # Shifted reduction: add rho (every affine label 1) and reduce.
-        shifted, shifted_grade, word = reduce_labels(
-            self.spec, [x + 1 for x in labels], grade
-        )
+        shifted, shifted_grade, word = reduce_labels(self.spec, [x + 1 for x in labels], grade)
         if 0 in shifted:
             return 0
         if shifted == self._mu_rho and shifted_grade == 0:
             return -1 if len(word) % 2 else 1
         return 0
+
+
+def two_path_mismatches(table: StringTable, oracle: RacahOracle) -> list[tuple]:
+    """(string, depth, folded, unfolded) wherever the table and the recursion disagree."""
+    return [
+        (s, d, folded, unfolded)
+        for s, xi in enumerate(table.base.weights)
+        for d, folded in enumerate(table.coefficients[s])
+        if (unfolded := oracle.multiplicity(xi.shift_grade(-d))) != folded
+    ]

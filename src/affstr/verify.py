@@ -1,14 +1,17 @@
 """Golden-fixture verification harness.
 
-Each check recomputes a pipeline stage from scratch and compares it with
-a fixture file, reporting the first divergence.  The checks double as the
-acceptance suite: the CLI `verify` subcommand and the test suite both run
-them.  Fixture files live in the packaged `fixtures/` directory unless
-the AFFSTR_FIXTURES environment variable points elsewhere.
+Each check compares a pipeline stage with a fixture file and reports the
+first divergence.  A run computes each result once and its checks share
+it: each module solved, each class folded and each module compared with
+the unfolded recursion.  The checks double as the acceptance suite: the
+CLI `verify` subcommand and the test suite both run them.  Fixture files
+live in the packaged `fixtures/` directory unless the AFFSTR_FIXTURES
+environment variable points elsewhere.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import pathlib
@@ -19,7 +22,7 @@ from .algebra import load_algebra
 from .errors import ConfigurationError
 from .fan import build_fan, verify_denominator
 from .folding import build_folded_fans, lemma1_check
-from .oracle import RacahOracle, euler_square_series, level1_eta_series
+from .oracle import RacahOracle, euler_square_series, level1_eta_series, two_path_mismatches
 from .strings import (
     assemble_system,
     classifier_for,
@@ -78,24 +81,41 @@ def run_all(directory=None) -> list[CheckResult]:
     if not fixtures:
         results.append(CheckResult("fixture set", True, "warning: no fixtures found"))
         return results
+    shared = _Shared()
     for fx in fixtures:
         kind = fx.get("kind")
         if kind == "fan":
             results.extend(check_fan(fx))
         elif kind == "level1":
-            results.extend(check_level1(fx))
+            results.extend(check_level1(fx, shared))
         elif kind == "level2":
-            results.extend(check_level2(fx))
+            results.extend(check_level2(fx, shared))
         elif kind == "level4":
-            results.extend(check_level4(fx))
+            results.extend(check_level4(fx, shared))
         else:
             results.append(
                 CheckResult(f"fixture {fx['_path']}", False, f"unknown kind {kind!r}")
             )
-    results.extend(check_oracle_equivalence(fixtures))
-    results.extend(check_structure(fixtures))
+    results.extend(check_oracle_equivalence(fixtures, shared))
+    results.extend(check_structure(fixtures, shared))
     results.extend(check_counting())
     return results
+
+
+class _Shared:
+    """string_table, build_folded_fans and the two-path comparison (one
+    RacahOracle per module), each run once per distinct argument list."""
+
+    def __init__(self):
+        self.table = table = functools.cache(string_table)
+        self.folded = functools.cache(build_folded_fans)
+
+        @functools.cache
+        def mismatches(spec, mu, level, depth):
+            oracle = RacahOracle(spec, spec.weight(mu, level, 0), build_fan(spec, depth))
+            return two_path_mismatches(table(spec, mu, level, -depth), oracle)
+
+        self.mismatches = mismatches
 
 
 # -- individual checks -----------------------------------------------------
@@ -146,11 +166,11 @@ def check_fan(fx) -> list[CheckResult]:
     return out
 
 
-def check_level1(fx) -> list[CheckResult]:
+def check_level1(fx, shared) -> list[CheckResult]:
     spec = load_algebra(fx["algebra"])
     depth = fx["depth"]
     out = []
-    table = string_table(spec, (0,) * spec.rank, 1, -depth)
+    table = shared.table(spec, (0,) * spec.rank, 1, -depth)
     sigma = list(table.coefficients[table.mu_index])
     euler = euler_square_series(depth)
     ok = sigma == euler == fx["sigma"]
@@ -163,10 +183,7 @@ def check_level1(fx) -> list[CheckResult]:
     )
     classes = enumerate_class_weights(spec, 1)
     eta_ref = level1_eta_series(depth)
-    rows = []
-    for base in classes.values():
-        folded, _ = build_folded_fans(spec, base, depth)
-        rows.append(folded[0].eta_row(0))
+    rows = [shared.folded(spec, base, depth)[0][0].eta_row(0) for base in classes.values()]
     same = all(r == rows[0] for r in rows)
     ok = same and rows[0] == eta_ref == fx["eta"]
     out.append(
@@ -202,21 +219,20 @@ def check_level1(fx) -> list[CheckResult]:
     return out
 
 
-def check_level2(fx) -> list[CheckResult]:
+def check_level2(fx, shared) -> list[CheckResult]:
     spec = load_algebra(fx["algebra"])
     depth = fx["depth"]
     out = []
     tables = {}
     for cls in fx["classes"]:
         mu = tuple(cls["mu"])
-        table = string_table(spec, mu, fx["level"], -depth)
+        table = shared.table(spec, mu, fx["level"], -depth)
         tables[cls["name"]] = table
         base_labels = [[int(x) for x in w.labels] for w in table.base.weights]
         ok = base_labels == cls["base"]
         sigma = [list(r) for r in table.coefficients]
         ok = ok and sigma == cls["sigma"]
-        cid = classifier_for(spec).id_of(mu)
-        folded, _ = build_folded_fans(spec, enumerate_class_weights(spec, fx["level"])[cid], depth)
+        folded, _ = shared.folded(spec, table.base, depth)
         eta = [[folded[j].eta_row(s) for s in range(len(table.base))] for j in range(len(table.base))]
         ok = ok and eta == cls["eta"]
         out.append(
@@ -240,7 +256,7 @@ def check_level2(fx) -> list[CheckResult]:
     return out
 
 
-def check_level4(fx) -> list[CheckResult]:
+def check_level4(fx, shared) -> list[CheckResult]:
     spec = load_algebra(fx["algebra"])
     depth = fx["depth"]
     level = fx["level"]
@@ -249,7 +265,7 @@ def check_level4(fx) -> list[CheckResult]:
     base = enumerate_class_weights(spec, level)[cid]
     ok = [[int(x) for x in w.labels] for w in base.weights] == fx["base"]
     out.append(CheckResult(f"level {level} class I: base weights and order", ok))
-    folded, _ = build_folded_fans(spec, base, depth)
+    folded, _ = shared.folded(spec, base, depth)
     p = len(base)
     eta = [[folded[j].eta_row(s) for s in range(p)] for j in range(p)]
     ok = eta == fx["eta"]
@@ -261,25 +277,18 @@ def check_level4(fx) -> list[CheckResult]:
             ok,
         )
     )
-    fan = build_fan(spec, depth)
     tables = {}
     for module in fx["modules"]:
         mu = tuple(module["mu"])
-        table = string_table(spec, mu, level, -depth)
+        table = shared.table(spec, mu, level, -depth)
         tables[mu] = table
-        sigma = [list(r) for r in table.coefficients]
-        ok = sigma == module["sigma"]
+        ok = [list(r) for r in table.coefficients] == module["sigma"]
         detail = ""
         if ok and module["annotations"]:
-            oracle = RacahOracle(spec, spec.weight(mu, level, 0), fan)
-            for ann in module["annotations"]:
-                s = ann["string"]
-                grades = [ann["grade"]] if "grade" in ann else range(depth + 1)
-                for d in grades:
-                    want = oracle.multiplicity(table.base.weights[s].shift_grade(-d))
-                    if want != sigma[s][d]:
-                        ok = False
-                        detail = f"oracle disagrees at string {s} grade {d}"
+            # An annotation covers one grade of its string, or all of them.
+            for s, d, _, _ in shared.mismatches(spec, mu, level, depth):
+                if any(a["string"] == s and a.get("grade", d) == d for a in module["annotations"]):
+                    ok, detail = False, f"oracle disagrees at string {s} grade {d}"
         out.append(
             CheckResult(
                 f"level {level} mu={list(mu)}: strings match fixture "
@@ -334,34 +343,26 @@ def _fixture_modules(fixtures):
     return modules
 
 
-def check_oracle_equivalence(fixtures) -> list[CheckResult]:
+def check_oracle_equivalence(fixtures, shared) -> list[CheckResult]:
     """Folded path vs unfolded recursion on every in-window dominant weight."""
     out = []
     for spec, mu, level, depth in _fixture_modules(fixtures):
-        fan = build_fan(spec, depth)
-        table = string_table(spec, mu, level, -depth)
-        oracle = RacahOracle(spec, spec.weight(mu, level, 0), fan)
-        bad = None
-        for s, xi in enumerate(table.base.weights):
-            for d in range(depth + 1):
-                want = oracle.multiplicity(xi.shift_grade(-d))
-                got = table.coefficients[s][d]
-                if want != got:
-                    bad = f"string {s} grade {-d}: folded {got} unfolded {want}"
-                    break
-            if bad:
-                break
+        mismatches = shared.mismatches(spec, mu, level, depth)
+        detail = ""
+        if mismatches:
+            s, d, folded, unfolded = mismatches[0]
+            detail = f"string {s} grade {-d}: folded {folded} unfolded {unfolded}"
         out.append(
             CheckResult(
                 f"two-path identity mu={list(mu)} level {level} to depth {depth}",
-                bad is None,
-                bad or "",
+                not mismatches,
+                detail,
             )
         )
     return out
 
 
-def check_structure(fixtures) -> list[CheckResult]:
+def check_structure(fixtures, shared) -> list[CheckResult]:
     """Shift-grade independence, Weyl invariance, unimodular grade-0 block."""
     rng = random.Random(_RNG_SEED)
     out = []
@@ -371,13 +372,11 @@ def check_structure(fixtures) -> list[CheckResult]:
     head_ok = True
     seen_classes = set()
     for spec, mu, level, depth in _fixture_modules(fixtures):
-        cid = classifier_for(spec).id_of(mu)
-        key = (id(spec), level, cid)
-        table = string_table(spec, mu, level, -depth)
-        if key not in seen_classes:
-            seen_classes.add(key)
-            base = enumerate_class_weights(spec, level)[cid]
-            folded, fan = build_folded_fans(spec, base, depth)
+        table = shared.table(spec, mu, level, -depth)
+        base = table.base
+        if base not in seen_classes:
+            seen_classes.add(base)
+            folded, fan = shared.folded(spec, base, depth)
             for j in range(len(base)):
                 for gamma in fan:
                     if not lemma1_check(spec, base, j, gamma, (0, -5)):

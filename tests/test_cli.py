@@ -1,7 +1,8 @@
+import dataclasses
 import json
 import shutil
 
-from affstr import build_fan
+from affstr import build_fan, cli
 from affstr.cli import main
 from affstr.fan import Fan
 from affstr.folding import FoldedFan
@@ -77,6 +78,23 @@ def test_strings_level2_and_4(capsys):
     assert code == 0
     assert len(data["strings"]) == 5
     assert data["strings"][0]["coeffs"][0] == 2
+
+
+def test_strings_verify_checks_every_depth(capsys, monkeypatch):
+    solve = cli.string_table
+
+    def off_by_one_at_depth_8(*args):
+        table = solve(*args)
+        rows = [list(r) for r in table.coefficients]
+        rows[2][8] += 1
+        return dataclasses.replace(table, coefficients=tuple(map(tuple, rows)))
+
+    monkeypatch.setattr(cli, "string_table", off_by_one_at_depth_8)
+    code, _, err = run(
+        capsys, "strings", "--level", "4", "--mu", "1,1", "--cutoff", "9", "--verify",
+    )
+    assert code == 3
+    assert "string 2 depth 8" in err
 
 
 def test_strings_csv(capsys):

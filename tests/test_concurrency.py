@@ -1,4 +1,5 @@
 import concurrent.futures
+import sys
 
 import pytest
 
@@ -15,6 +16,26 @@ def test_shared_oracle_parallel_queries(a2):
     with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
         got = list(pool.map(oracle.multiplicity, queries * 4))
     assert got == expected * 4
+
+
+def test_shared_oracle_under_frequent_thread_switches(a2):
+    # Threads share the oracle's cache while each walks its own stack;
+    # switching every microsecond interleaves their fills of the cache.
+    fan = build_fan(a2, 10)
+    mu = a2.weight((1, 0), 2, 0)
+    queries = [a2.weight(s, 2, -d) for s in [(1, 0), (0, 2)] for d in range(11)][::-1]
+    expected = [RacahOracle(a2, mu, fan).multiplicity(q) for q in queries]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            oracle = RacahOracle(a2, mu, fan)
+            with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(oracle.multiplicity, q) for q in queries * 8]
+                got = [f.result(timeout=60) for f in futures]
+            assert got == expected * 8
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_parallel_folded_fan_builds(a2):

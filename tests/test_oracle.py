@@ -1,4 +1,6 @@
+import dataclasses
 import random
+import sys
 
 import pytest
 
@@ -11,7 +13,7 @@ from affstr import (
     string_table,
     weight_multiplicity,
 )
-from affstr.oracle import pentagonal_series
+from affstr.oracle import _reciprocal, pentagonal_series, two_path_mismatches
 from affstr.weyl import apply_word
 
 
@@ -98,3 +100,39 @@ def test_cache_reproducibility(a2):
     two = RacahOracle(a2, mu, fan)
     queries = [a2.weight((1, 1), 2, -d) for d in range(7)]
     assert [one.multiplicity(q) for q in queries] == [two.multiplicity(q) for q in queries]
+
+
+def _stack_depth():
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_deep_query_needs_no_stack(a1):
+    # A1 level 1 vacuum: the multiplicity of the highest weight at grade -n
+    # is the partition number p(n).  Three hundred grades down, a recursive
+    # evaluation needs hundreds of frames; the oracle gets 100.
+    oracle = RacahOracle(a1, a1.weight((0,), 1, 0), build_fan(a1, 300))
+    query = a1.weight((0,), 1, -300)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 100)
+    try:
+        value = oracle.multiplicity(query)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert value == _reciprocal(pentagonal_series(300), 300)[300]
+
+
+def test_two_path_mismatches_lists_every_disagreement(a2):
+    table = string_table(a2, (0, 0), 2, -6)
+    oracle = RacahOracle(a2, a2.weight((0, 0), 2, 0), build_fan(a2, 6))
+    assert two_path_mismatches(table, oracle) == []
+    rows = [list(r) for r in table.coefficients]
+    rows[0][3] += 1
+    rows[1][6] -= 2
+    bad = dataclasses.replace(table, coefficients=tuple(map(tuple, rows)))
+    assert two_path_mismatches(bad, oracle) == [
+        (0, 3, table.coefficients[0][3] + 1, table.coefficients[0][3]),
+        (1, 6, table.coefficients[1][6] - 2, table.coefficients[1][6]),
+    ]
