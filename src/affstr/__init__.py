@@ -28,7 +28,6 @@ from .folding import (
     FoldedFan,
     build_folded_fan,
     build_folded_fans,
-    fold_shift,
     lemma1_check,
 )
 from .oracle import (

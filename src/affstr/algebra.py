@@ -7,10 +7,15 @@ coordinates exist only for input/output; the conversion is an exact
 application of the inverse Cartan matrix and round-trips losslessly.
 
 No floating point is used anywhere.
+
+Everything derived from an algebra (classifier, congruence classes, fans,
+folded fans, string tables) is memoised per instance by `algebra_memo`,
+the one cache policy of the package.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -20,6 +25,7 @@ from .errors import ConfigurationError
 __all__ = [
     "AffineWeight",
     "AlgebraSpec",
+    "algebra_memo",
     "inner_product",
     "load_algebra",
     "preset",
@@ -87,10 +93,12 @@ class AlgebraSpec:
 
     Derived data (positive roots, highest root, marks, comarks, the
     inverse Cartan matrix) is computed once at construction; instances
-    are immutable afterwards and safe to share between threads.
+    are immutable afterwards and safe to share between threads.  The
+    only mutable part is the memo of `algebra_memo`, which fills on use.
     """
 
     def __init__(self, label: str, cartan, symmetrizer=None):
+        self._memo = {}
         self.label = str(label)
         self.cartan = tuple(tuple(int(x) for x in row) for row in cartan)
         self.rank = len(self.cartan)
@@ -253,6 +261,32 @@ class AlgebraSpec:
 
     def __repr__(self):
         return f"AlgebraSpec({self.label!r}, rank={self.rank})"
+
+
+def algebra_memo(fn):
+    """Memoise fn(spec, *key, **options) per algebra instance.
+
+    Values are stored on the spec itself, so they live exactly as long as
+    the spec does and a freshly loaded algebra starts empty.  (A mapping
+    keyed weakly by the spec would never drop an entry: the values refer
+    back to their spec.)  Within one spec the key is the other positional
+    arguments, compared exactly: callers normalise them first (int tuples,
+    not lists), and fn declares them positional-only so that a key passed
+    by keyword fails instead of missing.  Keyword options bound how a value
+    is computed, not what it is, and stay out of the key.  Only returned
+    values are stored; threads racing on one key all get the first value
+    stored.  A memoised value is shared by every caller that asks for it,
+    so no caller may mutate it.
+    """
+
+    @functools.wraps(fn)
+    def memoised(spec, *key, **options):
+        try:
+            return spec._memo[fn, key]
+        except KeyError:
+            return spec._memo.setdefault((fn, key), fn(spec, *key, **options))
+
+    return memoised
 
 
 def weyl_vector(spec: AlgebraSpec) -> AffineWeight:

@@ -3,8 +3,8 @@
 Subcommands mirror the pipeline stages: `fan`, `folded-fan`, `strings`,
 `mult`, `character`, and the fixture harness `verify`.  Weights are
 entered as comma-separated classical Dynkin labels; the zeroth label is
-inferred from the level.  Exit codes: 0 success, 2 configuration error,
-3 mathematical consistency failure.
+inferred from the level.  Exit codes: 0 success, 2 configuration error or
+a request beyond the computed window, 3 mathematical consistency failure.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import sys
 
 from . import verify as verify_mod
 from .algebra import load_algebra, to_root_basis
-from .errors import AffstrError, ConfigurationError, ConsistencyError
+from .errors import AffstrError, ConfigurationError, ConsistencyError, OutOfWindowError
 from .fan import build_fan, verify_denominator
 from .folding import build_folded_fans
 from .oracle import RacahOracle, two_path_mismatches
@@ -39,7 +39,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         text = args.handler(args)
-    except ConfigurationError as exc:
+    except (ConfigurationError, OutOfWindowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except AffstrError as exc:

@@ -8,7 +8,9 @@ reflections (weyl.descending_orbit).  Each step s_i with label l adds l
 to the i-th root coordinate of the shift, or for s_0 subtracts l times
 the marks and adds l to the grade, so no basis change is needed.  Descent
 never raises the grade, so pruning below the cutoff loses nothing within
-the window.
+the window.  build_fan is memoised per algebra instance and cutoff
+(algebra.algebra_memo); a cutoff is served by its own fan, never as a
+prefix of a longer one.
 
 verify_denominator is the independent completeness gate: it expands the
 truncated product over the positive affine roots and compares it term by
@@ -17,11 +19,10 @@ term with the fan.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from math import comb
 
-from .algebra import AlgebraSpec
+from .algebra import AlgebraSpec, algebra_memo
 from .errors import ConfigurationError, ResourceLimitError
 from .weyl import descending_orbit
 
@@ -77,32 +78,17 @@ class Fan:
             for v in self.vectors
         ]
 
-    @classmethod
-    def from_json(cls, algebra: AlgebraSpec, cutoff: int, data) -> "Fan":
-        return cls(
-            algebra,
-            cutoff,
-            [FanVector(tuple(e["root"]), e["grade"], e["mult"]) for e in data],
-        )
 
-
-_fan_cache: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-
-
+@algebra_memo
 def build_fan(
-    spec: AlgebraSpec, cutoff: int, *, max_nodes: int = DEFAULT_NODE_LIMIT
+    spec: AlgebraSpec, cutoff: int, /, *, max_nodes: int = DEFAULT_NODE_LIMIT
 ) -> Fan:
     """Enumerate the fan exhaustively up to the grade cutoff.
 
-    Built fans are immutable and cached per algebra instance; the cache
-    only ever re-serves a value an identical call would recompute.
+    Memoised per algebra and cutoff; `max_nodes` is not part of the key.
     """
     if cutoff < 0:
         raise ConfigurationError("fan cutoff must be non-negative")
-    per_spec = _fan_cache.setdefault(spec, {})
-    cached = per_spec.get(cutoff)
-    if cached is not None:
-        return cached
     # orbit point of rho -> (root coordinates of the shift, word length)
     shifts = {}
     vectors = []
@@ -123,9 +109,7 @@ def build_fan(
             )
         # mult = -det(w), w having length + 1 letters
         vectors.append(FanVector(root, -node[1], 1 if length % 2 == 0 else -1))
-    fan = Fan(spec, cutoff, vectors)
-    per_spec[cutoff] = fan
-    return fan
+    return Fan(spec, cutoff, vectors)
 
 
 # -- denominator identity -------------------------------------------------

@@ -13,14 +13,16 @@ as integers; the reduction kernel in weyl.py does the rest.  Reduction
 only ever raises the grade, so a folded offset is never below the grade
 of its fan vector: the fan built exactly to the cutoff holds every
 contributor.  build_folded_fan checks that bound on every fold and raises
-ConventionError if it fails.
+ConventionError if it fails.  build_folded_fans is memoised per algebra
+instance (algebra.algebra_memo), so a class is folded once however many of
+its modules are solved.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .algebra import AffineWeight, AlgebraSpec
+from .algebra import AffineWeight, AlgebraSpec, algebra_memo
 from .errors import CongruenceError, ConfigurationError, ConventionError
 from .fan import Fan, FanVector, build_fan
 from .weyl import reduce_labels
@@ -28,7 +30,6 @@ from .weyl import reduce_labels
 __all__ = [
     "BaseWeightSet",
     "FoldedFan",
-    "fold_shift",
     "build_folded_fan",
     "build_folded_fans",
     "lemma1_check",
@@ -103,29 +104,13 @@ class FoldedFan:
             ],
         }
 
-    @classmethod
-    def from_json(cls, data) -> "FoldedFan":
-        entries = {
-            (e["target"], e["grade"]): e["eta"] for e in data["entries"]
-        }
-        return cls(data["base"], data["cutoff"], entries)
-
-
-def fold_shift(spec: AlgebraSpec, xi: AffineWeight, gamma: FanVector):
-    """Shift xi by one fan vector and fold back to the dominant chamber.
-
-    Returns the dominant target (grade included) and the contribution
-    s(gamma).  Walls are kept: ordinary weight multiplicities are
-    Weyl-invariant, so wall targets accumulate like any other.
-    """
-    labels, offset = _fold(
-        spec, spec.affine_labels(xi), xi.grade, spec.root_labels(gamma.root), gamma
-    )
-    return AffineWeight(labels[1:], xi.level, xi.grade + offset), gamma.mult
-
 
 def _fold(spec, xi_labels, xi_grade, gamma_labels, gamma):
-    """Dominant affine labels of xi + gamma and their grade offset from xi."""
+    """Dominant affine labels of xi + gamma and their grade offset from xi.
+
+    Walls are kept: ordinary weight multiplicities are Weyl-invariant, so
+    wall targets accumulate like any other.
+    """
     shifted = [x + y for x, y in zip(xi_labels, gamma_labels)]
     labels, grade, _ = reduce_labels(spec, shifted, xi_grade + gamma.grade)
     offset = grade - xi_grade
@@ -175,13 +160,15 @@ def build_folded_fan(
     return FoldedFan(base_index, cutoff, entries)
 
 
-def build_folded_fans(spec: AlgebraSpec, base: BaseWeightSet, cutoff: int):
+@algebra_memo
+def build_folded_fans(spec: AlgebraSpec, base: BaseWeightSet, cutoff: int, /):
     """Folded fans for every base weight, from the fan built to the cutoff.
 
-    Returns the list of folded fans and the fan used.
+    Returns the tuple of folded fans and the fan used.  Memoised per
+    algebra, class and cutoff, so every module of a class shares one fold.
     """
     fan = build_fan(spec, cutoff)
-    folded = [build_folded_fan(spec, base, j, fan, cutoff) for j in range(len(base))]
+    folded = tuple(build_folded_fan(spec, base, j, fan, cutoff) for j in range(len(base)))
     return folded, fan
 
 
@@ -192,13 +179,12 @@ def lemma1_check(
     gamma: FanVector,
     probe_grades,
 ) -> bool:
-    """Folded triples must not depend on the grade of the probing string point."""
-    xi0 = base.weights[base_index]
-    triples = set()
+    """Folded targets and offsets must not depend on the grade of the probing string point."""
+    xi_labels = spec.affine_labels(base.weights[base_index])
+    gamma_labels = spec.root_labels(gamma.root)
+    folds = set()
     for n in probe_grades:
         if n > 0:
             raise ConfigurationError("probe grades must be <= 0")
-        xi = xi0.shift_grade(n)
-        target, contribution = fold_shift(spec, xi, gamma)
-        triples.add((target.labels, target.grade - xi.grade, contribution))
-    return len(triples) <= 1
+        folds.add(_fold(spec, xi_labels, n, gamma_labels, gamma))
+    return len(folds) <= 1

@@ -151,6 +151,10 @@ class RacahOracle:
         if grade < -self.fan.cutoff:
             raise OutOfWindowError(f"grade {grade} is beyond the fan cutoff {self.fan.cutoff}")
         for shift, shift_grade, mult in self._shifts:
+            # Shifts are sorted by grade and reduction only raises it, so
+            # no later shift gives a child at or below grade 0.
+            if grade + shift_grade > 0:
+                break
             child, child_grade, _ = reduce_labels(
                 self.spec, [x + y for x, y in zip(labels, shift)], grade + shift_grade
             )

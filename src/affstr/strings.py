@@ -8,15 +8,18 @@ block system with Toeplitz upper-triangular blocks built from the folded
 fan multiplicities.  It is solved exactly grade by grade using the
 grade-zero block; every solution component must come out a non-negative
 integer, anything else signals an upstream bug and aborts.
+
+The classifier, the classes of a level and the table of a module are
+memoised per algebra instance (algebra.algebra_memo), as are the folded
+fans they are solved from: the modules of one class share a single fold.
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import AffineWeight, AlgebraSpec, _det, to_root_basis
+from .algebra import AffineWeight, AlgebraSpec, _det, algebra_memo, to_root_basis
 from .errors import (
     ConfigurationError,
     ConsistencyError,
@@ -81,13 +84,9 @@ class CongruenceClassifier:
         return CongruenceClassId(tuple(v[i] % self._moduli[i] for i in self._keep))
 
 
-_classifier_cache: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-
-
+@algebra_memo
 def classifier_for(spec: AlgebraSpec) -> CongruenceClassifier:
-    if spec not in _classifier_cache:
-        _classifier_cache[spec] = CongruenceClassifier(spec)
-    return _classifier_cache[spec]
+    return CongruenceClassifier(spec)
 
 
 def _diagonalize(cartan):
@@ -134,7 +133,8 @@ def _diagonalize(cartan):
     return u, [m[i][i] for i in range(n)]
 
 
-def enumerate_class_weights(spec: AlgebraSpec, level: int) -> dict:
+@algebra_memo
+def enumerate_class_weights(spec: AlgebraSpec, level: int, /) -> dict:
     """All dominant level-k grade-0 weights, partitioned by congruence class.
 
     Within a class, weights are ordered by their simple-root coordinates,
@@ -241,20 +241,6 @@ class StringTable:
             ],
         }
 
-    @classmethod
-    def from_json(cls, spec: AlgebraSpec, data) -> "StringTable":
-        level = data["level"]
-        weights = tuple(spec.weight(tuple(s["xi"]), level, 0) for s in data["strings"])
-        cid = classifier_for(spec).id_of(tuple(data["mu"]))
-        base = BaseWeightSet(spec, level, weights, cid)
-        return cls(
-            spec,
-            base,
-            base.index_of(tuple(data["mu"])),
-            data["cutoff"],
-            tuple(tuple(s["coeffs"]) for s in data["strings"]),
-        )
-
 
 def solve_strings(system: BlockSystem) -> StringTable:
     """Exact forward substitution through the grades.
@@ -337,8 +323,16 @@ def grade_zero_determinant(system: BlockSystem) -> int:
 
 
 def string_table(spec: AlgebraSpec, mu_labels, level: int, u: int) -> StringTable:
-    """Full pipeline: class enumeration, folding, assembly, exact solve."""
-    mu_labels = tuple(int(x) for x in mu_labels)
+    """Full pipeline: class enumeration, folding, assembly, exact solve.
+
+    `mu_labels` may be any sequence of integers.  The table is memoised per
+    algebra, highest weight, level and cutoff, and shared: do not mutate it.
+    """
+    return _string_table(spec, tuple(int(x) for x in mu_labels), level, int(u))
+
+
+@algebra_memo
+def _string_table(spec: AlgebraSpec, mu_labels: tuple, level: int, u: int, /) -> StringTable:
     if any(x < 0 for x in mu_labels):
         raise ConfigurationError("highest weight labels must be non-negative")
     label0 = level - sum(c * x for c, x in zip(spec.comarks, mu_labels))
@@ -350,7 +344,7 @@ def string_table(spec: AlgebraSpec, mu_labels, level: int, u: int) -> StringTabl
     cid = classifier_for(spec).id_of(mu_labels)
     base = classes[cid]
     mu_index = base.index_of(mu_labels)
-    folded, _ = build_folded_fans(spec, base, -int(u))
+    folded, _ = build_folded_fans(spec, base, -u)
     system = assemble_system(base, folded, mu_index, u)
     return solve_strings(system)
 

@@ -1,24 +1,24 @@
 """Golden-fixture verification harness.
 
 Each check compares a pipeline stage with a fixture file and reports the
-first divergence.  A run computes each result once and its checks share
-it: each module solved, each class folded and each module compared with
-the unfolded recursion.  The checks double as the acceptance suite: the
-CLI `verify` subcommand and the test suite both run them.  Fixture files
-live in the packaged `fixtures/` directory unless the AFFSTR_FIXTURES
-environment variable points elsewhere.
+first divergence.  Checks share results through the per-algebra memo
+(algebra.algebra_memo): each module is solved once, each class folded
+once and each module compared with the unfolded recursion once.  The
+checks double as the acceptance suite: the CLI `verify` subcommand and
+the test suite both run them.  Fixture files live in the packaged
+`fixtures/` directory unless the AFFSTR_FIXTURES environment variable
+points elsewhere.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import os
 import pathlib
 import random
 from dataclasses import dataclass
 
-from .algebra import load_algebra
+from .algebra import algebra_memo, load_algebra
 from .errors import ConfigurationError
 from .fan import build_fan, verify_denominator
 from .folding import build_folded_fans, lemma1_check
@@ -81,41 +81,31 @@ def run_all(directory=None) -> list[CheckResult]:
     if not fixtures:
         results.append(CheckResult("fixture set", True, "warning: no fixtures found"))
         return results
-    shared = _Shared()
     for fx in fixtures:
         kind = fx.get("kind")
         if kind == "fan":
             results.extend(check_fan(fx))
         elif kind == "level1":
-            results.extend(check_level1(fx, shared))
+            results.extend(check_level1(fx))
         elif kind == "level2":
-            results.extend(check_level2(fx, shared))
+            results.extend(check_level2(fx))
         elif kind == "level4":
-            results.extend(check_level4(fx, shared))
+            results.extend(check_level4(fx))
         else:
             results.append(
                 CheckResult(f"fixture {fx['_path']}", False, f"unknown kind {kind!r}")
             )
-    results.extend(check_oracle_equivalence(fixtures, shared))
-    results.extend(check_structure(fixtures, shared))
+    results.extend(check_oracle_equivalence(fixtures))
+    results.extend(check_structure(fixtures))
     results.extend(check_counting())
     return results
 
 
-class _Shared:
-    """string_table, build_folded_fans and the two-path comparison (one
-    RacahOracle per module), each run once per distinct argument list."""
-
-    def __init__(self):
-        self.table = table = functools.cache(string_table)
-        self.folded = functools.cache(build_folded_fans)
-
-        @functools.cache
-        def mismatches(spec, mu, level, depth):
-            oracle = RacahOracle(spec, spec.weight(mu, level, 0), build_fan(spec, depth))
-            return two_path_mismatches(table(spec, mu, level, -depth), oracle)
-
-        self.mismatches = mismatches
+@algebra_memo
+def _two_path(spec, mu, level, depth, /):
+    """The two-path comparison of one module, with one RacahOracle."""
+    oracle = RacahOracle(spec, spec.weight(mu, level, 0), build_fan(spec, depth))
+    return two_path_mismatches(string_table(spec, mu, level, -depth), oracle)
 
 
 # -- individual checks -----------------------------------------------------
@@ -166,11 +156,11 @@ def check_fan(fx) -> list[CheckResult]:
     return out
 
 
-def check_level1(fx, shared) -> list[CheckResult]:
+def check_level1(fx) -> list[CheckResult]:
     spec = load_algebra(fx["algebra"])
     depth = fx["depth"]
     out = []
-    table = shared.table(spec, (0,) * spec.rank, 1, -depth)
+    table = string_table(spec, (0,) * spec.rank, 1, -depth)
     sigma = list(table.coefficients[table.mu_index])
     euler = euler_square_series(depth)
     ok = sigma == euler == fx["sigma"]
@@ -183,7 +173,7 @@ def check_level1(fx, shared) -> list[CheckResult]:
     )
     classes = enumerate_class_weights(spec, 1)
     eta_ref = level1_eta_series(depth)
-    rows = [shared.folded(spec, base, depth)[0][0].eta_row(0) for base in classes.values()]
+    rows = [build_folded_fans(spec, base, depth)[0][0].eta_row(0) for base in classes.values()]
     same = all(r == rows[0] for r in rows)
     ok = same and rows[0] == eta_ref == fx["eta"]
     out.append(
@@ -219,20 +209,20 @@ def check_level1(fx, shared) -> list[CheckResult]:
     return out
 
 
-def check_level2(fx, shared) -> list[CheckResult]:
+def check_level2(fx) -> list[CheckResult]:
     spec = load_algebra(fx["algebra"])
     depth = fx["depth"]
     out = []
     tables = {}
     for cls in fx["classes"]:
         mu = tuple(cls["mu"])
-        table = shared.table(spec, mu, fx["level"], -depth)
+        table = string_table(spec, mu, fx["level"], -depth)
         tables[cls["name"]] = table
         base_labels = [[int(x) for x in w.labels] for w in table.base.weights]
         ok = base_labels == cls["base"]
         sigma = [list(r) for r in table.coefficients]
         ok = ok and sigma == cls["sigma"]
-        folded, _ = shared.folded(spec, table.base, depth)
+        folded, _ = build_folded_fans(spec, table.base, depth)
         eta = [[folded[j].eta_row(s) for s in range(len(table.base))] for j in range(len(table.base))]
         ok = ok and eta == cls["eta"]
         out.append(
@@ -256,7 +246,7 @@ def check_level2(fx, shared) -> list[CheckResult]:
     return out
 
 
-def check_level4(fx, shared) -> list[CheckResult]:
+def check_level4(fx) -> list[CheckResult]:
     spec = load_algebra(fx["algebra"])
     depth = fx["depth"]
     level = fx["level"]
@@ -265,7 +255,7 @@ def check_level4(fx, shared) -> list[CheckResult]:
     base = enumerate_class_weights(spec, level)[cid]
     ok = [[int(x) for x in w.labels] for w in base.weights] == fx["base"]
     out.append(CheckResult(f"level {level} class I: base weights and order", ok))
-    folded, _ = shared.folded(spec, base, depth)
+    folded, _ = build_folded_fans(spec, base, depth)
     p = len(base)
     eta = [[folded[j].eta_row(s) for s in range(p)] for j in range(p)]
     ok = eta == fx["eta"]
@@ -280,13 +270,13 @@ def check_level4(fx, shared) -> list[CheckResult]:
     tables = {}
     for module in fx["modules"]:
         mu = tuple(module["mu"])
-        table = shared.table(spec, mu, level, -depth)
+        table = string_table(spec, mu, level, -depth)
         tables[mu] = table
         ok = [list(r) for r in table.coefficients] == module["sigma"]
         detail = ""
         if ok and module["annotations"]:
             # An annotation covers one grade of its string, or all of them.
-            for s, d, _, _ in shared.mismatches(spec, mu, level, depth):
+            for s, d, _, _ in _two_path(spec, mu, level, depth):
                 if any(a["string"] == s and a.get("grade", d) == d for a in module["annotations"]):
                     ok, detail = False, f"oracle disagrees at string {s} grade {d}"
         out.append(
@@ -343,11 +333,11 @@ def _fixture_modules(fixtures):
     return modules
 
 
-def check_oracle_equivalence(fixtures, shared) -> list[CheckResult]:
+def check_oracle_equivalence(fixtures) -> list[CheckResult]:
     """Folded path vs unfolded recursion on every in-window dominant weight."""
     out = []
     for spec, mu, level, depth in _fixture_modules(fixtures):
-        mismatches = shared.mismatches(spec, mu, level, depth)
+        mismatches = _two_path(spec, mu, level, depth)
         detail = ""
         if mismatches:
             s, d, folded, unfolded = mismatches[0]
@@ -362,7 +352,7 @@ def check_oracle_equivalence(fixtures, shared) -> list[CheckResult]:
     return out
 
 
-def check_structure(fixtures, shared) -> list[CheckResult]:
+def check_structure(fixtures) -> list[CheckResult]:
     """Shift-grade independence, Weyl invariance, unimodular grade-0 block."""
     rng = random.Random(_RNG_SEED)
     out = []
@@ -372,11 +362,11 @@ def check_structure(fixtures, shared) -> list[CheckResult]:
     head_ok = True
     seen_classes = set()
     for spec, mu, level, depth in _fixture_modules(fixtures):
-        table = shared.table(spec, mu, level, -depth)
+        table = string_table(spec, mu, level, -depth)
         base = table.base
         if base not in seen_classes:
             seen_classes.add(base)
-            folded, fan = shared.folded(spec, base, depth)
+            folded, fan = build_folded_fans(spec, base, depth)
             for j in range(len(base)):
                 for gamma in fan:
                     if not lemma1_check(spec, base, j, gamma, (0, -5)):

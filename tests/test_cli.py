@@ -2,11 +2,9 @@ import dataclasses
 import json
 import shutil
 
-from affstr import build_fan, cli
+from affstr import build_fan, build_folded_fans, cli, string_table
 from affstr.cli import main
-from affstr.fan import Fan
-from affstr.folding import FoldedFan
-from affstr.strings import StringTable
+from affstr.strings import classifier_for, enumerate_class_weights
 from affstr.verify import fixture_dir
 
 
@@ -22,7 +20,7 @@ def test_fan_cutoff0_json(capsys, a2):
     data = json.loads(out)
     assert len(data) == 5
     assert {"root": [0, 1], "grade": 0, "mult": 1} in data
-    assert Fan.from_json(a2, 0, data).vectors == build_fan(a2, 0).vectors
+    assert data == build_fan(a2, 0).to_json()
 
 
 def test_fan_cutoff2_matches_table(capsys):
@@ -55,8 +53,8 @@ def test_strings_level1(capsys, a2):
         "--format", "json",
     )
     assert code == 0
-    data = json.loads(out)
-    table = StringTable.from_json(a2, data)
+    table = string_table(a2, (0, 0), 1, -20)
+    assert json.loads(out) == table.to_json()
     assert table.coefficients[0][:5] == (1, 2, 5, 10, 20)
     assert table.coefficients[0][20] == 24842
 
@@ -107,7 +105,7 @@ def test_strings_csv(capsys):
     assert len(lines) == 1 + 2 * 4
 
 
-def test_folded_fan_json_round_trip(capsys):
+def test_folded_fan_json(capsys, a2):
     code, out, _ = run(
         capsys, "folded-fan", "--level", "2", "--mu", "0,0", "--cutoff", "6",
         "--format", "json",
@@ -115,8 +113,12 @@ def test_folded_fan_json_round_trip(capsys):
     assert code == 0
     data = json.loads(out)
     assert len(data) == 2
-    first = FoldedFan.from_json(data[0])
-    assert first.eta(0, 0) == -1
+    base = enumerate_class_weights(a2, 2)[classifier_for(a2).id_of((0, 0))]
+    folded, _ = build_folded_fans(a2, base, 6)
+    assert data == [ff.to_json() for ff in folded]
+    assert folded[0].eta(0, 0) == -1
+    entries = data[0]["entries"]
+    assert entries == sorted(entries, key=lambda e: (e["target"], e["grade"]))
 
 
 def test_mult_command(capsys):
@@ -126,6 +128,24 @@ def test_mult_command(capsys):
     )
     assert code == 0
     assert json.loads(out)["multiplicity"] == 10
+
+
+def test_mult_beyond_window_is_a_request_error(capsys):
+    code, out, err = run(
+        capsys, "mult", "--level", "1", "--mu", "0,0", "--cutoff", "6",
+        "--weight", "0,0", "--grade", "-7",
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "cutoff -6" in err
+
+
+def test_character_beyond_window_is_a_request_error(capsys):
+    code, out, err = run(
+        capsys, "character", "--level", "1", "--mu", "0,0", "--cutoff", "6",
+        "--depth", "9",
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "cutoff -6" in err
 
 
 def test_character_command(capsys):

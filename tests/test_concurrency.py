@@ -3,9 +3,9 @@ import sys
 
 import pytest
 
-from affstr import ConsistencyError, RacahOracle, build_fan, build_folded_fans
+from affstr import AlgebraSpec, ConsistencyError, RacahOracle, build_fan, build_folded_fans
 from affstr.fan import Fan, FanVector
-from affstr.strings import classifier_for, enumerate_class_weights
+from affstr.strings import enumerate_class_weights
 
 
 def test_shared_oracle_parallel_queries(a2):
@@ -38,13 +38,20 @@ def test_shared_oracle_under_frequent_thread_switches(a2):
         sys.setswitchinterval(interval)
 
 
-def test_parallel_folded_fan_builds(a2):
-    bases = list(enumerate_class_weights(a2, 4).values())
-    sequential = [build_folded_fans(a2, b, 6)[0] for b in bases]
+def test_parallel_folded_fan_builds():
+    # Each call gets a fresh algebra, so the per-algebra memo serves
+    # nothing and every thread builds its own fan, classes and folds.
+    def fold_all(_):
+        spec = AlgebraSpec("A2", [[2, -1], [-1, 2]], [1, 1])
+        return [
+            [f.entries for f in build_folded_fans(spec, base, 6)[0]]
+            for base in enumerate_class_weights(spec, 4).values()
+        ]
+
+    sequential = fold_all(None)
     with concurrent.futures.ThreadPoolExecutor(max_workers=3) as pool:
-        parallel = list(pool.map(lambda b: build_folded_fans(a2, b, 6)[0], bases))
-    for seq, par in zip(sequential, parallel):
-        assert [f.entries for f in seq] == [f.entries for f in par]
+        parallel = list(pool.map(fold_all, range(6)))
+    assert parallel == [sequential] * 6
 
 
 def test_cycle_tripwire(a2):

@@ -118,12 +118,6 @@ def test_fan_determinism():
     assert json.dumps(one.to_json()) == json.dumps(two.to_json())
 
 
-def test_fan_json_round_trip(a2):
-    fan = build_fan(a2, 3)
-    again = Fan.from_json(a2, 3, fan.to_json())
-    assert again.vectors == fan.vectors
-
-
 def test_rank_zero_degenerate():
     degenerate = AlgebraSpec("point", [])
     fan = build_fan(degenerate, 0)

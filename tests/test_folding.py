@@ -7,11 +7,10 @@ from affstr import (
     build_fan,
     build_folded_fan,
     build_folded_fans,
-    fold_shift,
     lemma1_check,
     level1_eta_series,
 )
-from affstr.folding import BaseWeightSet, FoldedFan
+from affstr.folding import BaseWeightSet
 from affstr.fan import Fan, FanVector
 from affstr.strings import classifier_for, enumerate_class_weights
 
@@ -21,27 +20,29 @@ def class_of(spec, labels, level):
     return enumerate_class_weights(spec, level)[cid]
 
 
+def fold_one(spec, base, j, gamma, cutoff):
+    """Entries of base weight j folded against the one-vector fan {gamma}."""
+    return build_folded_fan(spec, base, j, Fan(spec, cutoff, [gamma]), cutoff).entries
+
+
 def test_fold_shift_interior_no_folding(a2):
     # strictly interior base, small shift: the target is the shift itself
     base = class_of(a2, (1, 1), 4)
-    xi = base.weights[1]  # labels (1,1)
-    gamma = FanVector((0, 1), 0, 1)
-    target, contribution = fold_shift(a2, xi, gamma)
-    assert target.labels == (0, 3)
-    assert target.grade == 0
-    assert contribution == 1
+    assert base.weights[1].labels == (1, 1)
+    entries = fold_one(a2, base, 1, FanVector((0, 1), 0, 1), 0)
+    assert entries == {(1, 0): -1, (base.index_of((0, 3)), 0): 1}
 
 
 def test_fold_shift_level2_examples(a2):
     # base (0,0) at level 2: a grade-0 shift already lands on the second
     # class weight at offset 0
     base = class_of(a2, (0, 0), 2)
-    xi = base.weights[0]
-    target, contribution = fold_shift(a2, xi, FanVector((1, 0), 0, 1))
-    assert target.labels == (1, 1) and target.grade == 0 and contribution == 1
+    assert base.weights[0].labels == (0, 0)
+    entries = fold_one(a2, base, 0, FanVector((1, 0), 0, 1), 2)
+    assert entries == {(0, 0): -1, (base.index_of((1, 1)), 0): 1}
     # the longest-element shift lands back on the base two grades up
-    target, contribution = fold_shift(a2, xi, FanVector((2, 2), 0, 1))
-    assert target.labels == (0, 0) and target.grade == 2 and contribution == 1
+    entries = fold_one(a2, base, 0, FanVector((2, 2), 0, 1), 2)
+    assert entries == {(0, 0): -1, (0, 2): 1}
 
 
 def test_level1_folded_fan_collapses(a2):
@@ -119,18 +120,6 @@ def test_fan_too_short_is_rejected(a2):
         build_folded_fan(a2, base, 0, fan, 5)
 
 
-def test_folded_fan_json_round_trip(a2):
-    base = class_of(a2, (0, 0), 2)
-    folded, _ = build_folded_fans(a2, base, 6)
-    data = folded[0].to_json()
-    again = FoldedFan.from_json(data)
-    assert again.base_index == folded[0].base_index
-    assert again.entries == folded[0].entries
-    assert data["entries"] == sorted(
-        data["entries"], key=lambda e: (e["target"], e["grade"])
-    )
-
-
 def test_longer_fan_folds_to_the_same_window(a2, a3):
     # fan vectors above the cutoff never land inside the window, so the fan
     # built exactly to the cutoff folds to the same result as a longer one
@@ -151,7 +140,7 @@ def test_wrong_fan_grade_raises_convention_error(a2):
     with pytest.raises(ConventionError):
         build_folded_fan(a2, base, 0, wrong, 4)
     with pytest.raises(ConventionError):
-        fold_shift(a2, base.weights[0], wrong.vectors[0])
+        lemma1_check(a2, base, 0, wrong.vectors[0], (0, -5))
 
 
 def test_folded_grade_formula(a2):

@@ -1,0 +1,67 @@
+import concurrent.futures
+import gc
+import weakref
+
+import pytest
+
+from affstr import AlgebraSpec, build_fan, build_folded_fans, string_table
+from affstr.strings import classifier_for, enumerate_class_weights
+
+
+def fresh_a2():
+    return AlgebraSpec("A2", [[2, -1], [-1, 2]], [1, 1])
+
+
+def test_repeat_calls_on_one_spec_share_one_object():
+    spec = fresh_a2()
+    table = string_table(spec, (1, 0), 2, -6)
+    assert string_table(spec, (1, 0), 2, -6) is table
+    assert build_fan(spec, 6) is build_fan(spec, 6)
+    assert classifier_for(spec) is classifier_for(spec)
+    classes = enumerate_class_weights(spec, 2)
+    assert enumerate_class_weights(spec, 2) is classes
+    # the table was solved from the memoised fold of its class
+    folded, fan = build_folded_fans(spec, table.base, 6)
+    assert isinstance(folded, tuple) and fan is build_fan(spec, 6)
+    assert build_folded_fans(spec, classes[table.base.class_id], 6)[0] is folded
+
+
+def test_keys_are_normalised_before_the_memo():
+    spec = fresh_a2()
+    table = string_table(spec, (1, 0), 2, -6)
+    assert string_table(spec, [1, 0], 2, -6) is table
+    # other cutoffs are their own entries, not prefixes of a longer one
+    assert string_table(spec, (1, 0), 2, -4).depth == 4
+    assert build_fan(spec, 4).cutoff == 4
+
+
+def test_fresh_spec_recomputes():
+    one, two = fresh_a2(), fresh_a2()
+    first, second = string_table(one, (0, 0), 2, -6), string_table(two, (0, 0), 2, -6)
+    assert first is not second
+    assert first.coefficients == second.coefficients
+    assert build_fan(one, 6) is not build_fan(two, 6)
+
+
+def test_key_by_keyword_is_refused():
+    spec = fresh_a2()
+    with pytest.raises(TypeError):
+        build_fan(spec, cutoff=3)
+    # max_nodes bounds the walk but is not part of the key
+    assert build_fan(spec, 3, max_nodes=10**6) is build_fan(spec, 3)
+
+
+def test_memo_dies_with_its_algebra():
+    spec = fresh_a2()
+    string_table(spec, (0, 0), 2, -4)
+    alive = weakref.ref(spec)
+    del spec
+    gc.collect()
+    assert alive() is None
+
+
+def test_threads_racing_on_one_key_share_the_first_value():
+    spec = fresh_a2()
+    with concurrent.futures.ThreadPoolExecutor(max_workers=4) as pool:
+        tables = list(pool.map(lambda _: string_table(spec, (0, 0), 2, -8), range(8)))
+    assert all(table is tables[0] for table in tables)

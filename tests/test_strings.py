@@ -16,7 +16,6 @@ from affstr import (
 from affstr.algebra import from_root_basis
 from affstr.folding import FoldedFan
 from affstr.strings import (
-    StringTable,
     assemble_system,
     classifier_for,
     enumerate_class_weights,
@@ -202,14 +201,6 @@ def test_solver_rejects_corrupted_folding(a2):
     corrupted.entries[(0, 1)] = corrupted.entries.get((0, 1), 0) - 9
     with pytest.raises(ConsistencyError):
         solve_strings(assemble_system(base, (corrupted, folded[1]), 0, -6))
-
-
-def test_string_table_json_round_trip(a2):
-    table = string_table(a2, (1, 0), 2, -6)
-    again = StringTable.from_json(a2, table.to_json())
-    assert again.coefficients == table.coefficients
-    assert again.mu == table.mu
-    assert again.cutoff == table.cutoff
 
 
 def test_string_table_rejects_bad_mu(a2):
