@@ -28,7 +28,7 @@ from affstr import (  # noqa: E402
     two_path_mismatches,
     verify_denominator,
 )
-from affstr.strings import enumerate_class_weights, classifier_for  # noqa: E402
+from affstr.strings import module_class  # noqa: E402
 
 OUT = pathlib.Path(__file__).resolve().parents[1] / "src" / "affstr" / "fixtures"
 
@@ -213,9 +213,8 @@ def make_level1():
     sigma = string_table(spec, (0, 0), 1, -depth).coefficients[0]
     assert list(sigma) == euler_square_series(depth) == PRINTED_LEVEL1_SIGMA
     eta = level1_eta_series(depth)
-    classes = enumerate_class_weights(spec, 1)
-    cid = classifier_for(spec).id_of((0, 0))
-    folded, _ = build_folded_fans(spec, classes[cid], depth)
+    base, _ = module_class(spec, (0, 0), 1)
+    folded, _ = build_folded_fans(spec, base, depth)
     assert folded[0].eta_row(0) == eta
     annotations = []
     for grade in range(depth + 1):
@@ -264,13 +263,11 @@ def make_level2():
     depth = 10
     classes_out = []
     for name, printed in PRINTED_LEVEL2.items():
-        mu = tuple(printed["base"][0])
         base_labels = [list(map(int, b)) for b in printed["base"]]
         table = string_table(spec, printed["mu"], 2, -depth)
         assert [list(map(int, w.labels)) for w in table.base.weights] == base_labels
-        level_classes = enumerate_class_weights(spec, 2)
-        cid = classifier_for(spec).id_of(tuple(printed["mu"]))
-        folded, _ = build_folded_fans(spec, level_classes[cid], depth)
+        base, _ = module_class(spec, printed["mu"], 2)
+        folded, _ = build_folded_fans(spec, base, depth)
         eta = [[folded[j].eta_row(s) for s in range(2)] for j in range(2)]
         sigma = [list(r) for r in table.coefficients]
         ref_sigma = printed["sigma"] if printed["sigma"] is not None else PRINTED_LEVEL2["II"]["sigma"]
@@ -285,7 +282,6 @@ def make_level2():
             "eta": eta,
             "coincides_with": None if printed["sigma"] is not None else "II",
         })
-        del mu
     data = {
         "kind": "level2",
         "algebra": "A2",
@@ -299,9 +295,7 @@ def make_level2():
 def make_level4():
     spec = preset("A2")
     depth = 9
-    classes = enumerate_class_weights(spec, 4)
-    cid = classifier_for(spec).id_of((0, 0))
-    base = classes[cid]
+    base, _ = module_class(spec, (0, 0), 4)
     assert [list(map(int, w.labels)) for w in base.weights] == PRINTED_LEVEL4_BASE
     folded, fan = build_folded_fans(spec, base, depth)
     eta = [[folded[j].eta_row(s) for s in range(5)] for j in range(5)]

@@ -43,10 +43,11 @@ from .strings import (
     assemble_system,
     character,
     enumerate_class_weights,
+    module_class,
     solve_strings,
     string_table,
     weight_multiplicity,
 )
-from .weyl import WeylOutcome, reflect, to_dominant, to_dominant_shifted
+from .weyl import WeylOutcome, to_dominant
 
 __version__ = "0.1.0"

@@ -46,6 +46,16 @@ def _norm(value):
     return f.numerator if f.denominator == 1 else f
 
 
+def _integer_entry(x) -> int:
+    # int() alone would truncate -1.5 to -1 and compute another algebra.
+    try:
+        if x == int(x):
+            return int(x)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ConfigurationError(f"Cartan entry {x!r} is not an integer")
+
+
 def _fracs(values) -> tuple[Fraction, ...]:
     return tuple(Fraction(v) for v in values)
 
@@ -100,7 +110,7 @@ class AlgebraSpec:
     def __init__(self, label: str, cartan, symmetrizer=None):
         self._memo = {}
         self.label = str(label)
-        self.cartan = tuple(tuple(int(x) for x in row) for row in cartan)
+        self.cartan = tuple(tuple(_integer_entry(x) for x in row) for row in cartan)
         self.rank = len(self.cartan)
         self._validate_cartan()
         if symmetrizer is None:
@@ -425,5 +435,5 @@ def load_algebra(source: str) -> AlgebraSpec:
             data["cartan"],
             data.get("symmetrizer"),
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigurationError(f"bad algebra config {source!r}: {exc}") from exc

@@ -21,13 +21,7 @@ from .errors import AffstrError, ConfigurationError, ConsistencyError, OutOfWind
 from .fan import build_fan, verify_denominator
 from .folding import build_folded_fans
 from .oracle import RacahOracle, two_path_mismatches
-from .strings import (
-    character,
-    classifier_for,
-    enumerate_class_weights,
-    string_table,
-    weight_multiplicity,
-)
+from .strings import character, module_class, string_table, weight_multiplicity
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -120,20 +114,8 @@ def _labels(text: str, spec) -> tuple[int, ...]:
     return labels
 
 
-def _check_mu(spec, labels, level):
-    if any(x < 0 for x in labels):
-        raise ConfigurationError("highest weight labels must be non-negative")
-    label0 = level - sum(c * x for c, x in zip(spec.comarks, labels))
-    if label0 < 0:
-        raise ConfigurationError(
-            f"labels {labels} need zeroth label {label0} at level {level}"
-        )
-
-
 def cmd_fan(args) -> str:
     spec = load_algebra(args.algebra)
-    if args.cutoff < 0:
-        raise ConfigurationError("cutoff must be non-negative")
     fan = build_fan(spec, args.cutoff)
     if args.check:
         report = verify_denominator(fan)
@@ -154,19 +136,12 @@ def cmd_fan(args) -> str:
 
 def _class_data(args):
     spec = load_algebra(args.algebra)
-    if args.level < 1:
-        raise ConfigurationError("level must be >= 1")
-    if args.cutoff < 0:
-        raise ConfigurationError("cutoff must be non-negative")
-    mu = _labels(args.mu, spec)
-    _check_mu(spec, mu, args.level)
-    return spec, mu
+    return spec, _labels(args.mu, spec)
 
 
 def cmd_folded_fan(args) -> str:
     spec, mu = _class_data(args)
-    cid = classifier_for(spec).id_of(mu)
-    base = enumerate_class_weights(spec, args.level)[cid]
+    base, _ = module_class(spec, mu, args.level)
     folded, _ = build_folded_fans(spec, base, args.cutoff)
     indices = range(len(base)) if args.base is None else [args.base]
     if args.base is not None and not 0 <= args.base < len(base):

@@ -60,9 +60,6 @@ class Fan:
             raise ConfigurationError("duplicate fan vectors")
         self.affine_labels = tuple(algebra.root_labels(v.root) for v in self.vectors)
 
-    def layer(self, grade: int) -> tuple[FanVector, ...]:
-        return tuple(v for v in self.vectors if v.grade == grade)
-
     def __iter__(self):
         return iter(self.vectors)
 

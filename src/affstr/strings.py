@@ -2,10 +2,16 @@
 
 The dominant level-k grade-0 weights split into congruence classes
 (classical parts modulo the classical root lattice); fan shifts never
-leave a class.  For one class the multiplicity recursion, written for
-all strings simultaneously down to a cutoff grade u, becomes a square
-block system with Toeplitz upper-triangular blocks built from the folded
-fan multiplicities.  It is solved exactly grade by grade using the
+leave a class.  A class is named by the residue of adj(A) times the
+labels modulo det(A), A the Cartan matrix.  `module_class` is the one
+check that labels give a highest weight of the level and the one lookup
+of its class.  Only the oracle classifies weights itself, so that it
+shares no class enumeration with the folded path it checks.
+
+For one class the multiplicity recursion, written for all strings
+simultaneously down to a cutoff grade u, becomes a square block system
+with Toeplitz upper-triangular blocks built from the folded fan
+multiplicities.  It is solved exactly grade by grade using the
 grade-zero block; every solution component must come out a non-negative
 integer, anything else signals an upstream bug and aborts.
 
@@ -36,6 +42,7 @@ __all__ = [
     "enumerate_class_weights",
     "assemble_system",
     "solve_strings",
+    "module_class",
     "string_table",
     "weight_multiplicity",
     "character",
@@ -55,21 +62,15 @@ class CongruenceClassId:
 class CongruenceClassifier:
     """Classifies Dynkin-label vectors modulo the classical root lattice.
 
-    Works for any algebra via an integer diagonalization of the Cartan
-    matrix; only residues with a nontrivial modulus are kept (a single
-    residue mod 3 for A2).
+    Labels v lie in the root lattice exactly when A^-1 v is integral, that
+    is when adj(A) v vanishes modulo det(A), adj(A) = det(A) A^-1 being an
+    integer matrix.  The residue of adj(A) v modulo det(A) names the class.
     """
 
     def __init__(self, spec: AlgebraSpec):
         self.spec = spec
-        u, diag = _diagonalize(spec.cartan)
-        self._u = u
-        self._moduli = tuple(int(d) for d in diag)
-        self._keep = tuple(i for i, d in enumerate(self._moduli) if d > 1)
-
-    @property
-    def moduli(self) -> tuple[int, ...]:
-        return tuple(self._moduli[i] for i in self._keep)
+        self._det = int(_det(spec.cartan))
+        self._adj = tuple(tuple(int(self._det * x) for x in row) for row in spec.cartan_inverse)
 
     def id_of(self, labels) -> CongruenceClassId:
         labels = tuple(labels)
@@ -77,60 +78,14 @@ class CongruenceClassifier:
             raise ConfigurationError("label length does not match rank")
         if any(Fraction(x).denominator != 1 for x in labels):
             raise ConfigurationError("congruence classes need integral Dynkin labels")
-        v = [
-            sum(self._u[i][j] * int(labels[j]) for j in range(self.spec.rank))
-            for i in range(self.spec.rank)
-        ]
-        return CongruenceClassId(tuple(v[i] % self._moduli[i] for i in self._keep))
+        return CongruenceClassId(
+            tuple(sum(a * int(x) for a, x in zip(row, labels)) % self._det for row in self._adj)
+        )
 
 
 @algebra_memo
 def classifier_for(spec: AlgebraSpec) -> CongruenceClassifier:
     return CongruenceClassifier(spec)
-
-
-def _diagonalize(cartan):
-    """U and diag with U @ cartan @ V = diag for unimodular U, V.
-
-    Residues of a vector v modulo the column lattice of the matrix are
-    then (U v)_i mod diag_i.  The divisibility chain of the full Smith
-    form is not needed for that.
-    """
-    n = len(cartan)
-    m = [list(map(int, row)) for row in cartan]
-    u = [[int(i == j) for j in range(n)] for i in range(n)]
-    for k in range(n):
-        while True:
-            entries = [
-                (i, j) for i in range(k, n) for j in range(k, n) if m[i][j]
-            ]
-            if not entries:
-                break
-            pi, pj = min(entries, key=lambda ij: abs(m[ij[0]][ij[1]]))
-            if pi != k:
-                m[k], m[pi] = m[pi], m[k]
-                u[k], u[pi] = u[pi], u[k]
-            if pj != k:
-                for row in m:
-                    row[k], row[pj] = row[pj], row[k]
-            for i in range(k + 1, n):
-                q = m[i][k] // m[k][k]
-                if q:
-                    m[i] = [a - q * b for a, b in zip(m[i], m[k])]
-                    u[i] = [a - q * b for a, b in zip(u[i], u[k])]
-            for j in range(k + 1, n):
-                q = m[k][j] // m[k][k]
-                if q:
-                    for row in m:
-                        row[j] -= q * row[k]
-            if all(m[i][k] == 0 for i in range(k + 1, n)) and all(
-                m[k][j] == 0 for j in range(k + 1, n)
-            ):
-                break
-        if m[k][k] < 0:
-            m[k] = [-x for x in m[k]]
-            u[k] = [-x for x in u[k]]
-    return u, [m[i][i] for i in range(n)]
 
 
 @algebra_memo
@@ -333,6 +288,21 @@ def string_table(spec: AlgebraSpec, mu_labels, level: int, u: int) -> StringTabl
 
 @algebra_memo
 def _string_table(spec: AlgebraSpec, mu_labels: tuple, level: int, u: int, /) -> StringTable:
+    base, mu_index = module_class(spec, mu_labels, level)
+    folded, _ = build_folded_fans(spec, base, -u)
+    system = assemble_system(base, folded, mu_index, u)
+    return solve_strings(system)
+
+
+def module_class(spec: AlgebraSpec, mu_labels, level: int) -> tuple[BaseWeightSet, int]:
+    """The class of a highest weight at a level, and its index in that class.
+
+    The one check that classical labels `mu_labels` give a highest weight
+    of the level (non-negative labels, zeroth label >= 0), and the one
+    lookup of its congruence class.  Returns (base weight set, mu index).
+    """
+    classes = enumerate_class_weights(spec, level)
+    mu_labels = tuple(mu_labels)
     if any(x < 0 for x in mu_labels):
         raise ConfigurationError("highest weight labels must be non-negative")
     label0 = level - sum(c * x for c, x in zip(spec.comarks, mu_labels))
@@ -340,13 +310,8 @@ def _string_table(spec: AlgebraSpec, mu_labels: tuple, level: int, u: int, /) ->
         raise ConfigurationError(
             f"labels {mu_labels} exceed level {level} (zeroth label {label0})"
         )
-    classes = enumerate_class_weights(spec, level)
-    cid = classifier_for(spec).id_of(mu_labels)
-    base = classes[cid]
-    mu_index = base.index_of(mu_labels)
-    folded, _ = build_folded_fans(spec, base, -u)
-    system = assemble_system(base, folded, mu_index, u)
-    return solve_strings(system)
+    base = classes[classifier_for(spec).id_of(mu_labels)]
+    return base, base.index_of(mu_labels)
 
 
 def weight_multiplicity(spec: AlgebraSpec, table: StringTable, lam: AffineWeight) -> int:
@@ -375,9 +340,10 @@ def character(spec: AlgebraSpec, table: StringTable, window) -> list:
     """All (weight, multiplicity) pairs with grades inside the window.
 
     `window` is either a single depth d >= 0 (grades 0..-d) or a pair of
-    grades.  Weights are found by walking the ordinary orbits of the
-    dominant string points down to the window floor; each weight reduces
-    to exactly one string point, so nothing is double counted.
+    grades.  Weights are found by walking the ordinary orbit of each base
+    weight once down to the window floor and placing every orbit point at
+    each depth of its string; each weight reduces to exactly one string
+    point, so nothing is double counted.
     """
     top, bottom = _normalize_window(window)
     if bottom < table.cutoff:
@@ -386,15 +352,15 @@ def character(spec: AlgebraSpec, table: StringTable, window) -> list:
         )
     level = table.level
     found: dict[tuple, int] = {}
-    for s, xi in enumerate(table.base.weights):
-        start = spec.affine_labels(xi)
-        for d in range(table.depth + 1):
-            mult = table.coefficients[s][d]
-            if mult == 0 or -d < bottom:
-                continue
-            for _, _, (labels, grade) in descending_orbit(spec, start, -d, bottom):
-                if grade <= top:
-                    found[labels[1:], grade] = mult
+    for xi, coeffs in zip(table.base.weights, table.coefficients):
+        # The orbit of (xi, -d) is the orbit of (xi, 0) moved down by d, and
+        # the string vanishes above its first non-zero depth `head`.
+        head = next((d for d, mult in enumerate(coeffs) if mult), len(coeffs))
+        floor = bottom + head
+        for _, _, (labels, grade) in descending_orbit(spec, spec.affine_labels(xi), 0, floor):
+            for d in range(max(0, grade - top), grade - bottom + 1):
+                if coeffs[d]:
+                    found[labels[1:], grade - d] = coeffs[d]
     return [
         (AffineWeight(labels, level, grade), mult)
         for (labels, grade), mult in sorted(found.items(), key=lambda kv: (-kv[0][1], kv[0][0]))

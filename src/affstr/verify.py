@@ -25,9 +25,9 @@ from .folding import build_folded_fans, lemma1_check
 from .oracle import RacahOracle, euler_square_series, level1_eta_series, two_path_mismatches
 from .strings import (
     assemble_system,
-    classifier_for,
     enumerate_class_weights,
     grade_zero_determinant,
+    module_class,
     string_table,
     weight_multiplicity,
 )
@@ -251,8 +251,7 @@ def check_level4(fx) -> list[CheckResult]:
     depth = fx["depth"]
     level = fx["level"]
     out = []
-    cid = classifier_for(spec).id_of(tuple(fx["base"][0]))
-    base = enumerate_class_weights(spec, level)[cid]
+    base, _ = module_class(spec, fx["base"][0], level)
     ok = [[int(x) for x in w.labels] for w in base.weights] == fx["base"]
     out.append(CheckResult(f"level {level} class I: base weights and order", ok))
     folded, _ = build_folded_fans(spec, base, depth)

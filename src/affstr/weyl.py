@@ -34,9 +34,7 @@ __all__ = [
     "reflect_labels",
     "reduce_labels",
     "descending_orbit",
-    "reflect",
     "to_dominant",
-    "to_dominant_shifted",
     "apply_word",
 ]
 
@@ -45,17 +43,9 @@ DEFAULT_STEP_LIMIT = 1_000_000
 
 @dataclass(frozen=True)
 class WeylOutcome:
-    """Result of a dominant-chamber reduction.
-
-    `sign` is the determinant of the reducing element for the specific
-    word used; on a wall it is not canonical and consumers must not rely
-    on it.  `on_wall` is true iff the orbit meets a chamber wall, i.e.
-    some affine label of the dominant representative vanishes.
-    """
+    """Result of a dominant-chamber reduction: the representative and the word."""
 
     dominant: AffineWeight
-    sign: int
-    on_wall: bool
     word: tuple[int, ...]
 
 
@@ -117,15 +107,6 @@ def _weight(labels, level, grade) -> AffineWeight:
     return AffineWeight(labels[1:], level, grade)
 
 
-def reflect(spec: AlgebraSpec, i: int, w: AffineWeight) -> AffineWeight:
-    """Simple reflection s_i, ordinary action.  Involution; level preserved."""
-    if not 0 <= i <= spec.rank:
-        raise ConfigurationError(f"reflection index {i} out of range 0..{spec.rank}")
-    labels = list(spec.affine_labels(w))
-    grade = reflect_labels(spec, i, labels, w.grade)
-    return _weight(labels, w.level, grade)
-
-
 def apply_word(spec: AlgebraSpec, word, w: AffineWeight) -> AffineWeight:
     """Apply reflections in the order they were recorded."""
     labels = list(spec.affine_labels(w))
@@ -141,29 +122,8 @@ def to_dominant(
     spec: AlgebraSpec, w: AffineWeight, *, max_steps: int = DEFAULT_STEP_LIMIT
 ) -> WeylOutcome:
     """Reduce a positive-level weight to its dominant orbit representative."""
-    return _reduce(spec, w, 0, max_steps)
-
-
-def to_dominant_shifted(
-    spec: AlgebraSpec, w: AffineWeight, *, max_steps: int = DEFAULT_STEP_LIMIT
-) -> WeylOutcome:
-    """Reduce under the shifted action w -> s.(w) = s(w + rho) - rho.
-
-    `on_wall` means the shifted orbit is singular: signed sums over it
-    cancel and the weight contributes nothing.
-    """
-    return _reduce(spec, w, 1, max_steps)
-
-
-def _reduce(spec, w, shift, max_steps) -> WeylOutcome:
-    # rho has every affine label 1, so the shifted action adds `shift`
-    # to each label before reducing and takes it off afterwards.
     spec.check_rank(w)
-    level = w.level + shift * spec.dual_coxeter
-    if level <= 0:
-        raise NonterminationError(f"to_dominant needs positive level, got {level}")
-    labels = [x + shift for x in spec.affine_labels(w)]
-    labels, grade, word = reduce_labels(spec, labels, w.grade, max_steps=max_steps)
-    on_wall = 0 in labels
-    dominant = _weight([x - shift for x in labels], w.level, grade)
-    return WeylOutcome(dominant, -1 if len(word) % 2 else 1, on_wall, tuple(word))
+    if w.level <= 0:
+        raise NonterminationError(f"to_dominant needs positive level, got {w.level}")
+    labels, grade, word = reduce_labels(spec, spec.affine_labels(w), w.grade, max_steps=max_steps)
+    return WeylOutcome(_weight(labels, w.level, grade), tuple(word))

@@ -139,6 +139,17 @@ def test_load_algebra_errors(tmp_path):
     nocartan.write_text(json.dumps({"label": "X"}))
     with pytest.raises(ConfigurationError):
         load_algebra(str(nocartan))
+    # Cartan entries must be integers: int() would truncate -1.5 and compute A2
+    nonintegral = tmp_path / "nonintegral.json"
+    for config in [
+        {"cartan": [[2, -1.5], [-1, 2]]},
+        {"cartan": [[2, float("-inf")], [-1, 2]]},
+        {"cartan": [[2, float("nan")], [-1, 2]]},
+        {"cartan": [[2, -1], [-1, 2]], "symmetrizer": [float("inf"), 1]},
+    ]:
+        nonintegral.write_text(json.dumps(config))
+        with pytest.raises(ConfigurationError):
+            load_algebra(str(nonintegral))
 
 
 def test_weight_arithmetic(a2):

@@ -15,10 +15,31 @@ def lattice_member(spec, vector):
     return all(c.denominator == 1 for c in coords)
 
 
-def test_classifier_agrees_with_lattice_membership():
+CLASSIFIER_CONFIGS = {
+    # det 2
+    "B2": {"label": "B2", "cartan": [[2, -2], [-1, 2]], "symmetrizer": [1, 2]},
+    # weight/root quotient Z2 x Z2, not cyclic
+    "D4": {
+        "label": "D4",
+        "cartan": [[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]],
+    },
+    # trivial quotient
+    "G2": {"label": "G2", "cartan": [[2, -1], [-3, 2]]},
+    "A4": {
+        "label": "A4",
+        "cartan": [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -1], [0, 0, -1, 2]],
+    },
+}
+
+
+def test_classifier_agrees_with_lattice_membership(tmp_path):
     rng = random.Random(23)
-    for name in ("A1", "A2", "A3"):
-        spec = load_algebra(name)
+    specs = [load_algebra(name) for name in ("A1", "A2", "A3")]
+    for name, config in CLASSIFIER_CONFIGS.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(config))
+        specs.append(load_algebra(str(path)))
+    for spec in specs:
         classify = classifier_for(spec)
         for _ in range(120):
             v = tuple(rng.randint(-8, 8) for _ in range(spec.rank))
@@ -26,12 +47,6 @@ def test_classifier_agrees_with_lattice_membership():
             same = classify.id_of(v) == classify.id_of(w)
             member = lattice_member(spec, tuple(a - b for a, b in zip(v, w)))
             assert same == member
-
-
-def test_classifier_moduli():
-    assert classifier_for(load_algebra("A1")).moduli == (2,)
-    assert classifier_for(load_algebra("A2")).moduli == (3,)
-    assert classifier_for(load_algebra("A3")).moduli == (4,)
 
 
 def test_g2_affine_data(tmp_path):

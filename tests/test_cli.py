@@ -4,7 +4,7 @@ import shutil
 
 from affstr import build_fan, build_folded_fans, cli, string_table
 from affstr.cli import main
-from affstr.strings import classifier_for, enumerate_class_weights
+from affstr.strings import module_class
 from affstr.verify import fixture_dir
 
 
@@ -40,11 +40,20 @@ def test_invalid_algebra_file(capsys, tmp_path):
     code, out, err = run(capsys, "fan", "--algebra", str(bad), "--cutoff", "1")
     assert code == 2
     assert "error" in err
+    # a non-integral Cartan entry is refused, not truncated to A2
+    bad.write_text(json.dumps({"label": "X", "cartan": [[2, -1.5], [-1, 2]]}))
+    code, out, err = run(capsys, "fan", "--algebra", str(bad), "--cutoff", "0")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "-1.5" in err
 
 
 def test_inconsistent_mu_level(capsys):
     code, _, err = run(capsys, "strings", "--level", "1", "--mu", "2,0", "--cutoff", "4")
     assert code == 2 and "zeroth label" in err
+    # folded-fan runs the same check and prints the same message
+    assert run(capsys, "folded-fan", "--level", "1", "--mu", "2,0", "--cutoff", "4") == (
+        code, "", err
+    )
 
 
 def test_strings_level1(capsys, a2):
@@ -113,7 +122,7 @@ def test_folded_fan_json(capsys, a2):
     assert code == 0
     data = json.loads(out)
     assert len(data) == 2
-    base = enumerate_class_weights(a2, 2)[classifier_for(a2).id_of((0, 0))]
+    base, _ = module_class(a2, (0, 0), 2)
     folded, _ = build_folded_fans(a2, base, 6)
     assert data == [ff.to_json() for ff in folded]
     assert folded[0].eta(0, 0) == -1

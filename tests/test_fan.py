@@ -5,8 +5,9 @@ from affstr import (
     AlgebraSpec,
     ResourceLimitError,
     build_fan,
-    to_dominant_shifted,
+    to_dominant,
     verify_denominator,
+    weyl_vector,
 )
 from affstr.fan import Fan, FanVector
 
@@ -66,15 +67,15 @@ def test_denominator_detects_perturbation(a2):
 
 def test_orbit_exactness(a2):
     # undoing any fan shift and reducing by the shifted action returns the
-    # zero weight with the opposite sign
+    # zero weight, off every wall, with the opposite sign
     from affstr.algebra import from_root_basis
 
+    rho = weyl_vector(a2)
     for v in build_fan(a2, 6):
         undone = from_root_basis(a2, tuple(-c for c in v.root), 0, -v.grade)
-        out = to_dominant_shifted(a2, undone)
-        assert not out.on_wall
-        assert out.dominant == AffineWeight((0, 0), 0, 0)
-        assert out.sign == -v.mult
+        out = to_dominant(a2, undone + rho)
+        assert out.dominant - rho == AffineWeight((0, 0), 0, 0)
+        assert (-1) ** len(out.word) == -v.mult
 
 
 def test_multiplicities_unimodular(a2):
@@ -132,6 +133,4 @@ def test_node_budget(a2):
 
 def test_layers(a2):
     fan = build_fan(a2, 2)
-    assert len(fan.layer(0)) == 5
-    assert len(fan.layer(1)) == 6
-    assert len(fan.layer(2)) == 12
+    assert [sum(v.grade == g for v in fan) for g in range(3)] == [5, 6, 12]

@@ -90,10 +90,10 @@ def test_seeded_diagonal(a2):
 def test_lemma1_probes(a2):
     base = class_of(a2, (0, 0), 2)
     fan = build_fan(a2, 8)
-    gamma = fan.layer(1)[0]
+    gamma = next(v for v in fan if v.grade == 1)
     assert lemma1_check(a2, base, 0, gamma, (0,))
     assert lemma1_check(a2, base, 0, gamma, (0, -3, -7))
-    for g in fan.layer(2):
+    for g in (v for v in fan if v.grade == 2):
         assert lemma1_check(a2, base, 1, g, (0, -5))
 
 
@@ -101,7 +101,7 @@ def test_lemma1_rejects_positive_probe(a2):
     base = class_of(a2, (0, 0), 2)
     fan = build_fan(a2, 2)
     with pytest.raises(ConfigurationError):
-        lemma1_check(a2, base, 0, fan.layer(0)[0], (1,))
+        lemma1_check(a2, base, 0, next(v for v in fan if v.grade == 0), (1,))
 
 
 def test_congruence_violation_detected(a2):

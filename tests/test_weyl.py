@@ -12,10 +12,8 @@ from affstr import (
     character,
     inner_product,
     from_root_basis,
-    reflect,
     string_table,
     to_dominant,
-    to_dominant_shifted,
     weyl_vector,
 )
 from affstr.algebra import load_algebra
@@ -30,7 +28,7 @@ indices2 = st.integers(0, 2)
 
 def test_reflect_simple(a2):
     rho = weyl_vector(a2)
-    image = reflect(a2, 1, rho)
+    image = apply_word(a2, [1], rho)
     assert image.labels == (-1, 2)
     assert a2.label0(image) == 2
     assert image.grade == 0
@@ -38,13 +36,13 @@ def test_reflect_simple(a2):
 
 def test_reflect_wall_fixed_point(a2):
     lam = a2.weight((0, 3), 4, -1)
-    assert reflect(a2, 1, lam) == lam
+    assert apply_word(a2, [1], lam) == lam
 
 
 @given(weights2, indices2)
 def test_reflect_involution(w, i):
     a2 = load_algebra("A2")
-    assert reflect(a2, i, reflect(a2, i, w)) == w
+    assert apply_word(a2, [i, i], w) == w
 
 
 @given(weights2, indices2)
@@ -58,11 +56,11 @@ def test_grade_changes(w):
     a2 = load_algebra("A2")
     # classical reflections keep the grade; s_0 lowers it by the zeroth label,
     # which equals k - (classical part, highest coroot)
-    assert reflect(a2, 1, w).grade == w.grade
-    assert reflect(a2, 2, w).grade == w.grade
+    assert apply_word(a2, [1], w).grade == w.grade
+    assert apply_word(a2, [2], w).grade == w.grade
     theta = from_root_basis(a2, a2.marks)
     pairing = inner_product(a2, AffineWeight(w.labels, 0, 0), theta)
-    assert reflect(a2, 0, w).grade - w.grade == -(w.level - pairing)
+    assert apply_word(a2, [0], w).grade - w.grade == -(w.level - pairing)
 
 
 def test_shifted_reflect_examples(a2):
@@ -75,15 +73,16 @@ def test_shifted_reflect_examples(a2):
     assert img.labels == (-2, 1) and img.grade == 0
     # shifted s_0 on it lands on the highest root one grade down; this is
     # minus the fan vector with root coordinates (-1,-1) at grade 1, and it
-    # reduces back to the zero weight with the opposite sign
+    # reduces back to the zero weight with the opposite sign (odd word)
     img0 = shifted_reflect(a2, 0, zero)
     from affstr.algebra import to_root_basis
 
     assert to_root_basis(a2, img0) == (1, 1)
     assert img0.grade == -1
-    out = to_dominant_shifted(a2, img0)
-    assert out.dominant.labels == (0, 0) and out.dominant.grade == 0
-    assert out.sign == -1
+    rho = weyl_vector(a2)
+    out = to_dominant(a2, img0 + rho)
+    assert out.dominant - rho == zero
+    assert len(out.word) % 2 == 1
 
 
 def _orbit(spec, start, floor):
@@ -94,7 +93,7 @@ def _orbit(spec, start, floor):
         new = []
         for w in frontier:
             for i in range(spec.rank + 1):
-                img = reflect(spec, i, w)
+                img = apply_word(spec, [i], w)
                 if img.grade >= floor and img not in seen:
                     seen.add(img)
                     new.append(img)
@@ -105,10 +104,7 @@ def _orbit(spec, start, floor):
 def test_to_dominant_trivial(a2):
     lam = a2.weight((1, 1), 3, 0)
     out = to_dominant(a2, lam)
-    assert out.dominant == lam and out.sign == 1 and out.word == ()
-    assert not out.on_wall
-    wall = a2.weight((0, 1), 1, 0)
-    assert to_dominant(a2, wall).on_wall
+    assert out.dominant == lam and out.word == ()
 
 
 def test_to_dominant_orbit_membership(a2):
@@ -121,7 +117,7 @@ def test_to_dominant_orbit_membership(a2):
     assert to_root_basis(a2, lam) == (Fraction(-1, 3), Fraction(1, 3))
     out = to_dominant(a2, lam)
     assert out.dominant == a2.weight((1, 0), 1, 0)
-    assert out.sign == -1
+    assert len(out.word) % 2 == 1
     # brute-force cross-check: lam is in the orbit of the dominant rep
     orbit = _orbit(a2, out.dominant, -3)
     assert lam in orbit
@@ -152,23 +148,25 @@ def test_orbit_canonicity(w, word):
     assert to_dominant(a2, moved).dominant == to_dominant(a2, w).dominant
 
 
-@given(weights2)
+@given(weights2, indices2)
 @settings(max_examples=60)
-def test_shifted_wall_consistency(w):
+def test_shifted_wall_consistency(w, i):
+    # the dot action of s_i fixes exactly the weights on its shifted wall,
+    # and it keeps w + rho in one ordinary orbit
     a2 = load_algebra("A2")
     rho = weyl_vector(a2)
-    out = to_dominant_shifted(a2, w)
-    ordinary = to_dominant(a2, w + rho)
-    assert out.on_wall == any(x == 0 for x in a2.affine_labels(ordinary.dominant))
+    image = shifted_reflect(a2, i, w)
+    assert (image == w) == (a2.affine_labels(w + rho)[i] == 0)
+    assert to_dominant(a2, image + rho).dominant == to_dominant(a2, w + rho).dominant
 
 
 def test_shifted_round_trip(a2):
     mu = a2.weight((1, 0), 2, 0)
     lam = shifted_reflect(a2, 0, shifted_reflect(a2, 1, mu))
-    out = to_dominant_shifted(a2, lam)
-    assert out.dominant == mu
-    assert out.sign == 1
-    assert not out.on_wall
+    rho = weyl_vector(a2)
+    out = to_dominant(a2, lam + rho)
+    assert out.dominant - rho == mu
+    assert len(out.word) % 2 == 0
 
 
 def test_translation_datum_trivial(a2):
@@ -182,7 +180,7 @@ def test_translation_datum_trivial(a2):
 def test_translation_datum_s0(a2):
     from affstr.weyl import WeylOutcome
 
-    outcome = WeylOutcome(a2.weight((0, 0), 1, 0), -1, False, (0,))
+    outcome = WeylOutcome(a2.weight((0, 0), 1, 0), (0,))
     td = translation_datum(a2, outcome)
     assert td.theta == (1, 1)  # the highest coroot
     # recomposition: t_{-theta} . s_0 must act as the classical reflection
@@ -202,7 +200,7 @@ def test_translation_datum_s0(a2):
 
 def test_reflect_index_guard(a2):
     with pytest.raises(ConfigurationError):
-        reflect(a2, 3, a2.weight((1, 0), 1, 0))
+        apply_word(a2, [3], a2.weight((1, 0), 1, 0))
 
 
 # -- the integer kernel against the reference reduction --------------------
@@ -240,13 +238,7 @@ def test_kernel_matches_reference_reduction(kernel_specs, data):
     spec = kernel_specs[data.draw(st.sampled_from(sorted(kernel_specs)))]
     w = _draw_weight(data, spec)
     out = to_dominant(spec, w)
-    assert (out.dominant, out.sign, out.on_wall, out.word) == reference.to_dominant(spec, w)
-    rho = weyl_vector(spec)
-    dominant, sign, on_wall, word = reference.to_dominant(spec, w + rho)
-    shifted = to_dominant_shifted(spec, w)
-    assert (shifted.dominant, shifted.sign, shifted.on_wall, shifted.word) == (
-        dominant - rho, sign, on_wall, word
-    )
+    assert (out.dominant, out.word) == reference.to_dominant(spec, w)
 
 
 @given(st.data())
@@ -260,7 +252,7 @@ def test_kernel_reflections_match_reference(kernel_specs, data):
 
 def test_kernel_step_budget(a2):
     lam = a2.weight((-40, 3), 1, 0)
-    steps = len(reference.to_dominant(a2, lam)[3])
+    steps = len(reference.to_dominant(a2, lam)[1])
     assert len(to_dominant(a2, lam, max_steps=steps + 1).word) == steps
     with pytest.raises(NonterminationError):
         to_dominant(a2, lam, max_steps=steps)
@@ -268,8 +260,15 @@ def test_kernel_step_budget(a2):
 
 @pytest.mark.parametrize(
     "name,mu,level,depth,window",
-    [("A2", (1, 0), 2, 4, 4), ("G2", (0, 1), 2, 4, (-1, -4))],
-    ids=["A2", "G2"],
+    [
+        ("A2", (1, 0), 2, 4, 4),
+        ("G2", (0, 1), 2, 4, (-1, -4)),
+        # a window equal to the table depth on a rank-4 algebra
+        ("A4", (1, 0, 0, 1), 2, 2, 2),
+        # a window whose top and floor both sit strictly inside the table
+        ("A2", (0, 0), 3, 6, (-2, -5)),
+    ],
+    ids=["A2", "G2", "A4-full-depth", "A2-inner-window"],
 )
 def test_character_orbits_match_brute_force(kernel_specs, name, mu, level, depth, window):
     spec = kernel_specs[name]

@@ -35,16 +35,14 @@ def apply_word(spec, word, w):
 
 
 def to_dominant(spec, w, max_steps=1_000_000):
-    """(dominant, sign, on_wall, word): reflect at the most negative label,
-    lowest index on ties."""
+    """(dominant, word): reflect at the most negative label, lowest index on ties."""
     word = []
     current = w
     for _ in range(max_steps):
         labels = spec.affine_labels(current)
         worst = min(range(len(labels)), key=lambda i: (labels[i], i))
         if labels[worst] >= 0:
-            on_wall = any(x == 0 for x in labels)
-            return current, -1 if len(word) % 2 else 1, on_wall, tuple(word)
+            return current, tuple(word)
         current = reflect(spec, worst, current)
         word.append(worst)
     raise NonterminationError(f"reduction exceeded {max_steps} steps")
