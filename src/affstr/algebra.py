@@ -46,14 +46,14 @@ def _norm(value):
     return f.numerator if f.denominator == 1 else f
 
 
-def _integer_entry(x) -> int:
-    # int() alone would truncate -1.5 to -1 and compute another algebra.
+def _integer_entry(x, what: str = "Cartan entry") -> int:
+    # int() alone would truncate -1.5 to -1 and compute with another value.
     try:
         if x == int(x):
             return int(x)
     except (TypeError, ValueError, OverflowError):
         pass
-    raise ConfigurationError(f"Cartan entry {x!r} is not an integer")
+    raise ConfigurationError(f"{what} {x!r} is not an integer")
 
 
 def _fracs(values) -> tuple[Fraction, ...]:

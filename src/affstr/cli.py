@@ -204,8 +204,9 @@ def cmd_strings(args) -> str:
 
 def cmd_mult(args) -> str:
     spec, mu = _class_data(args)
+    labels = _labels(args.weight, spec)
+    lam = spec.weight(labels, args.level, args.grade)
     table = string_table(spec, mu, args.level, -args.cutoff)
-    lam = spec.weight(_labels(args.weight, spec), args.level, args.grade)
     value = weight_multiplicity(spec, table, lam)
     if args.format == "json":
         return _dumps(
@@ -219,7 +220,7 @@ def cmd_mult(args) -> str:
         )
     if args.format == "csv":
         return _csv(["weight", "grade", "multiplicity"],
-                    [[" ".join(map(str, _labels(args.weight, spec))), args.grade, value]])
+                    [[" ".join(map(str, labels)), args.grade, value]])
     return f"multiplicity of {_wfmt(spec, lam)} in L^{list(mu)} at level {args.level}: {value}\n"
 
 

@@ -14,13 +14,17 @@ prefix of a longer one.
 
 verify_denominator is the independent completeness gate: it expands the
 truncated product over the positive affine roots and compares it term by
-term with the fan.
+term with the fan.  Jacobi's triple product regroups that product as one
+sparse theta series per positive classical root times a power of the
+Euler function phi(q), so the expansion costs about as much as the fan
+and never touches the Weyl group.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from math import isqrt
+from operator import add
 
 from .algebra import AlgebraSpec, algebra_memo
 from .errors import ConfigurationError, ResourceLimitError
@@ -152,39 +156,74 @@ def _denominator_series(spec: AlgebraSpec, cutoff: int) -> dict:
     """Coefficients of prod over positive affine roots, by grade <= cutoff.
 
     Monomial keys are (simple-root coordinates, grade) of e^{-(root + grade*delta)}.
-    Imaginary roots n*delta enter with multiplicity rank.
+    Jacobi's triple product groups the factors of a positive classical root
+    beta with one factor of phi(q) = prod_{n>=1} (1 - q^n):
+
+        prod_{n>=1} (1 - q^n)(1 - e^{-beta} q^{n-1})(1 - e^{beta} q^n)
+            = sum_m (-1)^m q^{m(m-1)/2} e^{-m beta},
+
+    where q = e^{-delta}.  The imaginary roots n*delta have multiplicity
+    rank, so the product is phi^(rank - |positive roots|) times one sparse
+    theta series per positive root.
     """
-    factors = []
-    for root in spec.positive_roots:
-        factors.append((root, 0, 1))
-    for n in range(1, cutoff + 1):
-        for root in spec.positive_roots:
-            factors.append((root, n, 1))
-            factors.append((tuple(-c for c in root), n, 1))
-        if spec.rank:
-            factors.append(((0,) * spec.rank, n, spec.rank))
+    reach = isqrt(2 * cutoff) + 1
+    steps = sorted(
+        (m * (m - 1) // 2, m) for m in range(-reach, reach + 1) if m * (m - 1) <= 2 * cutoff
+    )
     poly = {((0,) * spec.rank, 0): 1}
-    for root, grade, mult in factors:
-        poly = _multiply_factor(poly, root, grade, mult, cutoff)
-    return poly
+    for beta in spec.positive_roots:
+        theta = [(g, tuple(m * c for c in beta), -1 if m % 2 else 1) for g, m in steps]
+        out: dict = {}
+        for (root, grade), coeff in poly.items():
+            for g, shift, sign in theta:
+                if grade + g > cutoff:
+                    break
+                key = (tuple(map(add, root, shift)), grade + g)
+                out[key] = out.get(key, 0) + sign * coeff
+        poly = {key: c for key, c in out.items() if c}
+    phi = _euler_power(spec.rank - len(spec.positive_roots), cutoff)
+    out = {}
+    for (root, grade), coeff in poly.items():
+        for n in range(cutoff - grade + 1):
+            if phi[n]:
+                key = (root, grade + n)
+                out[key] = out.get(key, 0) + phi[n] * coeff
+    return {key: c for key, c in out.items() if c}
 
 
-def _multiply_factor(poly, root, grade, mult, cutoff):
-    """Multiply by (1 - x)^mult where x is the monomial (root, grade)."""
-    out: dict = {}
-    for (base_root, base_grade), coeff in poly.items():
-        for j in range(mult + 1):
-            new_grade = base_grade + j * grade
-            if new_grade > cutoff:
+def _euler_power(k: int, cutoff: int) -> list[int]:
+    """Coefficients of phi(q)^k, phi(q) = prod_{n>=1} (1 - q^n), up to q^cutoff.
+
+    phi is sparse by Euler's pentagonal number theorem, and the power of a
+    series with constant term 1 obeys J. C. P. Miller's recurrence
+    n b_n = sum_j ((k + 1) j - n) a_j b_{n-j}, exact in integers.
+    """
+    pentagonal = [(j, a) for j, a in enumerate(pentagonal_series(cutoff)) if j and a]
+    power = [1] + [0] * cutoff
+    for n in range(1, cutoff + 1):
+        total = 0
+        for j, a in pentagonal:
+            if j > n:
                 break
-            term = coeff * comb(mult, j) * (-1 if j % 2 else 1)
-            key = (
-                tuple(b + j * r for b, r in zip(base_root, root)),
-                new_grade,
-            )
-            new = out.get(key, 0) + term
-            if new:
-                out[key] = new
-            elif key in out:
-                del out[key]
+            total += ((k + 1) * j - n) * a * power[n - j]
+        power[n] = total // n
+    return power
+
+
+def pentagonal_series(n: int) -> list[int]:
+    """Coefficients of prod(1 - q^m) up to q^n (Euler's pentagonal expansion)."""
+    if n < 0:
+        raise ConfigurationError("series order must be >= 0")
+    out = [0] * (n + 1)
+    k = 0
+    while True:
+        hit = False
+        for kk in (k, -k) if k else (0,):
+            e = kk * (3 * kk - 1) // 2
+            if e <= n:
+                out[e] += -1 if kk % 2 else 1
+                hit = True
+        if not hit:
+            break
+        k += 1
     return out

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from .algebra import AffineWeight, AlgebraSpec
 from .errors import ConfigurationError, ConsistencyError, OutOfWindowError
-from .fan import Fan
+from .fan import Fan, pentagonal_series
 from .strings import StringTable, classifier_for
 from .weyl import reduce_labels, to_dominant
 
@@ -26,25 +26,6 @@ __all__ = [
     "level1_eta_series",
     "two_path_mismatches",
 ]
-
-
-def pentagonal_series(n: int) -> list[int]:
-    """Coefficients of prod(1 - q^m) up to q^n (Euler's pentagonal expansion)."""
-    if n < 0:
-        raise ConfigurationError("series order must be >= 0")
-    out = [0] * (n + 1)
-    k = 0
-    while True:
-        hit = False
-        for kk in (k, -k) if k else (0,):
-            e = kk * (3 * kk - 1) // 2
-            if e <= n:
-                out[e] += -1 if kk % 2 else 1
-                hit = True
-        if not hit:
-            break
-        k += 1
-    return out
 
 
 def _convolve(a, b, n):

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import AffineWeight, AlgebraSpec, _det, algebra_memo, to_root_basis
+from .algebra import AffineWeight, AlgebraSpec, _det, _integer_entry, algebra_memo, to_root_basis
 from .errors import (
     ConfigurationError,
     ConsistencyError,
@@ -280,10 +280,15 @@ def grade_zero_determinant(system: BlockSystem) -> int:
 def string_table(spec: AlgebraSpec, mu_labels, level: int, u: int) -> StringTable:
     """Full pipeline: class enumeration, folding, assembly, exact solve.
 
-    `mu_labels` may be any sequence of integers.  The table is memoised per
-    algebra, highest weight, level and cutoff, and shared: do not mutate it.
+    `mu_labels` may be any sequence of integers, integral `Fraction`s
+    included; a label, level or cutoff that is not an integer raises
+    `ConfigurationError`.  The table is memoised per algebra, highest
+    weight, level and cutoff, and shared: do not mutate it.
     """
-    return _string_table(spec, tuple(int(x) for x in mu_labels), level, int(u))
+    labels = tuple(_integer_entry(x, "Dynkin label") for x in mu_labels)
+    return _string_table(
+        spec, labels, _integer_entry(level, "level"), _integer_entry(u, "cutoff")
+    )
 
 
 @algebra_memo

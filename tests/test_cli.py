@@ -148,6 +148,29 @@ def test_mult_beyond_window_is_a_request_error(capsys):
     assert err.startswith("error:") and "cutoff -6" in err
 
 
+def test_mult_rejects_malformed_weight_before_solving(capsys, monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return string_table(*args)
+
+    monkeypatch.setattr(cli, "string_table", counting)
+    for weight in ("x", "0,0,0"):
+        code, out, err = run(
+            capsys, "mult", "--level", "10", "--mu", "4,1", "--cutoff", "40",
+            "--weight", weight, "--grade", "0",
+        )
+        assert code == 2 and out == "" and err.startswith("error:")
+    assert calls == []
+    code, out, _ = run(
+        capsys, "mult", "--level", "1", "--mu", "0,0", "--cutoff", "6",
+        "--weight", "0,0", "--grade", "-3", "--format", "csv",
+    )
+    assert code == 0 and out == "weight,grade,multiplicity\n0 0,-3,10\n"
+    assert len(calls) == 1
+
+
 def test_character_beyond_window_is_a_request_error(capsys):
     code, out, err = run(
         capsys, "character", "--level", "1", "--mu", "0,0", "--cutoff", "6",

@@ -1,15 +1,17 @@
 import pytest
 
+import denominator_reference as reference
 from affstr import (
     AffineWeight,
     AlgebraSpec,
     ResourceLimitError,
     build_fan,
+    preset,
     to_dominant,
     verify_denominator,
     weyl_vector,
 )
-from affstr.fan import Fan, FanVector
+from affstr.fan import Fan, FanVector, _denominator_series, _euler_power
 
 
 GRADE0_A2 = {((0, 1), 0): 1, ((1, 0), 0): 1, ((2, 1), 0): -1, ((1, 2), 0): -1, ((2, 2), 0): 1}
@@ -55,14 +57,82 @@ def test_denominator_identity(name, cutoff):
     assert report.ok, report.mismatch
 
 
+# Cartan matrices of the algebras beyond the presets, built inline
+INLINE_CARTAN = {
+    "A4": [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -1], [0, 0, -1, 2]],
+    "G2": [[2, -1], [-3, 2]],
+    "B2": [[2, -2], [-1, 2]],
+    "C2": [[2, -1], [-2, 2]],
+    "B3": [[2, -1, 0], [-1, 2, -2], [0, -1, 2]],
+}
+
+
+@pytest.mark.parametrize(
+    "name,cutoff",
+    [("A1", 12), ("A2", 8), ("A3", 4), ("A4", 2), ("G2", 6), ("B2", 5), ("C2", 5), ("B3", 3)],
+)
+def test_triple_product_matches_dense_expansion(name, cutoff):
+    # the theta-series product equals the factor-by-factor expansion, term
+    # by term, at every cutoff up to the given one
+    if name in INLINE_CARTAN:
+        spec = AlgebraSpec(name, INLINE_CARTAN[name])
+    else:
+        spec = preset(name)
+    for n in range(cutoff + 1):
+        assert _denominator_series(spec, n) == reference._denominator_series(spec, n)
+
+
+@pytest.mark.parametrize("k", [-4, -1, 0, 1, 3])
+def test_euler_power(k):
+    cutoff = 25
+
+    def times(a, b):
+        return [sum(a[j] * b[i - j] for j in range(i + 1)) for i in range(cutoff + 1)]
+
+    phi = inverse = [1] + [0] * cutoff
+    for n in range(1, cutoff + 1):
+        # (1 - q^n) and its inverse, the geometric series sum_j q^{nj}
+        phi = times(phi, [1] + [-(i == n) for i in range(1, cutoff + 1)])
+        inverse = times(inverse, [int(i % n == 0) for i in range(cutoff + 1)])
+    expected = [1] + [0] * cutoff
+    for _ in range(abs(k)):
+        expected = times(expected, phi if k > 0 else inverse)
+    assert _euler_power(k, cutoff) == expected
+    assert _euler_power(k, 0) == [1]
+
+
+def _broken(fan, vectors):
+    return verify_denominator(Fan(fan.algebra, fan.cutoff, vectors))
+
+
 def test_denominator_detects_perturbation(a2):
     fan = build_fan(a2, 2)
+    intact = verify_denominator(fan)
+    assert intact.ok and intact.mismatch is None
     vectors = list(fan.vectors)
-    vectors[3] = FanVector(vectors[3].root, vectors[3].grade, -vectors[3].mult)
-    broken = Fan(a2, 2, vectors)
-    report = verify_denominator(broken)
+
+    # a flipped sign
+    v = vectors[6]
+    flipped = vectors[:6] + [FanVector(v.root, v.grade, -v.mult)] + vectors[7:]
+    report = _broken(fan, flipped)
     assert not report.ok
-    assert report.mismatch is not None
+    assert report.mismatch == (v.root, v.grade, v.mult, -v.mult)
+    assert report.checked_terms == intact.checked_terms
+
+    # a dropped vector
+    v = vectors[14]
+    report = _broken(fan, vectors[:14] + vectors[15:])
+    assert not report.ok
+    assert report.mismatch == (v.root, v.grade, v.mult, 0)
+    assert report.checked_terms == intact.checked_terms
+
+    # a spurious vector at the cutoff grade
+    spurious = FanVector((1, 1), 2, 1)
+    assert (spurious.root, spurious.grade) not in {(w.root, w.grade) for w in vectors}
+    report = _broken(fan, vectors + [spurious])
+    assert not report.ok
+    assert report.mismatch == ((1, 1), 2, 0, 1)
+    assert report.checked_terms == intact.checked_terms + 1
 
 
 def test_orbit_exactness(a2):

@@ -105,6 +105,23 @@ def test_diagram_automorphism_level2(a2):
     assert second.coefficients == third.coefficients
 
 
+def test_string_table_refuses_non_integers(a2):
+    from fractions import Fraction
+
+    # a label is refused, not truncated to the table of another module
+    for labels in [(1.5, 0), (Fraction(1, 2), 0), (0, float("nan")), (0, float("inf")), ("1", 0)]:
+        with pytest.raises(ConfigurationError, match="Dynkin label"):
+            string_table(a2, labels, 2, -3)
+    # so are a non-integral level or cutoff
+    with pytest.raises(ConfigurationError, match="level 1.5"):
+        string_table(a2, (0, 0), 1.5, -3)
+    with pytest.raises(ConfigurationError, match="cutoff -3.5"):
+        string_table(a2, (0, 0), 1, -3.5)
+    exact = string_table(a2, (1, 0), 2, -3)
+    assert string_table(a2, (Fraction(1), 0.0), Fraction(2), -3.0) is exact
+    assert string_table(a2, [1, 0], 2, -3) is exact
+
+
 def test_weight_multiplicity_basics(a2):
     table = string_table(a2, (0, 0), 1, -6)
     mu = table.mu
