@@ -6,7 +6,11 @@ the level as lambda_0 = level - sum(comark_i * label_i).  Simple-root
 coordinates exist only for input/output; the conversion is an exact
 application of the inverse Cartan matrix and round-trips losslessly.
 
-No floating point is used anywhere.
+No floating point is used anywhere.  `_gauss_jordan` is the package's one
+exact elimination: it gives the inverse Cartan matrix, the leading minors
+of the positive-definiteness test, the Cartan determinant of the
+congruence classifier, and the grade-zero determinant and per-depth solve
+of the string functions.
 
 Everything derived from an algebra (classifier, congruence classes, fans,
 folded fans, string tables) is memoised per instance by `algebra_memo`,
@@ -123,26 +127,22 @@ class AlgebraSpec:
                 if self.symmetrizer[i] * self.cartan[i][j] != self.symmetrizer[j] * self.cartan[j][i]:
                     raise ConfigurationError("symmetrizer does not symmetrize the Cartan matrix")
         self._check_positive_definite()
-        self.cartan_inverse = _invert(self.cartan) if self.rank else ()
+        identity = [[int(i == j) for j in range(self.rank)] for i in range(self.rank)]
+        self.cartan_inverse = tuple(zip(*_gauss_jordan(self.cartan, identity)[1]))
         self.positive_roots = self._close_roots()
-        if self.rank:
-            self.highest_root = max(self.positive_roots, key=lambda c: sum(c))
-            tops = [c for c in self.positive_roots if sum(c) == sum(self.highest_root)]
-            if len(tops) != 1:
-                raise ConfigurationError("Cartan matrix is not of irreducible finite type")
-            # Rescale the symmetrizer so the highest root has squared length 2;
-            # the affine formulas below assume this normalization.
-            norm2 = self._root_norm2(self.highest_root)
-            self.symmetrizer = tuple(d * 2 / norm2 for d in self.symmetrizer)
-            self.marks = tuple(int(c) for c in self.highest_root)
-            comarks = tuple(a * d for a, d in zip(self.marks, self.symmetrizer))
-            if any(c.denominator != 1 or c <= 0 for c in comarks):
-                raise ConfigurationError("comarks are not positive integers")
-            self.comarks = tuple(int(c) for c in comarks)
-        else:
-            self.highest_root = ()
-            self.marks = ()
-            self.comarks = ()
+        self.highest_root = max(self.positive_roots, key=lambda c: sum(c))
+        tops = [c for c in self.positive_roots if sum(c) == sum(self.highest_root)]
+        if len(tops) != 1:
+            raise ConfigurationError("Cartan matrix is not of irreducible finite type")
+        # Rescale the symmetrizer so the highest root has squared length 2;
+        # the affine formulas below assume this normalization.
+        norm2 = self._root_norm2(self.highest_root)
+        self.symmetrizer = tuple(d * 2 / norm2 for d in self.symmetrizer)
+        self.marks = tuple(int(c) for c in self.highest_root)
+        comarks = tuple(a * d for a, d in zip(self.marks, self.symmetrizer))
+        if any(c.denominator != 1 or c <= 0 for c in comarks):
+            raise ConfigurationError("comarks are not positive integers")
+        self.comarks = tuple(int(c) for c in comarks)
         self.dual_coxeter = 1 + sum(self.comarks)
         # Dynkin labels of the highest root, exact integers.
         self.theta_labels = tuple(
@@ -161,6 +161,8 @@ class AlgebraSpec:
 
     def _validate_cartan(self):
         a = self.cartan
+        if not a:
+            raise ConfigurationError("Cartan matrix is empty; rank must be >= 1")
         for i in range(self.rank):
             if len(a[i]) != self.rank:
                 raise ConfigurationError("Cartan matrix must be square")
@@ -195,20 +197,15 @@ class AlgebraSpec:
         return d
 
     def _check_positive_definite(self):
-        # Leading principal minors of the symmetrized matrix, exactly.
-        sym = [
-            [self.symmetrizer[i] * self.cartan[i][j] for j in range(self.rank)]
-            for i in range(self.rank)
-        ]
+        # With D the positive diagonal symmetrizer, the leading minors of D A
+        # are those of A times positive products of D, so A's signs decide.
         for k in range(1, self.rank + 1):
-            if _det([row[:k] for row in sym[:k]]) <= 0:
+            if _gauss_jordan([row[:k] for row in self.cartan[:k]])[0] <= 0:
                 raise ConfigurationError("symmetrized Cartan matrix is not positive definite")
 
     def _close_roots(self) -> tuple[tuple[int, ...], ...]:
         """All positive roots in simple-root coordinates, via reflection closure."""
         rank = self.rank
-        if rank == 0:
-            return ()
         seen: set[tuple[int, ...]] = set()
         frontier = [tuple(1 if j == i else 0 for j in range(rank)) for i in range(rank)]
         seen.update(frontier)
@@ -274,7 +271,7 @@ class AlgebraSpec:
 
 
 def algebra_memo(fn):
-    """Memoise fn(spec, *key, **options) per algebra instance.
+    """Memoise fn(spec, *key) per algebra instance.
 
     Values are stored on the spec itself, so they live exactly as long as
     the spec does and a freshly loaded algebra starts empty.  (A mapping
@@ -282,19 +279,19 @@ def algebra_memo(fn):
     back to their spec.)  Within one spec the key is the other positional
     arguments, compared exactly: callers normalise them first (int tuples,
     not lists), and fn declares them positional-only so that a key passed
-    by keyword fails instead of missing.  Keyword options bound how a value
-    is computed, not what it is, and stay out of the key.  Only returned
-    values are stored; threads racing on one key all get the first value
-    stored.  A memoised value is shared by every caller that asks for it,
-    so no caller may mutate it.
+    by keyword fails instead of missing.  The wrapper takes no keywords,
+    so nothing outside the key can change a value.  Only returned values
+    are stored; threads racing on one key all get the first value stored.
+    A memoised value is shared by every caller that asks for it, so no
+    caller may mutate it.
     """
 
     @functools.wraps(fn)
-    def memoised(spec, *key, **options):
+    def memoised(spec, *key):
         try:
             return spec._memo[fn, key]
         except KeyError:
-            return spec._memo.setdefault((fn, key), fn(spec, *key, **options))
+            return spec._memo.setdefault((fn, key), fn(spec, *key))
 
     return memoised
 
@@ -342,41 +339,30 @@ def from_root_basis(spec: AlgebraSpec, coords, level=0, grade=0) -> AffineWeight
 # -- exact linear algebra on small matrices ------------------------------
 
 
-def _det(rows) -> Fraction:
-    n = len(rows)
-    m = [[Fraction(x) for x in row] for row in rows]
+def _gauss_jordan(matrix, columns=()):
+    """Exact Gauss-Jordan elimination of a square matrix A.
+
+    Returns (det A, the columns A^-1 c for each column c of `columns`),
+    or (0, None) when A is singular.  Entries may be ints or Fractions.
+    """
+    n = len(matrix)
+    m = [[Fraction(x) for x in row] + [c[i] for c in columns] for i, row in enumerate(matrix)]
     det = Fraction(1)
     for col in range(n):
         pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
         if pivot is None:
-            return Fraction(0)
+            return Fraction(0), None
         if pivot != col:
             m[col], m[pivot] = m[pivot], m[col]
             det = -det
         det *= m[col][col]
-        inv = Fraction(1) / m[col][col]
-        for r in range(col + 1, n):
-            factor = m[r][col] * inv
-            if factor:
-                m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
-    return det
-
-
-def _invert(rows) -> tuple[tuple[Fraction, ...], ...]:
-    n = len(rows)
-    m = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(rows)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            raise ConfigurationError("Cartan matrix is singular")
-        m[col], m[pivot] = m[pivot], m[col]
         inv = Fraction(1) / m[col][col]
         m[col] = [x * inv for x in m[col]]
         for r in range(n):
             if r != col and m[r][col]:
                 factor = m[r][col]
                 m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
-    return tuple(tuple(row[n:]) for row in m)
+    return det, tuple(tuple(m[i][n + k] for i in range(n)) for k in range(len(columns)))
 
 
 def _apply(matrix, vec) -> tuple[Fraction, ...]:

@@ -40,8 +40,12 @@ def main(argv=None) -> int:
         print(f"consistency failure: {exc}", file=sys.stderr)
         return EXIT_MATH
     if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: cannot write {args.out!r}: {exc.strerror}", file=sys.stderr)
+            return EXIT_CONFIG
     else:
         sys.stdout.write(text)
     return getattr(args, "exit_code", EXIT_OK)

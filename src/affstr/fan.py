@@ -81,12 +81,11 @@ class Fan:
 
 
 @algebra_memo
-def build_fan(
-    spec: AlgebraSpec, cutoff: int, /, *, max_nodes: int = DEFAULT_NODE_LIMIT
-) -> Fan:
+def build_fan(spec: AlgebraSpec, cutoff: int, /) -> Fan:
     """Enumerate the fan exhaustively up to the grade cutoff.
 
-    Memoised per algebra and cutoff; `max_nodes` is not part of the key.
+    Memoised per algebra and cutoff.  The orbit walk stops with
+    ResourceLimitError past DEFAULT_NODE_LIMIT nodes.
     """
     if cutoff < 0:
         raise ConfigurationError("fan cutoff must be non-negative")
@@ -104,9 +103,9 @@ def build_fan(
         else:
             root = tuple(c - li * m for c, m in zip(root, spec.marks))
         shifts[node] = (root, length + 1)
-        if len(shifts) > max_nodes:
+        if len(shifts) > DEFAULT_NODE_LIMIT:
             raise ResourceLimitError(
-                f"fan orbit exceeded {max_nodes} nodes at cutoff {cutoff}"
+                f"fan orbit exceeded {DEFAULT_NODE_LIMIT} nodes at cutoff {cutoff}"
             )
         # mult = -det(w), w having length + 1 letters
         vectors.append(FanVector(root, -node[1], 1 if length % 2 == 0 else -1))

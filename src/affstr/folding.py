@@ -90,9 +90,8 @@ class FoldedFan:
     def eta(self, target: int, grade: int) -> int:
         return self.entries.get((target, grade), 0)
 
-    def eta_row(self, target: int, upto: int | None = None) -> list[int]:
-        n = self.cutoff if upto is None else upto
-        return [self.eta(target, d) for d in range(n + 1)]
+    def eta_row(self, target: int) -> list[int]:
+        return [self.eta(target, d) for d in range(self.cutoff + 1)]
 
     def to_json(self) -> dict:
         items = sorted(self.entries.items())

@@ -9,14 +9,15 @@ the two are compared.
 
 The level-1 closed forms are pure q-series: the single string function
 is the reciprocal of the squared Euler product, and the level-1 shift
-multiplicities are its negated inverse series.
+multiplicities are its negated inverse series.  Both are powers of the
+Euler function from fan._euler_power, the package's one q-series power.
 """
 
 from __future__ import annotations
 
 from .algebra import AffineWeight, AlgebraSpec
 from .errors import ConfigurationError, ConsistencyError, OutOfWindowError
-from .fan import Fan, pentagonal_series
+from .fan import Fan, _euler_power
 from .strings import StringTable, classifier_for
 from .weyl import reduce_labels, to_dominant
 
@@ -28,30 +29,9 @@ __all__ = [
 ]
 
 
-def _convolve(a, b, n):
-    out = [0] * (n + 1)
-    for i, ai in enumerate(a[: n + 1]):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b[: n + 1 - i]):
-            out[i + j] += ai * bj
-    return out
-
-
-def _reciprocal(a, n):
-    if a[0] != 1:
-        raise ConfigurationError("series reciprocal needs constant term 1")
-    out = [0] * (n + 1)
-    out[0] = 1
-    for m in range(1, n + 1):
-        out[m] = -sum(a[i] * out[m - i] for i in range(1, m + 1))
-    return out
-
-
 def euler_square_series(n: int) -> list[int]:
-    """Coefficients of prod(1 - q^m)^{-2}: reciprocal of the squared pentagonal series."""
-    phi = pentagonal_series(n)
-    return _reciprocal(_convolve(phi, phi, n), n)
+    """Coefficients of prod(1 - q^m)^{-2} up to q^n."""
+    return _euler_power(-2, n)
 
 
 def level1_eta_series(n: int) -> list[int]:
@@ -60,8 +40,7 @@ def level1_eta_series(n: int) -> list[int]:
     The level-1 string is the inverse squared Euler product, and the shift
     series times the string series is -1, hence this closed form.
     """
-    phi = pentagonal_series(n)
-    return [-c for c in _convolve(phi, phi, n)]
+    return [-c for c in _euler_power(2, n)]
 
 
 class RacahOracle:

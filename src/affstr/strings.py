@@ -11,9 +11,11 @@ shares no class enumeration with the folded path it checks.
 For one class the multiplicity recursion, written for all strings
 simultaneously down to a cutoff grade u, becomes a square block system
 with Toeplitz upper-triangular blocks built from the folded fan
-multiplicities.  It is solved exactly grade by grade using the
-grade-zero block; every solution component must come out a non-negative
-integer, anything else signals an upstream bug and aborts.
+multiplicities.  It is solved exactly grade by grade: at each depth the
+grade-zero block is eliminated against the shallower coefficients by
+algebra._gauss_jordan, the package's one exact elimination, which also
+gives the block's determinant.  Every solution component must come out a
+non-negative integer; anything else signals an upstream bug and aborts.
 
 The classifier, the classes of a level and the table of a module are
 memoised per algebra instance (algebra.algebra_memo), as are the folded
@@ -25,7 +27,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import AffineWeight, AlgebraSpec, _det, _integer_entry, algebra_memo, to_root_basis
+from .algebra import (
+    AffineWeight, AlgebraSpec, _gauss_jordan, _integer_entry, algebra_memo, to_root_basis
+)
 from .errors import (
     ConfigurationError,
     ConsistencyError,
@@ -69,7 +73,7 @@ class CongruenceClassifier:
 
     def __init__(self, spec: AlgebraSpec):
         self.spec = spec
-        self._det = int(_det(spec.cartan))
+        self._det = int(_gauss_jordan(spec.cartan)[0])
         self._adj = tuple(tuple(int(self._det * x) for x in row) for row in spec.cartan_inverse)
 
     def id_of(self, labels) -> CongruenceClassId:
@@ -207,7 +211,7 @@ def solve_strings(system: BlockSystem) -> StringTable:
     p = len(system.base)
     depth = system.depth
     e0 = system.grade_matrix(0)
-    columns: list[list[Fraction]] = []
+    columns: list[tuple[Fraction, ...]] = []
     for d in range(depth + 1):
         rhs = [Fraction(0)] * p
         if d == 0:
@@ -221,7 +225,12 @@ def solve_strings(system: BlockSystem) -> StringTable:
                     if en[j][s]:
                         acc -= en[j][s] * prev[s]
                 rhs[j] = acc
-        columns.append(_solve_exact(e0, rhs))
+        _, solved = _gauss_jordan(e0, [rhs])
+        if solved is None:
+            raise ConsistencyError(
+                "grade-zero block is singular; the folded fan is inconsistent"
+            )
+        columns.append(solved[0])
     coeffs = []
     for s in range(p):
         row = []
@@ -249,29 +258,9 @@ def solve_strings(system: BlockSystem) -> StringTable:
     return table
 
 
-def _solve_exact(matrix, rhs):
-    """Gaussian elimination over the rationals; raises on singularity."""
-    n = len(matrix)
-    m = [[Fraction(x) for x in row] + [rhs[i]] for i, row in enumerate(matrix)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            raise ConsistencyError(
-                "grade-zero block is singular; the folded fan is inconsistent"
-            )
-        m[col], m[pivot] = m[pivot], m[col]
-        inv = Fraction(1) / m[col][col]
-        m[col] = [x * inv for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col]:
-                factor = m[r][col]
-                m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
-    return [m[i][n] for i in range(n)]
-
-
 def grade_zero_determinant(system: BlockSystem) -> int:
     """Determinant of the grade-zero block; +-1 on every worked fixture."""
-    value = _det(system.grade_matrix(0))
+    value, _ = _gauss_jordan(system.grade_matrix(0))
     if value.denominator != 1:
         raise ConsistencyError("grade-zero determinant is not an integer")
     return int(value)

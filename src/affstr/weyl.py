@@ -57,22 +57,23 @@ def reflect_labels(spec: AlgebraSpec, i: int, labels: list, grade):
     return grade - li if i == 0 else grade
 
 
-def reduce_labels(spec: AlgebraSpec, labels, grade, *, max_steps: int = DEFAULT_STEP_LIMIT):
+def reduce_labels(spec: AlgebraSpec, labels, grade):
     """Reduce affine labels to the dominant chamber.
 
     Returns the dominant labels as a tuple, their grade and the word of
-    reflection indices applied.  The caller guarantees positive level.
+    reflection indices applied.  The caller guarantees positive level;
+    more than DEFAULT_STEP_LIMIT reflections raise NonterminationError.
     """
     labels = list(labels)
     word: list[int] = []
-    for _ in range(max_steps):
+    for _ in range(DEFAULT_STEP_LIMIT):
         low = min(labels)
         if low >= 0:
             return tuple(labels), grade, word
         i = labels.index(low)
         grade = reflect_labels(spec, i, labels, grade)
         word.append(i)
-    raise NonterminationError(f"reduction exceeded {max_steps} steps")
+    raise NonterminationError(f"reduction exceeded {DEFAULT_STEP_LIMIT} steps")
 
 
 def descending_orbit(spec: AlgebraSpec, labels, grade, floor):
@@ -118,12 +119,10 @@ def apply_word(spec: AlgebraSpec, word, w: AffineWeight) -> AffineWeight:
     return _weight(labels, w.level, grade)
 
 
-def to_dominant(
-    spec: AlgebraSpec, w: AffineWeight, *, max_steps: int = DEFAULT_STEP_LIMIT
-) -> WeylOutcome:
+def to_dominant(spec: AlgebraSpec, w: AffineWeight) -> WeylOutcome:
     """Reduce a positive-level weight to its dominant orbit representative."""
     spec.check_rank(w)
     if w.level <= 0:
         raise NonterminationError(f"to_dominant needs positive level, got {w.level}")
-    labels, grade, word = reduce_labels(spec, spec.affine_labels(w), w.grade, max_steps=max_steps)
+    labels, grade, word = reduce_labels(spec, spec.affine_labels(w), w.grade)
     return WeylOutcome(_weight(labels, w.level, grade), tuple(word))

@@ -1,4 +1,5 @@
 import json
+import pathlib
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,9 @@ from affstr import (
     to_root_basis,
     weyl_vector,
 )
+from affstr.algebra import _PRESETS, _gauss_jordan
+
+CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "configs"
 
 
 def test_a2_affine_extension(a2):
@@ -35,6 +39,67 @@ def test_cartan_validation():
     # affine A1 matrix is symmetrizable but not positive definite
     with pytest.raises(ConfigurationError):
         AlgebraSpec("bad", [[2, -2], [-2, 2]])
+    # hyperbolic rank 2: the second leading minor is 4 - 9 < 0
+    with pytest.raises(ConfigurationError, match="positive definite"):
+        AlgebraSpec("bad", [[2, -3], [-3, 2]])
+    with pytest.raises(ConfigurationError, match="empty"):
+        AlgebraSpec("point", [])
+
+
+F = Fraction
+
+
+@pytest.mark.parametrize(
+    "cartan,symmetrizer,comarks",
+    [
+        ([[2, -2], [-1, 2]], (F(1, 2), 1), (1, 1)),  # B2
+        ([[2, -1], [-2, 2]], (1, F(1, 2)), (1, 1)),  # C2
+        ([[2, -1], [-3, 2]], (1, F(1, 3)), (2, 1)),  # G2
+        ([[2, -1, 0], [-1, 2, -1], [0, -2, 2]], (1, 1, F(1, 2)), (1, 2, 1)),  # B3
+        (
+            [[2, -1, 0, 0], [-1, 2, -2, 0], [0, -1, 2, -1], [0, 0, -1, 2]],
+            (F(1, 2), F(1, 2), 1, 1),
+            (1, 2, 3, 2),
+        ),  # F4
+        (
+            [[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]],
+            (1, 1, 1, 1),
+            (1, 2, 1, 1),
+        ),  # D4
+    ],
+)
+def test_non_simply_laced_and_d4_are_accepted(cartan, symmetrizer, comarks):
+    # The positive-definiteness test reads the leading minors of the Cartan
+    # matrix itself: D A and A have minors of the same sign for D > 0.
+    spec = AlgebraSpec("X", cartan)
+    assert spec.symmetrizer == symmetrizer
+    assert spec.comarks == comarks
+
+
+def test_elimination_determinant_and_singularity():
+    assert _gauss_jordan([[1, 2], [3, 4]]) == (-2, ())
+    # a row swap flips the sign, also when the elimination itself must swap
+    assert _gauss_jordan([[3, 4], [1, 2]])[0] == 2
+    assert _gauss_jordan([[0, 1], [1, 0]])[0] == -1
+    assert _gauss_jordan([[0, 1, 0], [0, 0, 1], [1, 0, 0]])[0] == 1
+    assert _gauss_jordan([[1, 2], [2, 4]]) == (0, None)
+    assert _gauss_jordan([[0, 0], [0, 1]], [[1, 1]]) == (0, None)
+    det, (x,) = _gauss_jordan([[2, 1], [1, 3]], [[3, 5]])
+    assert det == 5 and x == (F(4, 5), F(7, 5))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [pytest.param(name, id=name) for name in sorted(_PRESETS)]
+    + [pytest.param(str(path), id=path.name) for path in sorted(CONFIGS.glob("*.json"))],
+)
+def test_cartan_inverse_is_exact(spec):
+    spec = load_algebra(spec)
+    rank = spec.rank
+    for i in range(rank):
+        for j in range(rank):
+            entry = sum(spec.cartan[i][k] * spec.cartan_inverse[k][j] for k in range(rank))
+            assert entry == (i == j)
 
 
 def test_simple_root_norms(a2):

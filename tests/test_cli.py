@@ -208,6 +208,21 @@ def test_out_file(tmp_path, capsys):
     assert len(json.loads(target.read_text())) == 11
 
 
+def test_out_to_unwritable_path_is_a_request_error(tmp_path, capsys):
+    for target in (tmp_path / "missing" / "fan.json", tmp_path):
+        code, out, err = run(capsys, "fan", "--cutoff", "3", "--out", str(target))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and str(target) in err
+
+
+def test_rank_zero_config_is_refused(capsys, tmp_path):
+    point = tmp_path / "point.json"
+    point.write_text(json.dumps({"cartan": []}))
+    code, out, err = run(capsys, "fan", "--algebra", str(point), "--cutoff", "2", "--check")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "empty" in err
+
+
 def test_verify_default_fixtures(capsys):
     code, out, _ = run(capsys, "verify")
     assert code == 0

@@ -4,6 +4,7 @@ import denominator_reference as reference
 from affstr import (
     AffineWeight,
     AlgebraSpec,
+    ConfigurationError,
     ResourceLimitError,
     build_fan,
     preset,
@@ -11,6 +12,7 @@ from affstr import (
     verify_denominator,
     weyl_vector,
 )
+from affstr import fan as fan_module
 from affstr.fan import Fan, FanVector, _denominator_series, _euler_power
 
 
@@ -190,15 +192,17 @@ def test_fan_determinism():
 
 
 def test_rank_zero_degenerate():
-    degenerate = AlgebraSpec("point", [])
-    fan = build_fan(degenerate, 0)
-    assert len(fan) == 0
-    assert verify_denominator(fan).ok
+    # A rank-0 algebra has no affine extension: its fan failed the gate at
+    # cutoff 2 and its one "string" read 1 at every depth, so it is refused.
+    with pytest.raises(ConfigurationError, match="empty"):
+        AlgebraSpec("point", [])
 
 
-def test_node_budget(a2):
-    with pytest.raises(ResourceLimitError):
-        build_fan(AlgebraSpec("A2", [[2, -1], [-1, 2]], [1, 1]), 9, max_nodes=10)
+def test_node_budget(monkeypatch):
+    spec = AlgebraSpec("A2", [[2, -1], [-1, 2]], [1, 1])
+    monkeypatch.setattr(fan_module, "DEFAULT_NODE_LIMIT", 10)
+    with pytest.raises(ResourceLimitError, match="exceeded 10 nodes"):
+        build_fan(spec, 9)
 
 
 def test_layers(a2):

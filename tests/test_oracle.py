@@ -13,7 +13,8 @@ from affstr import (
     string_table,
     weight_multiplicity,
 )
-from affstr.oracle import _reciprocal, pentagonal_series, two_path_mismatches
+from affstr.fan import _euler_power, pentagonal_series
+from affstr.oracle import two_path_mismatches
 from affstr.weyl import apply_word
 
 
@@ -26,6 +27,24 @@ def test_euler_square_series():
     assert euler_square_series(4) == [1, 2, 5, 10, 20]
     assert euler_square_series(10)[10] == 481
     assert euler_square_series(20)[20] == 24842
+
+
+def test_level1_forms_match_repeated_multiplication():
+    # phi(q)^2 by multiplying out the factors (1 - q^m), and its inverse
+    # by multiplying out the geometric series 1/(1 - q^m), twice each.
+    n = 60
+
+    def times(a, b):
+        return [sum(a[j] * b[i - j] for j in range(i + 1)) for i in range(n + 1)]
+
+    square = inverse_square = [1] + [0] * n
+    for m in range(1, n + 1):
+        factor = [1] + [-(i == m) for i in range(1, n + 1)]
+        geometric = [int(i % m == 0) for i in range(n + 1)]
+        square = times(times(square, factor), factor)
+        inverse_square = times(times(inverse_square, geometric), geometric)
+    assert euler_square_series(n) == inverse_square
+    assert level1_eta_series(n) == [-c for c in square]
 
 
 def test_level1_eta_series():
@@ -121,7 +140,7 @@ def test_deep_query_needs_no_stack(a1):
         value = oracle.multiplicity(query)
     finally:
         sys.setrecursionlimit(limit)
-    assert value == _reciprocal(pentagonal_series(300), 300)[300]
+    assert value == _euler_power(-1, 300)[300]
 
 
 def test_two_path_mismatches_lists_every_disagreement(a2):

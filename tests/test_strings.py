@@ -25,6 +25,15 @@ from affstr.strings import (
 from affstr.weyl import apply_word
 
 
+def test_singular_grade_zero_block_is_refused(a1):
+    # A fold with no seeded -1 leaves the grade-zero block [[0]].
+    base = enumerate_class_weights(a1, 1)[classifier_for(a1).id_of((0,))]
+    system = assemble_system(base, [FoldedFan(0, 4, {})], 0, -4)
+    assert grade_zero_determinant(system) == 0
+    with pytest.raises(ConsistencyError, match="singular"):
+        solve_strings(system)
+
+
 def test_class_counting(a2):
     expectations = {1: (3, 1), 2: (6, 2), 4: (15, 5)}
     for level, (total, per_class) in expectations.items():

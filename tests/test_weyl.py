@@ -17,6 +17,7 @@ from affstr import (
     weyl_vector,
 )
 from affstr.algebra import load_algebra
+from affstr import weyl
 from affstr.weyl import apply_word
 from weyl_reference import shifted_reflect, translate, translation_datum
 
@@ -250,12 +251,14 @@ def test_kernel_reflections_match_reference(kernel_specs, data):
     assert apply_word(spec, word, w) == reference.apply_word(spec, word, w)
 
 
-def test_kernel_step_budget(a2):
+def test_kernel_step_budget(a2, monkeypatch):
     lam = a2.weight((-40, 3), 1, 0)
     steps = len(reference.to_dominant(a2, lam)[1])
-    assert len(to_dominant(a2, lam, max_steps=steps + 1).word) == steps
+    monkeypatch.setattr(weyl, "DEFAULT_STEP_LIMIT", steps + 1)
+    assert len(to_dominant(a2, lam).word) == steps
+    monkeypatch.setattr(weyl, "DEFAULT_STEP_LIMIT", steps)
     with pytest.raises(NonterminationError):
-        to_dominant(a2, lam, max_steps=steps)
+        to_dominant(a2, lam)
 
 
 @pytest.mark.parametrize(
