@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -157,6 +158,20 @@ class AlgebraSpec:
             columns.append((-sum(c * a for c, a in zip(self.comarks, column)),) + column)
         self.affine_columns = tuple(
             tuple((j, a) for j, a in enumerate(column) if a) for column in columns
+        )
+        # The invariant form in integers: form_scale * (lambda|mu) is integral
+        # on the weight lattice (the least common denominator of the Gram
+        # matrix (Lambda_i|Lambda_j) = d_i (A^-1)_ij of the fundamental
+        # weights), and (Lambda_m|alpha_n) is d_m when m == n and 0
+        # otherwise, so form_scale * d_m is integral too.
+        gram = [[d * x for x in row] for d, row in zip(self.symmetrizer, self.cartan_inverse)]
+        self.form_scale = math.lcm(*(g.denominator for row in gram for g in row))
+        self.form_symmetrizer = tuple(int(self.form_scale * d) for d in self.symmetrizer)
+        # form_scale * |lambda|^2 of any dominant level-1 weight is at most
+        # this: the dominant level-1 weights fill the simplex spanned by 0 and
+        # the Lambda_i / a_i^vee, and a convex function peaks at a vertex.
+        self.level1_norm_bound = max(
+            self.form_scale * gram[i][i] / (c * c) for i, c in enumerate(self.comarks)
         )
 
     def _validate_cartan(self):

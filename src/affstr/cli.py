@@ -13,6 +13,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 
 from . import verify as verify_mod
@@ -31,24 +32,47 @@ EXIT_MATH = 3
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    out = getattr(args, "out", None)
+    if out:
+        # Check the target before any work, so an unwritable path fails at
+        # once.  Append mode truncates nothing, so a failed run leaves an
+        # existing file as it was; it removes one that the check created.
+        created = not os.path.exists(out)
+        try:
+            open(out, "a").close()
+        except OSError as exc:
+            return _cannot_write(out, exc)
+    text, code = _run(args)
+    if text is None:
+        if out and created:
+            os.remove(out)
+    elif out:
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            return _cannot_write(out, exc)
+    else:
+        sys.stdout.write(text)
+    return code
+
+
+def _run(args):
+    """The handler's text and exit code; on an error, None and its exit code."""
     try:
         text = args.handler(args)
     except (ConfigurationError, OutOfWindowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return None, EXIT_CONFIG
     except AffstrError as exc:
         print(f"consistency failure: {exc}", file=sys.stderr)
-        return EXIT_MATH
-    if getattr(args, "out", None):
-        try:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        except OSError as exc:
-            print(f"error: cannot write {args.out!r}: {exc.strerror}", file=sys.stderr)
-            return EXIT_CONFIG
-    else:
-        sys.stdout.write(text)
-    return getattr(args, "exit_code", EXIT_OK)
+        return None, EXIT_MATH
+    return text, getattr(args, "exit_code", EXIT_OK)
+
+
+def _cannot_write(path, exc) -> int:
+    print(f"error: cannot write {path!r}: {exc.strerror}", file=sys.stderr)
+    return EXIT_CONFIG
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isqrt
-from operator import add
+from operator import add, mul
 
 from .algebra import AlgebraSpec, algebra_memo
 from .errors import ConfigurationError, ResourceLimitError
@@ -54,6 +54,8 @@ class Fan:
 
     `affine_labels` holds the affine labels of each vector's classical
     part, in the same order, for the integer folding and oracle walks.
+    `norms` holds algebra.form_scale times the squared length of each
+    classical part, the integers folding prices its folds with.
     """
 
     def __init__(self, algebra: AlgebraSpec, cutoff: int, vectors):
@@ -63,6 +65,11 @@ class Fan:
         if len({(v.root, v.grade) for v in self.vectors}) != len(self.vectors):
             raise ConfigurationError("duplicate fan vectors")
         self.affine_labels = tuple(algebra.root_labels(v.root) for v in self.vectors)
+        # (gamma|gamma) = sum_m gamma_m * (Dynkin label m of gamma) * d_m
+        self.norms = tuple(
+            sum(map(mul, v.root, map(mul, labels[1:], algebra.form_symmetrizer)))
+            for v, labels in zip(self.vectors, self.affine_labels)
+        )
 
     def __iter__(self):
         return iter(self.vectors)

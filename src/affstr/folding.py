@@ -12,17 +12,38 @@ The affine labels of xi and of each fan vector are taken once and added
 as integers; the reduction kernel in weyl.py does the rest.  Reduction
 only ever raises the grade, so a folded offset is never below the grade
 of its fan vector: the fan built exactly to the cutoff holds every
-contributor.  build_folded_fan checks that bound on every fold and raises
-ConventionError if it fails.  build_folded_fans is memoised per algebra
-instance (algebra.algebra_memo), so a class is folded once however many of
-its modules are solved.
+contributor.
+
+Each pair is priced before it is reduced.  The invariant form
+(lambda|lambda) = |lambda-bar|^2 + 2k * grade does not change under the
+Weyl group, so a fold of xi + gamma onto the target xi_s has offset
+
+    n = grade(gamma) + (|xi-bar + gamma-bar|^2 - |xi_s-bar|^2) / 2k,
+
+where |xi-bar + gamma-bar|^2 = |xi-bar|^2 + 2 (xi|gamma) + |gamma-bar|^2
+and (xi|gamma) = sum_m xi_m gamma_m d_m (xi in Dynkin labels, gamma in
+simple-root coordinates, d the symmetrizer).  No dominant level-k weight
+is longer than the longest vertex k Lambda_i / a_i^vee of the dominant
+chamber, so a pair whose offset that bound puts beyond the cutoff is
+skipped unreduced, whatever the base weight set holds.  All of it is
+integer arithmetic, scaled once per algebra by AlgebraSpec.form_scale;
+the fan stores |gamma-bar|^2 of each vector, a BaseWeightSet the norm
+of each of its weights.
+
+build_folded_fan checks every fold it reduces three ways and raises on a
+failure: the offset is at least the grade of the fan vector
+(ConventionError), the target lies in the class (CongruenceError), and
+the offset is the one the invariant form gives (ConventionError).
+build_folded_fans is memoised per algebra instance (algebra.algebra_memo),
+so a class is folded once however many of its modules are solved.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import mul
 
-from .algebra import AffineWeight, AlgebraSpec, algebra_memo
+from .algebra import AffineWeight, AlgebraSpec, algebra_memo, classical_inner
 from .errors import CongruenceError, ConfigurationError, ConventionError
 from .fan import Fan, FanVector, build_fan
 from .weyl import reduce_labels
@@ -57,8 +78,13 @@ class BaseWeightSet:
             if w.labels in positions:
                 raise ConfigurationError("base weights must be distinct")
             positions[w.labels] = i
-        # labels -> position in `weights`; not a dataclass field.
+        # labels -> position in `weights`, and form_scale * |xi|^2 of each
+        # weight, the class norms folds are priced with; not dataclass fields.
         object.__setattr__(self, "positions", positions)
+        scale = self.algebra.form_scale
+        object.__setattr__(self, "norms", tuple(
+            int(scale * classical_inner(self.algebra, w.labels, w.labels)) for w in self.weights
+        ))
 
     def __len__(self):
         return len(self.weights)
@@ -130,7 +156,8 @@ def build_folded_fan(
     """Fold every fan vector onto base.weights[base_index].
 
     The fan must reach at least the requested cutoff; offsets beyond the
-    cutoff are discarded.  Every kept target must lie in `base`.
+    cutoff are discarded, and a fold the invariant form prices beyond the
+    cutoff is not reduced at all.  Every reduced target must lie in `base`.
     """
     if fan.cutoff < cutoff:
         raise ConfigurationError(
@@ -138,11 +165,20 @@ def build_folded_fan(
         )
     xi = base.weights[base_index]
     xi_labels = spec.affine_labels(xi)
+    # Everything scaled by form_scale: 2k, |xi|^2, a bound on the norm of
+    # any dominant level-k weight, whether in `base` or not, and
+    # 2 (xi|gamma) = sum_m gamma_m * 2 xi_m d_m for gamma in root coordinates.
+    two_k = 2 * xi.level * spec.form_scale
+    xi_norm = base.norms[base_index]
+    top = int(xi.level * xi.level * spec.level1_norm_bound)
+    pairing = [2 * x * d for x, d in zip(xi.labels, spec.form_symmetrizer)]
     entries = {(base_index, 0): -1}
-    for gamma, gamma_labels in zip(fan.vectors, fan.affine_labels):
-        labels, offset = _fold(spec, xi_labels, xi.grade, gamma_labels, gamma)
-        if offset > cutoff:
+    for gamma, gamma_labels, gamma_norm in zip(fan.vectors, fan.affine_labels, fan.norms):
+        norm = xi_norm + sum(map(mul, pairing, gamma.root)) + gamma_norm
+        # 2k (offset - grade) = |xi + gamma|^2 - |target|^2 >= norm - top
+        if norm - top > two_k * (cutoff - gamma.grade):
             continue
+        labels, offset = _fold(spec, xi_labels, xi.grade, gamma_labels, gamma)
         try:
             s = base.index_of(labels[1:])
         except CongruenceError:
@@ -150,6 +186,13 @@ def build_folded_fan(
                 f"folded target {labels[1:]} at offset {offset} of base {xi} "
                 "is outside its congruence class"
             ) from None
+        if two_k * (offset - gamma.grade) != norm - base.norms[s]:
+            raise ConventionError(
+                f"fold of shift {gamma} onto base {xi} reaches target {s} at "
+                f"offset {offset}, which the invariant form does not give"
+            )
+        if offset > cutoff:
+            continue
         key = (s, offset)
         value = entries.get(key, 0) + gamma.mult
         if value:

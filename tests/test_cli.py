@@ -208,11 +208,27 @@ def test_out_file(tmp_path, capsys):
     assert len(json.loads(target.read_text())) == 11
 
 
-def test_out_to_unwritable_path_is_a_request_error(tmp_path, capsys):
+def test_out_to_unwritable_path_is_a_request_error(tmp_path, capsys, monkeypatch):
+    # the target is checked before the handler runs, so no work is wasted
+    calls = []
+    monkeypatch.setattr(cli, "cmd_fan", lambda args: calls.append(args) or "")
     for target in (tmp_path / "missing" / "fan.json", tmp_path):
         code, out, err = run(capsys, "fan", "--cutoff", "3", "--out", str(target))
         assert code == 2 and out == ""
         assert err.startswith("error:") and str(target) in err
+    assert calls == []
+
+
+def test_failed_run_leaves_out_target_as_it_was(tmp_path, capsys):
+    kept = tmp_path / "kept.txt"
+    kept.write_text("earlier output\n")
+    fresh = tmp_path / "fresh.txt"
+    for target in (kept, fresh):
+        code, out, err = run(capsys, "strings", "--level", "1", "--mu", "2,0",
+                             "--cutoff", "4", "--out", str(target))
+        assert code == 2 and out == "" and err.startswith("error:")
+    assert kept.read_text() == "earlier output\n"
+    assert not fresh.exists()
 
 
 def test_rank_zero_config_is_refused(capsys, tmp_path):

@@ -1,8 +1,8 @@
-"""Cross-algebra validation on A1 and A3.
+"""Cross-algebra validation on A1, A3 and A4.
 
 The golden fixtures all live on the rank-2 algebra; these tests drive the
-same pipeline on rank 1 and rank 3, where the congruence quotients (Z2,
-Z4) and orbit shapes differ.  Level-1 strings compare against the closed
+same pipeline on ranks 1, 3 and 4, where the congruence quotients (Z2, Z4,
+Z5) and orbit shapes differ.  Level-1 strings compare against the closed
 form: the reciprocal of the rank-th power of the Euler product.  Higher
 levels cross-check the folded solve against the unfolded recursion.
 """
@@ -17,25 +17,39 @@ from affstr import (
     verify_denominator,
     weight_multiplicity,
 )
+from affstr.algebra import AlgebraSpec
 from affstr.fan import _euler_power
 from affstr.strings import enumerate_class_weights
 
 
+def assert_level1_closed_form(spec, depth):
+    # Frenkel-Kac: on a simply-laced algebra every level-1 module has one
+    # string, phi(q)^-rank, whatever its class
+    classes = enumerate_class_weights(spec, 1)
+    assert all(len(b) == 1 for b in classes.values())
+    closed = _euler_power(-spec.rank, depth)
+    for base in classes.values():
+        mu = tuple(int(x) for x in base.weights[0].labels)
+        table = string_table(spec, mu, 1, -depth)
+        assert list(table.coefficients[0]) == closed
+    return closed
+
+
 def test_a1_level1_closed_form(a1):
     # single level-1 string: ordinary partition numbers
-    table = string_table(a1, (0,), 1, -12)
-    assert list(table.coefficients[0]) == _euler_power(-1, 12)
-    assert table.coefficients[0][:8] == (1, 1, 2, 3, 5, 7, 11, 15)
+    closed = assert_level1_closed_form(a1, 12)
+    assert closed[:8] == [1, 1, 2, 3, 5, 7, 11, 15]
 
 
 def test_a3_level1_closed_form(a3):
-    classes = enumerate_class_weights(a3, 1)
-    assert [len(b) for b in classes.values()] == [1, 1, 1, 1]
-    closed = _euler_power(-3, 8)
-    for base in classes.values():
-        mu = tuple(int(x) for x in base.weights[0].labels)
-        table = string_table(a3, mu, 1, -8)
-        assert list(table.coefficients[0]) == closed
+    assert len(enumerate_class_weights(a3, 1)) == 4
+    assert_level1_closed_form(a3, 8)
+
+
+def test_a4_level1_closed_form():
+    a4 = AlgebraSpec("A4", [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -1], [0, 0, -1, 2]])
+    assert len(enumerate_class_weights(a4, 1)) == 5
+    assert_level1_closed_form(a4, 8)
 
 
 @pytest.mark.parametrize("name_fixture,labels", [("a1", (0,)), ("a3", (0, 0, 0))])

@@ -10,9 +10,12 @@ from affstr import (
     lemma1_check,
     level1_eta_series,
 )
+from affstr import folding
+from affstr.algebra import AlgebraSpec
 from affstr.folding import BaseWeightSet
 from affstr.fan import Fan, FanVector
 from affstr.strings import classifier_for, enumerate_class_weights
+from fold_reference import folded_entries
 
 
 def class_of(spec, labels, level):
@@ -175,3 +178,49 @@ def test_folded_grade_formula(a2):
                 - classical_inner(a2, v_phi.labels, b_weight.labels)
             )
             assert offset == formula
+
+
+# (Cartan matrix, cutoff): A1-A4 and D4, and the non-simply-laced types in
+# both orientations of their Dynkin diagram.  At these cutoffs the invariant
+# form skips from a third (A1) to nine tenths (D4) of the pairs.
+REFERENCE_CASES = {
+    "A1": ([[2]], 10),
+    "A2": ([[2, -1], [-1, 2]], 6),
+    "A3": ([[2, -1, 0], [-1, 2, -1], [0, -1, 2]], 3),
+    "A4": ([[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -1], [0, 0, -1, 2]], 1),
+    "B2": ([[2, -2], [-1, 2]], 6),
+    "C2": ([[2, -1], [-2, 2]], 6),
+    "G2": ([[2, -1], [-3, 2]], 6),
+    "G2'": ([[2, -3], [-1, 2]], 6),
+    "B3": ([[2, -1, 0], [-1, 2, -1], [0, -2, 2]], 2),
+    "C3": ([[2, -1, 0], [-1, 2, -2], [0, -1, 2]], 2),
+    "D4": ([[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]], 1),
+}
+
+
+@pytest.mark.parametrize("name", REFERENCE_CASES)
+def test_priced_fold_matches_reference_fold(name):
+    # skipping the folds the invariant form prices beyond the cutoff loses
+    # no entry: every class at levels 1-4 folds as if every pair were reduced
+    cartan, cutoff = REFERENCE_CASES[name]
+    spec = AlgebraSpec(name, cartan)
+    for level in (1, 2, 3, 4):
+        for base in enumerate_class_weights(spec, level).values():
+            folded, fan = build_folded_fans(spec, base, cutoff)
+            for j, ff in enumerate(folded):
+                assert ff.entries == folded_entries(spec, base, j, fan, cutoff)
+
+
+def test_fold_off_the_norm_identity_raises_convention_error(a2, monkeypatch):
+    # a reduction one grade too high keeps offset >= grade and the target's
+    # class, so only the invariant-form identity can catch it
+    reduce_labels = folding.reduce_labels
+
+    def one_grade_high(spec, labels, grade):
+        labels, grade, word = reduce_labels(spec, labels, grade)
+        return labels, grade + 1, word
+
+    monkeypatch.setattr(folding, "reduce_labels", one_grade_high)
+    base = class_of(a2, (0, 0), 2)
+    with pytest.raises(ConventionError, match="invariant form"):
+        build_folded_fan(a2, base, 0, build_fan(a2, 4), 4)
