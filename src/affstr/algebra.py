@@ -96,7 +96,7 @@ class AffineWeight:
         )
 
     def shift_grade(self, dn) -> "AffineWeight":
-        return AffineWeight(self.labels, self.level, self.grade + Fraction(dn))
+        return AffineWeight(self.labels, self.level, self.grade + _norm(dn))
 
     def __repr__(self):
         lab = ",".join(str(x) for x in self.labels)

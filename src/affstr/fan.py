@@ -17,14 +17,17 @@ truncated product over the positive affine roots and compares it term by
 term with the fan.  Jacobi's triple product regroups that product as one
 sparse theta series per positive classical root times a power of the
 Euler function phi(q), so the expansion costs about as much as the fan
-and never touches the Weyl group.
+and never touches the Weyl group.  While it is expanded, each monomial is
+keyed by one int (Kronecker substitution: root coordinates as mixed-radix
+digits, the grade as the top digit), so a theta step is one integer
+addition; the keys are unpacked once, at the end.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isqrt
-from operator import add, mul
+from operator import mul
 
 from .algebra import AlgebraSpec, algebra_memo
 from .errors import ConfigurationError, ResourceLimitError
@@ -171,30 +174,58 @@ def _denominator_series(spec: AlgebraSpec, cutoff: int) -> dict:
     where q = e^{-delta}.  The imaginary roots n*delta have multiplicity
     rank, so the product is phi^(rank - |positive roots|) times one sparse
     theta series per positive root.
+
+    While it is expanded, a monomial is one int (Kronecker substitution):
+    root coordinate i is a mixed-radix digit offset by its bound
+    reach * sum_beta beta_i, which no partial product exceeds, and the
+    grade is the top digit.  Digits never carry, so a theta step adds a
+    precomputed int, and a key reaches (cutoff + 1) * grade_place exactly
+    when its grade passes the cutoff.
     """
     reach = isqrt(2 * cutoff) + 1
     steps = sorted(
         (m * (m - 1) // 2, m) for m in range(-reach, reach + 1) if m * (m - 1) <= 2 * cutoff
     )
-    poly = {((0,) * spec.rank, 0): 1}
-    for beta in spec.positive_roots:
-        theta = [(g, tuple(m * c for c in beta), -1 if m % 2 else 1) for g, m in steps]
+    bounds = [reach * sum(column) for column in zip(*spec.positive_roots)]
+    places = []
+    grade_place = 1
+    for bound in bounds:
+        places.append(grade_place)
+        grade_place *= 2 * bound + 1
+    limit = (cutoff + 1) * grade_place
+    poly = {sum(map(mul, bounds, places)): 1}
+    # The roots on the first j simple roots come first, j = 1, 2, ..., so
+    # each partial product spans as few coordinates, and keys, as it can.
+    for beta in sorted(spec.positive_roots, key=lambda b: max(i for i, c in enumerate(b) if c)):
+        shift = sum(map(mul, beta, places))
+        theta = [(g * grade_place + m * shift, -1 if m % 2 else 1) for g, m in steps]
         out: dict = {}
-        for (root, grade), coeff in poly.items():
-            for g, shift, sign in theta:
-                if grade + g > cutoff:
+        for key, coeff in poly.items():
+            for step, sign in theta:
+                term = key + step
+                if term >= limit:
                     break
-                key = (tuple(map(add, root, shift)), grade + g)
-                out[key] = out.get(key, 0) + sign * coeff
+                out[term] = out.get(term, 0) + sign * coeff
         poly = {key: c for key, c in out.items() if c}
     phi = _euler_power(spec.rank - len(spec.positive_roots), cutoff)
+    phi_steps = [(n * grade_place, c) for n, c in enumerate(phi) if c]
     out = {}
-    for (root, grade), coeff in poly.items():
-        for n in range(cutoff - grade + 1):
-            if phi[n]:
-                key = (root, grade + n)
-                out[key] = out.get(key, 0) + phi[n] * coeff
-    return {key: c for key, c in out.items() if c}
+    for key, coeff in poly.items():
+        for step, c in phi_steps:
+            term = key + step
+            if term >= limit:
+                break
+            out[term] = out.get(term, 0) + c * coeff
+    series = {}
+    for key, c in out.items():
+        if c:
+            grade, key = divmod(key, grade_place)
+            root = []
+            for bound in bounds:
+                key, digit = divmod(key, 2 * bound + 1)
+                root.append(digit - bound)
+            series[tuple(root), grade] = c
+    return series
 
 
 def _euler_power(k: int, cutoff: int) -> list[int]:

@@ -7,6 +7,20 @@ the two-path verification: folded solve and unfolded recursion must agree
 exactly on every multiplicity.  `two_path_mismatches` is the one place
 the two are compared.
 
+Each shift is priced before it is reduced.  The invariant form is
+Weyl-invariant, so the child of a state (lambda, grade) under a shift
+gamma has grade
+
+    grade + grade(gamma) + (|lambda-bar + gamma-bar|^2 - |child-bar|^2) / 2k,
+
+and no dominant level-k weight is longer than the longest vertex
+k Lambda_i / a_i^vee of the dominant chamber.  A shift that this bound puts
+above grade 0 is skipped unreduced, and every reduced child must meet the
+identity exactly or ConsistencyError is raised.  The oracle takes every
+norm and the bound from its own integer Gram matrix of the fundamental
+weights, built from the Cartan data, never from the norms the fold prices
+with, so one wrong number cannot make both paths skip the same term.
+
 The level-1 closed forms are pure q-series: the single string function
 is the reciprocal of the squared Euler product, and the level-1 shift
 multiplicities are its negated inverse series.  Both are powers of the
@@ -14,6 +28,9 @@ Euler function from fan._euler_power, the package's one q-series power.
 """
 
 from __future__ import annotations
+
+import math
+from operator import mul
 
 from .algebra import AffineWeight, AlgebraSpec
 from .errors import ConfigurationError, ConsistencyError, OutOfWindowError
@@ -62,10 +79,28 @@ class RacahOracle:
         self.mu_class = classifier_for(spec).id_of(mu.labels)
         # mu + rho: the only regular dominant point of the singular term.
         self._mu_rho = tuple(x + 1 for x in spec.affine_labels(mu))
+        # The invariant form on Dynkin labels, scaled to integers: the Gram
+        # matrix (Lambda_i|Lambda_j) = d_i (A^-1)_ij over its common denominator.
+        gram = [[d * x for x in row] for d, row in zip(spec.symmetrizer, spec.cartan_inverse)]
+        scale = math.lcm(*(g.denominator for row in gram for g in row))
+        self._gram = tuple(tuple(int(scale * g) for g in row) for row in gram)
+        level = mu.level
+        self._two_k = 2 * level * scale
+        # A bound on the scaled norm of any dominant level-k weight, floored:
+        # an integer exceeds the bound iff it exceeds its floor.
+        self._top = max(
+            level * level * self._gram[i][i] // (c * c) for i, c in enumerate(spec.comarks)
+        )
+        # (labels, grade, mult, classical labels, 2k grade + |gamma-bar|^2)
         self._shifts = tuple(
-            (labels, v.grade, v.mult) for labels, v in zip(fan.affine_labels, fan.vectors)
+            (
+                labels, v.grade, v.mult, labels[1:],
+                self._two_k * v.grade + self._form(labels[1:])[0],
+            )
+            for labels, v in zip(fan.affine_labels, fan.vectors)
         )
         self._cache: dict[tuple, int] = {}
+        self._forms: dict[tuple, tuple] = {}
 
     def multiplicity(self, lam: AffineWeight) -> int:
         spec = self.spec
@@ -106,18 +141,43 @@ class RacahOracle:
                         stack.append(child)
         return cache[labels, grade]
 
+    def _form(self, classical) -> tuple:
+        """(|lambda|^2, (2 (lambda|Lambda_j))_j), scaled, of classical Dynkin labels."""
+        pairing = tuple(2 * sum(map(mul, row, classical)) for row in self._gram)
+        return sum(map(mul, classical, pairing)) // 2, pairing
+
+    def _state_form(self, labels: tuple) -> tuple:
+        """_form of the classical part of a state's labels, memoised per labels."""
+        forms = self._forms
+        return forms.get(labels) or forms.setdefault(labels, self._form(labels[1:]))
+
     def _children(self, labels: tuple, grade: int):
-        """(dominant child state, shift multiplicity) for every shift."""
+        """(dominant child state, shift multiplicity) for every shift that can reach grade 0."""
         if grade < -self.fan.cutoff:
             raise OutOfWindowError(f"grade {grade} is beyond the fan cutoff {self.fan.cutoff}")
-        for shift, shift_grade, mult in self._shifts:
+        spec, two_k, top = self.spec, self._two_k, self._top
+        norm, pairing = self._state_form(labels)
+        # 2k child_grade = 2k (grade + grade(gamma)) + |lambda + gamma|^2 - |child|^2,
+        # with |lambda + gamma|^2 = norm + 2 (lambda|gamma) + |gamma|^2 and
+        # |child|^2 <= top: `low` bounds 2k child_grade from below, and the
+        # child's own norm fixes it exactly.
+        base = two_k * grade + norm - top
+        for shift, shift_grade, mult, classical, cost in self._shifts:
             # Shifts are sorted by grade and reduction only raises it, so
             # no later shift gives a child at or below grade 0.
             if grade + shift_grade > 0:
                 break
+            low = base + cost + sum(map(mul, pairing, classical))
+            if low > 0:
+                continue
             child, child_grade, _ = reduce_labels(
-                self.spec, [x + y for x, y in zip(labels, shift)], grade + shift_grade
+                spec, [x + y for x, y in zip(labels, shift)], grade + shift_grade
             )
+            if two_k * child_grade != low + top - self._state_form(child)[0]:
+                raise ConsistencyError(
+                    f"shift {classical} at grade {shift_grade} of state {labels} at grade "
+                    f"{grade} reaches grade {child_grade}, which the invariant form does not give"
+                )
             if child_grade <= 0:
                 yield (child, child_grade), mult
 

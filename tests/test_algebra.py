@@ -224,3 +224,13 @@ def test_weight_arithmetic(a2):
     assert (a + b).level == 2
     assert (a - b).grade == 2
     assert a.shift_grade(-3).grade == -3
+
+
+def test_shift_grade_keeps_ints_and_exact_fractions(a2):
+    # an int shift of an int grade stays an int; a Fraction shift is exact
+    shifted = a2.weight((1, 0), 1, -2).shift_grade(-3)
+    assert shifted.grade == -5 and type(shifted.grade) is int
+    half = a2.weight((1, 0), 1, -2).shift_grade(Fraction(1, 2))
+    assert half.grade == Fraction(-3, 2) and type(half.grade) is Fraction
+    whole = a2.weight((1, 0), 1, Fraction(1, 3)).shift_grade(Fraction(2, 3))
+    assert whole.grade == 1 and type(whole.grade) is int

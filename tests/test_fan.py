@@ -66,16 +66,22 @@ INLINE_CARTAN = {
     "B2": [[2, -2], [-1, 2]],
     "C2": [[2, -1], [-2, 2]],
     "B3": [[2, -1, 0], [-1, 2, -2], [0, -1, 2]],
+    "C3": [[2, -1, 0], [-1, 2, -1], [0, -2, 2]],
+    "D4": [[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]],
 }
 
 
 @pytest.mark.parametrize(
     "name,cutoff",
-    [("A1", 12), ("A2", 8), ("A3", 4), ("A4", 2), ("G2", 6), ("B2", 5), ("C2", 5), ("B3", 3)],
+    [
+        ("A1", 12), ("A2", 8), ("A3", 4), ("A4", 2), ("G2", 6), ("B2", 5), ("C2", 5), ("B3", 3),
+        ("C3", 3), ("D4", 2), ("G2", 10),
+    ],
 )
 def test_triple_product_matches_dense_expansion(name, cutoff):
     # the theta-series product equals the factor-by-factor expansion, term
-    # by term, at every cutoff up to the given one
+    # by term, at every cutoff up to the given one; the packed keys' digit
+    # widths grow with the cutoff and with the coordinates of the roots
     if name in INLINE_CARTAN:
         spec = AlgebraSpec(name, INLINE_CARTAN[name])
     else:

@@ -4,7 +4,9 @@ import sys
 
 import pytest
 
+import oracle_reference
 from affstr import (
+    ConsistencyError,
     OutOfWindowError,
     RacahOracle,
     build_fan,
@@ -13,9 +15,13 @@ from affstr import (
     string_table,
     weight_multiplicity,
 )
+from affstr import oracle as oracle_module
+from affstr.algebra import AlgebraSpec
 from affstr.fan import _euler_power, pentagonal_series
 from affstr.oracle import two_path_mismatches
+from affstr.strings import enumerate_class_weights
 from affstr.weyl import apply_word
+from test_folding import REFERENCE_CASES
 
 
 def test_pentagonal_series():
@@ -155,3 +161,52 @@ def test_two_path_mismatches_lists_every_disagreement(a2):
         (0, 3, table.coefficients[0][3] + 1, table.coefficients[0][3]),
         (1, 6, table.coefficients[1][6] - 2, table.coefficients[1][6]),
     ]
+
+
+@pytest.mark.parametrize("name", REFERENCE_CASES)
+def test_priced_oracle_matches_reference_oracle(name, monkeypatch):
+    # skipping the shifts the invariant form prices above grade 0 loses no
+    # child: one module of every class at levels 1-3 gives the unpriced
+    # recursion's multiplicity at every string point, with fewer reductions
+    cartan, cutoff = REFERENCE_CASES[name]
+    spec = AlgebraSpec(name, cartan)
+    fan = build_fan(spec, cutoff)
+    reduce_labels = oracle_module.reduce_labels
+    reductions = {}
+
+    def counted(key):
+        def reduce(*args):
+            reductions[key] = reductions.get(key, 0) + 1
+            return reduce_labels(*args)
+
+        return reduce
+
+    for level in (1, 2, 3):
+        for base in enumerate_class_weights(spec, level).values():
+            queries = [xi.shift_grade(-d) for xi in base.weights for d in range(cutoff + 1)]
+            answers = {}
+            for key, make in (
+                ("priced", RacahOracle), ("reference", oracle_reference.ReferenceOracle)
+            ):
+                # the singular term reduces through affstr.oracle in both
+                monkeypatch.setattr(oracle_module, "reduce_labels", counted(key))
+                monkeypatch.setattr(oracle_reference, "reduce_labels", counted(key))
+                oracle = make(spec, base.weights[0], fan)
+                answers[key] = [oracle.multiplicity(q) for q in queries]
+            assert answers["priced"] == answers["reference"]
+    assert reductions["priced"] < reductions["reference"]
+
+
+def test_oracle_off_the_norm_identity_raises(a2, monkeypatch):
+    # a reduction one grade too high stays dominant and in the class, so
+    # only the invariant-form identity can catch it
+    reduce_labels = oracle_module.reduce_labels
+
+    def one_grade_high(spec, labels, grade):
+        labels, grade, word = reduce_labels(spec, labels, grade)
+        return labels, grade + 1, word
+
+    monkeypatch.setattr(oracle_module, "reduce_labels", one_grade_high)
+    oracle = RacahOracle(a2, a2.weight((0, 0), 2, 0), build_fan(a2, 4))
+    with pytest.raises(ConsistencyError, match="invariant form"):
+        oracle.multiplicity(a2.weight((1, 1), 2, -3))
