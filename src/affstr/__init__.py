@@ -5,7 +5,6 @@ the dominant chamber, with an independent unfolded-recursion oracle."""
 from .algebra import (
     AffineWeight,
     AlgebraSpec,
-    from_root_basis,
     inner_product,
     load_algebra,
     preset,

@@ -1,10 +1,12 @@
 """Cartan data and exact affine weight arithmetic.
 
-A weight is stored as (classical Dynkin labels; level; grade), all exact
-`Fraction` values.  The zeroth label is never stored: it is recovered from
-the level as lambda_0 = level - sum(comark_i * label_i).  Simple-root
-coordinates exist only for input/output; the conversion is an exact
-application of the inverse Cartan matrix and round-trips losslessly.
+A weight is stored as (classical Dynkin labels; level; grade), each
+component an exact rational: an `int` when integral, a `Fraction`
+otherwise.  `AffineWeight` normalises them once, at construction, and
+only those that are not already ints.  The zeroth label is never stored:
+it is recovered from the level as lambda_0 = level - sum(comark_i *
+label_i).  Simple-root coordinates exist only for display; they are an
+exact application of the inverse Cartan matrix.
 
 No floating point is used anywhere.  `_gauss_jordan` is the package's one
 exact elimination: it gives the inverse Cartan matrix, the leading minors
@@ -35,7 +37,6 @@ __all__ = [
     "load_algebra",
     "preset",
     "to_root_basis",
-    "from_root_basis",
     "weyl_vector",
 ]
 
@@ -65,21 +66,28 @@ def _fracs(values) -> tuple[Fraction, ...]:
     return tuple(Fraction(v) for v in values)
 
 
-@dataclass(frozen=True)
+_INT = frozenset((int,))
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class AffineWeight:
     """A weight (classical part; level; grade) in the Dynkin-label basis.
 
-    Components are exact rationals, stored as int when integral.
+    Components are exact rationals, stored as int when integral.  Labels
+    that are all ints already, the common case, are kept as they are.
     """
 
     labels: tuple
     level: object
     grade: object
 
-    def __post_init__(self):
-        object.__setattr__(self, "labels", tuple(_norm(x) for x in self.labels))
-        object.__setattr__(self, "level", _norm(self.level))
-        object.__setattr__(self, "grade", _norm(self.grade))
+    def __init__(self, labels, level, grade):
+        labels = tuple(labels)
+        if not _INT.issuperset(map(type, labels)):
+            labels = tuple(map(_norm, labels))
+        _set_labels(self, labels)
+        _set_level(self, level if type(level) is int else _norm(level))
+        _set_grade(self, grade if type(grade) is int else _norm(grade))
 
     def __add__(self, other: "AffineWeight") -> "AffineWeight":
         return AffineWeight(
@@ -101,6 +109,12 @@ class AffineWeight:
     def __repr__(self):
         lab = ",".join(str(x) for x in self.labels)
         return f"({lab};{self.level};{self.grade})"
+
+
+# The slots' own setters: the frozen class refuses plain assignment.
+_set_labels = AffineWeight.labels.__set__
+_set_level = AffineWeight.level.__set__
+_set_grade = AffineWeight.grade.__set__
 
 
 class AlgebraSpec:
@@ -337,18 +351,6 @@ def to_root_basis(spec: AlgebraSpec, w: AffineWeight) -> tuple[Fraction, ...]:
     """Classical part in simple-root coordinates (display basis)."""
     spec.check_rank(w)
     return _apply(spec.cartan_inverse, w.labels)
-
-
-def from_root_basis(spec: AlgebraSpec, coords, level=0, grade=0) -> AffineWeight:
-    """Inverse of to_root_basis; exact round-trip."""
-    coords = _fracs(coords)
-    if len(coords) != spec.rank:
-        raise ConfigurationError("coordinate length does not match rank")
-    labels = tuple(
-        sum(Fraction(spec.cartan[i][j]) * coords[j] for j in range(spec.rank))
-        for i in range(spec.rank)
-    )
-    return AffineWeight(labels, level, grade)
 
 
 # -- exact linear algebra on small matrices ------------------------------

@@ -271,14 +271,21 @@ def cmd_character(args) -> str:
     if args.format == "csv":
         rows = [[" ".join(str(int(x)) for x in w.labels), int(w.grade), m] for w, m in pairs]
         return _csv(["labels", "grade", "mult"], rows)
+    totals: dict = {}
+    for w, m in pairs:
+        totals[w.grade] = totals.get(w.grade, 0) + m
+    # Many weights share a classical part: convert each one once.
+    classical: dict = {}
     lines = [f"character of L^{list(mu)}, {spec.label} level {args.level}, grades 0..-{depth}"]
     current = None
     for w, m in pairs:
         if w.grade != current:
             current = w.grade
-            total = sum(mm for ww, mm in pairs if ww.grade == current)
-            lines.append(f" grade {current} (total multiplicity {total}):")
-        lines.append(f"   {_wfmt(spec, w)}  x{m}")
+            lines.append(f" grade {current} (total multiplicity {totals[current]}):")
+        text = classical.get(w.labels)
+        if text is None:
+            text = classical[w.labels] = _classical_text(spec, w)
+        lines.append(f"   {text}; level {w.level}; grade {w.grade})  x{m}")
     return "\n".join(lines) + "\n"
 
 
@@ -292,10 +299,14 @@ def cmd_verify(args) -> str:
 
 
 def _wfmt(spec, w) -> str:
-    root = to_root_basis(spec, w)
-    root_text = ",".join(str(c) for c in root)
+    return f"{_classical_text(spec, w)}; level {w.level}; grade {w.grade})"
+
+
+def _classical_text(spec, w) -> str:
+    """The part of `_wfmt` that depends on the classical labels only."""
+    root_text = ",".join(str(c) for c in to_root_basis(spec, w))
     labels = ",".join(str(x) for x in w.labels)
-    return f"[{labels}] (root basis {root_text}; level {w.level}; grade {w.grade})"
+    return f"[{labels}] (root basis {root_text}"
 
 
 def _dumps(data) -> str:

@@ -316,7 +316,7 @@ def weight_multiplicity(spec: AlgebraSpec, table: StringTable, lam: AffineWeight
             f"weight level {lam.level} does not match module level {table.level}"
         )
     # Every weight of the module has integral labels and grade.
-    if not all(isinstance(x, int) for x in lam.labels + (lam.grade,)):
+    if not isinstance(lam.grade, int) or not all(isinstance(x, int) for x in lam.labels):
         return 0
     dominant = to_dominant(spec, lam).dominant
     if dominant.grade > 0:
@@ -333,11 +333,15 @@ def weight_multiplicity(spec: AlgebraSpec, table: StringTable, lam: AffineWeight
 def character(spec: AlgebraSpec, table: StringTable, window) -> list:
     """All (weight, multiplicity) pairs with grades inside the window.
 
-    `window` is either a single depth d >= 0 (grades 0..-d) or a pair of
-    grades.  Weights are found by walking the ordinary orbit of each base
-    weight once down to the window floor and placing every orbit point at
-    each depth of its string; each weight reduces to exactly one string
-    point, so nothing is double counted.
+    `window` is either an int depth d >= 0 (grades 0..-d) or a pair of
+    integer grades <= 0 in either order; anything else raises
+    `ConfigurationError`.  Weights are found by walking the ordinary orbit
+    of each base weight once down to the window floor and placing every
+    orbit point at each depth of its string; each weight reduces to
+    exactly one string point, so nothing is double counted.  The walk
+    keeps integer labels, each orbit point's classical labels sliced once;
+    one `AffineWeight` is built per weight returned.  Pairs come by grade
+    descending, then by classical labels ascending.
     """
     top, bottom = _normalize_window(window)
     if bottom < table.cutoff:
@@ -345,19 +349,23 @@ def character(spec: AlgebraSpec, table: StringTable, window) -> list:
             f"window floor {bottom} is beyond the computed cutoff {table.cutoff}"
         )
     level = table.level
-    found: dict[tuple, int] = {}
+    # One dict per grade of the window, top grade first, keyed by classical
+    # labels: sorting each dict's keys gives the order of the result.
+    rows: list[dict] = [{} for _ in range(top - bottom + 1)]
     for xi, coeffs in zip(table.base.weights, table.coefficients):
         # The orbit of (xi, -d) is the orbit of (xi, 0) moved down by d, and
         # the string vanishes above its first non-zero depth `head`.
         head = next((d for d, mult in enumerate(coeffs) if mult), len(coeffs))
         floor = bottom + head
         for _, _, (labels, grade) in descending_orbit(spec, spec.affine_labels(xi), 0, floor):
+            classical = labels[1:]
             for d in range(max(0, grade - top), grade - bottom + 1):
                 if coeffs[d]:
-                    found[labels[1:], grade - d] = coeffs[d]
+                    rows[top - grade + d][classical] = coeffs[d]
     return [
-        (AffineWeight(labels, level, grade), mult)
-        for (labels, grade), mult in sorted(found.items(), key=lambda kv: (-kv[0][1], kv[0][0]))
+        (AffineWeight(labels, level, top - i), row[labels])
+        for i, row in enumerate(rows)
+        for labels in sorted(row)
     ]
 
 
@@ -366,10 +374,16 @@ def _normalize_window(window):
         if window < 0:
             raise ConfigurationError("window depth must be >= 0")
         return 0, -window
-    top, bottom = window
+    try:
+        top, bottom = window
+    except (TypeError, ValueError):
+        raise ConfigurationError(
+            f"window {window!r} is neither an int depth nor a pair of grades"
+        ) from None
+    top = _integer_entry(top, "window grade")
+    bottom = _integer_entry(bottom, "window grade")
     if top < bottom:
         top, bottom = bottom, top
     if top > 0:
         raise ConfigurationError("window grades must be <= 0")
-    return int(top), int(bottom)
-
+    return top, bottom

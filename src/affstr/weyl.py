@@ -18,7 +18,8 @@ along reflections at positive labels, which only ever lower the grade.
 
 Every Weyl walk in the package (fan enumeration, folding, the oracle, the
 character orbits) runs on integer labels through these three functions;
-the `AffineWeight` functions below are thin wrappers for the API edge.
+the `AffineWeight` functions below are thin wrappers for the API edge,
+which build one weight from the final labels.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ __all__ = [
 DEFAULT_STEP_LIMIT = 1_000_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WeylOutcome:
     """Result of a dominant-chamber reduction: the representative and the word."""
 
@@ -104,10 +105,6 @@ def descending_orbit(spec: AlgebraSpec, labels, grade, floor):
                 yield parent, i, node
 
 
-def _weight(labels, level, grade) -> AffineWeight:
-    return AffineWeight(labels[1:], level, grade)
-
-
 def apply_word(spec: AlgebraSpec, word, w: AffineWeight) -> AffineWeight:
     """Apply reflections in the order they were recorded."""
     labels = list(spec.affine_labels(w))
@@ -116,13 +113,18 @@ def apply_word(spec: AlgebraSpec, word, w: AffineWeight) -> AffineWeight:
         if not 0 <= i <= spec.rank:
             raise ConfigurationError(f"reflection index {i} out of range 0..{spec.rank}")
         grade = reflect_labels(spec, i, labels, grade)
-    return _weight(labels, w.level, grade)
+    return AffineWeight(labels[1:], w.level, grade)
 
 
 def to_dominant(spec: AlgebraSpec, w: AffineWeight) -> WeylOutcome:
-    """Reduce a positive-level weight to its dominant orbit representative."""
-    spec.check_rank(w)
+    """Reduce a positive-level weight to its dominant orbit representative.
+
+    The rank is checked once, by `affine_labels`.  The reduction runs on
+    the affine labels, and the representative is the one `AffineWeight`
+    built, from the reduced labels.
+    """
+    labels = spec.affine_labels(w)
     if w.level <= 0:
         raise NonterminationError(f"to_dominant needs positive level, got {w.level}")
-    labels, grade, word = reduce_labels(spec, spec.affine_labels(w), w.grade)
-    return WeylOutcome(_weight(labels, w.level, grade), tuple(word))
+    labels, grade, word = reduce_labels(spec, labels, w.grade)
+    return WeylOutcome(AffineWeight(labels[1:], w.level, grade), tuple(word))

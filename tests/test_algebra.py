@@ -1,5 +1,8 @@
+import copy
+import dataclasses
 import json
 import pathlib
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -9,13 +12,13 @@ from affstr import (
     AffineWeight,
     AlgebraSpec,
     ConfigurationError,
-    from_root_basis,
     inner_product,
     load_algebra,
     to_root_basis,
     weyl_vector,
 )
 from affstr.algebra import _PRESETS, _gauss_jordan
+from weyl_reference import from_root_basis
 
 CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "configs"
 
@@ -234,3 +237,22 @@ def test_shift_grade_keeps_ints_and_exact_fractions(a2):
     assert half.grade == Fraction(-3, 2) and type(half.grade) is Fraction
     whole = a2.weight((1, 0), 1, Fraction(1, 3)).shift_grade(Fraction(2, 3))
     assert whole.grade == 1 and type(whole.grade) is int
+
+
+def test_affine_weight_is_built_once_and_frozen():
+    # integral components are stored as ints, the others as exact Fractions
+    w = AffineWeight([Fraction(4, 2), Fraction(1, 2)], Fraction(6, 3), -2.0)
+    assert type(w.labels) is tuple
+    assert [type(x) for x in w.labels] == [int, Fraction]
+    assert w.labels == (2, Fraction(1, 2))
+    assert type(w.level) is int and type(w.grade) is int
+    ints = AffineWeight((3, -1), 2, -4)
+    fracs = AffineWeight((Fraction(6, 2), Fraction(-3, 3)), Fraction(2), Fraction(-8, 2))
+    assert ints == fracs and hash(ints) == hash(fracs)
+    assert repr(ints) == repr(fracs) == "(3,-1;2;-4)"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        w.grade = 0
+    assert not hasattr(w, "__dict__")
+    for twin in (pickle.loads(pickle.dumps(w)), copy.deepcopy(w)):
+        assert twin == w and hash(twin) == hash(w)
+        assert [type(x) for x in twin.labels] == [int, Fraction]

@@ -192,6 +192,33 @@ def test_character_command(capsys):
     assert total_at_minus1 == 8
 
 
+def test_character_text_output(capsys):
+    code, out, _ = run(
+        capsys, "character", "--level", "2", "--mu", "1,0", "--cutoff", "2", "--depth", "1",
+    )
+    assert code == 0
+    assert out.splitlines() == [
+        "character of L^[1, 0], A2 level 2, grades 0..-1",
+        " grade 0 (total multiplicity 3):",
+        "   [-1,1] (root basis -1/3,1/3; level 2; grade 0)  x1",
+        "   [0,-1] (root basis -1/3,-2/3; level 2; grade 0)  x1",
+        "   [1,0] (root basis 2/3,1/3; level 2; grade 0)  x1",
+        " grade -1 (total multiplicity 24):",
+        "   [-3,2] (root basis -4/3,1/3; level 2; grade -1)  x1",
+        "   [-2,0] (root basis -4/3,-2/3; level 2; grade -1)  x2",
+        "   [-2,3] (root basis -1/3,4/3; level 2; grade -1)  x1",
+        "   [-1,-2] (root basis -4/3,-5/3; level 2; grade -1)  x1",
+        "   [-1,1] (root basis -1/3,1/3; level 2; grade -1)  x4",
+        "   [0,-1] (root basis -1/3,-2/3; level 2; grade -1)  x4",
+        "   [0,2] (root basis 2/3,4/3; level 2; grade -1)  x2",
+        "   [1,-3] (root basis -1/3,-5/3; level 2; grade -1)  x1",
+        "   [1,0] (root basis 2/3,1/3; level 2; grade -1)  x4",
+        "   [2,-2] (root basis 2/3,-2/3; level 2; grade -1)  x2",
+        "   [2,1] (root basis 5/3,4/3; level 2; grade -1)  x1",
+        "   [3,-1] (root basis 5/3,1/3; level 2; grade -1)  x1",
+    ]
+
+
 def test_output_determinism(capsys):
     _, one, _ = run(capsys, "strings", "--level", "2", "--mu", "1,0",
                     "--cutoff", "8", "--format", "json")

@@ -146,7 +146,7 @@ def test_denominator_detects_perturbation(a2):
 def test_orbit_exactness(a2):
     # undoing any fan shift and reducing by the shifted action returns the
     # zero weight, off every wall, with the opposite sign
-    from affstr.algebra import from_root_basis
+    from weyl_reference import from_root_basis
 
     rho = weyl_vector(a2)
     for v in build_fan(a2, 6):

@@ -151,7 +151,8 @@ def test_folded_grade_formula(a2):
     # correction: n - (k/2)|b|^2 - (v(phi), b), with b read off the word
     from fractions import Fraction
 
-    from affstr.algebra import classical_inner, from_root_basis
+    from affstr.algebra import classical_inner
+    from weyl_reference import from_root_basis
     from affstr.weyl import apply_word, to_dominant
     from weyl_reference import translate, translation_datum
 

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -13,7 +14,6 @@ from affstr import (
     string_table,
     weight_multiplicity,
 )
-from affstr.algebra import from_root_basis
 from affstr.folding import FoldedFan
 from affstr.strings import (
     assemble_system,
@@ -23,6 +23,7 @@ from affstr.strings import (
     solve_strings,
 )
 from affstr.weyl import apply_word
+from weyl_reference import from_root_basis
 
 
 def test_singular_grade_zero_block_is_refused(a1):
@@ -209,6 +210,18 @@ def test_character_window_forms(a2):
     assert window == [(w, m) for w, m in full if -3 <= w.grade <= -2]
     with pytest.raises(OutOfWindowError):
         character(a2, table, 9)
+    # integral grades of any exact type name the same window
+    assert character(a2, table, (Fraction(-6, 2), -2.0)) == window
+
+
+@pytest.mark.parametrize(
+    "window", [(0, -2.5), 2.0, (0, -2, -3), "3", "-3", (0, "-2"), None, -1, (1, 0)]
+)
+def test_character_refuses_malformed_window(a2, window):
+    # a fractional grade used to be truncated; the others raised bare errors
+    table = string_table(a2, (0, 0), 2, -5)
+    with pytest.raises(ConfigurationError):
+        character(a2, table, window)
 
 
 def test_extended_string_leading_zeros(a2):

@@ -11,7 +11,6 @@ from affstr import (
     NonterminationError,
     character,
     inner_product,
-    from_root_basis,
     string_table,
     to_dominant,
     weyl_vector,
@@ -19,7 +18,7 @@ from affstr import (
 from affstr.algebra import load_algebra
 from affstr import weyl
 from affstr.weyl import apply_word
-from weyl_reference import shifted_reflect, translate, translation_datum
+from weyl_reference import from_root_basis, shifted_reflect, translate, translation_datum
 
 
 labels2 = st.tuples(st.integers(-8, 8), st.integers(-8, 8))
@@ -288,3 +287,6 @@ def test_character_orbits_match_brute_force(kernel_specs, name, mu, level, depth
     got = character(spec, table, window)
     assert len(got) == len(want) > 50
     assert dict(got) == want
+    # the CLI's text, JSON and CSV listings inherit this order
+    keys = [(-w.grade, w.labels) for w, _ in got]
+    assert keys == sorted(keys)

@@ -5,7 +5,8 @@ formulas written out in the classical basis: s_0 adds label_0 times the
 highest root and lowers the grade by label_0, s_i subtracts label_i times
 the i-th simple root.  The reduction loop is the one the package used
 before its integer kernel and is the oracle the kernel is tested against.
-The translation helpers decompose a reducing element as t . s.
+The translation helpers decompose a reducing element as t . s, and
+`from_root_basis` builds a weight from simple-root coordinates.
 """
 
 from __future__ import annotations
@@ -15,6 +16,17 @@ from fractions import Fraction
 
 from affstr import AffineWeight, NonterminationError, weyl_vector
 from affstr.algebra import classical_inner, to_root_basis
+
+
+def from_root_basis(spec, coords, level=0, grade=0):
+    """Inverse of `to_root_basis`: labels are the Cartan matrix times coords."""
+    coords = tuple(Fraction(c) for c in coords)
+    assert len(coords) == spec.rank, "coordinate length does not match rank"
+    labels = tuple(
+        sum(spec.cartan[i][j] * coords[j] for j in range(spec.rank))
+        for i in range(spec.rank)
+    )
+    return AffineWeight(labels, level, grade)
 
 
 def reflect(spec, i, w):
