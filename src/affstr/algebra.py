@@ -26,6 +26,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .errors import ConfigurationError
 
@@ -46,7 +47,9 @@ _ROOT_CLOSURE_LIMIT = 100_000
 def _norm(value):
     # Integral values are kept as machine ints: they hash and compare the
     # same as the equal Fraction but arithmetic on them is much faster.
-    if isinstance(value, int):
+    # A bool becomes a plain int, so every stored component has type int
+    # or Fraction and a type test tells integral from not.
+    if type(value) is int:
         return value
     f = Fraction(value)
     return f.numerator if f.denominator == 1 else f
@@ -271,12 +274,13 @@ class AlgebraSpec:
                 f"weight has {len(w.labels)} labels but algebra {self.label} has rank {self.rank}"
             )
 
-    def label0(self, w: AffineWeight) -> Fraction:
+    def label0(self, w: AffineWeight) -> int | Fraction:
+        """lambda_0 = level - sum(comark_i * label_i): an int for an integral weight."""
         self.check_rank(w)
-        return w.level - sum(c * x for c, x in zip(self.comarks, w.labels))
+        return w.level - sum(map(mul, self.comarks, w.labels))
 
-    def affine_labels(self, w: AffineWeight) -> tuple[Fraction, ...]:
-        """(lambda_0, lambda_1, ..., lambda_r)."""
+    def affine_labels(self, w: AffineWeight) -> tuple[int | Fraction, ...]:
+        """(lambda_0, lambda_1, ..., lambda_r): ints for an integral weight."""
         return (self.label0(w),) + w.labels
 
     def root_labels(self, coords) -> tuple[int, ...]:

@@ -112,7 +112,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mult", help="multiplicity of a single weight")
     common(p)
-    p.add_argument("--weight", required=True, help="classical Dynkin labels of the weight")
+    p.add_argument("--weight", required=True,
+                   help="classical Dynkin labels of the weight; write a negative first "
+                        "label as --weight=-1,1")
     p.add_argument("--grade", type=int, required=True, help="grade of the weight (<= 0)")
     p.set_defaults(handler=cmd_mult)
 

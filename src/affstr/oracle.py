@@ -16,7 +16,9 @@ gamma has grade
 and no dominant level-k weight is longer than the longest vertex
 k Lambda_i / a_i^vee of the dominant chamber.  A shift that this bound puts
 above grade 0 is skipped unreduced, and every reduced child must meet the
-identity exactly or ConsistencyError is raised.  The oracle takes every
+identity exactly or ConsistencyError is raised.  A query whose reduction
+outruns the step budget is priced by the same bound: above grade 0 its
+multiplicity is 0, else the budget error stands.  The oracle takes every
 norm and the bound from its own integer Gram matrix of the fundamental
 weights, built from the Cartan data, never from the norms the fold prices
 with, so one wrong number cannot make both paths skip the same term.
@@ -32,8 +34,8 @@ from __future__ import annotations
 import math
 from operator import mul
 
-from .algebra import AffineWeight, AlgebraSpec
-from .errors import ConfigurationError, ConsistencyError, OutOfWindowError
+from .algebra import _INT, AffineWeight, AlgebraSpec
+from .errors import ConfigurationError, ConsistencyError, NonterminationError, OutOfWindowError
 from .fan import Fan, _euler_power
 from .strings import StringTable, classifier_for
 from .weyl import reduce_labels, to_dominant
@@ -108,13 +110,21 @@ class RacahOracle:
         if lam.level != self.mu.level:
             raise ConfigurationError("weight level does not match the module level")
         # Every weight of the module has integral labels and grade.
-        if not all(isinstance(x, int) for x in lam.labels + (lam.grade,)):
+        if type(lam.grade) is not int or not _INT.issuperset(map(type, lam.labels)):
             return 0
-        dominant = to_dominant(spec, lam).dominant
+        try:
+            outcome = to_dominant(spec, lam)
+        except NonterminationError:
+            # A reduction that outran the step budget is priced as a shift
+            # is; at level 0 the error stands, as there is no bound.
+            if lam.level > 0 and self._two_k * lam.grade + self._form(lam.labels)[0] > self._top:
+                return 0
+            raise
+        labels, grade = outcome.labels, outcome.grade
         # Shifts stay in the class, so only a query can leave it.
-        if dominant.grade > 0 or classifier_for(spec).id_of(dominant.labels) != self.mu_class:
+        if grade > 0 or classifier_for(spec).id_of(labels[1:]) != self.mu_class:
             return 0
-        return self._dominant_multiplicity(spec.affine_labels(dominant), dominant.grade)
+        return self._dominant_multiplicity(labels, grade)
 
     def _dominant_multiplicity(self, labels: tuple, grade: int) -> int:
         # Depth-first on an explicit stack: a state is expanded (unknown

@@ -28,11 +28,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import (
-    AffineWeight, AlgebraSpec, _gauss_jordan, _integer_entry, algebra_memo, to_root_basis
+    _INT, AffineWeight, AlgebraSpec, _gauss_jordan, _integer_entry, algebra_memo,
+    classical_inner, to_root_basis,
 )
 from .errors import (
     ConfigurationError,
     ConsistencyError,
+    NonterminationError,
     OutOfWindowError,
 )
 from .folding import BaseWeightSet, FoldedFan, build_folded_fans
@@ -309,25 +311,48 @@ def module_class(spec: AlgebraSpec, mu_labels, level: int) -> tuple[BaseWeightSe
 
 
 def weight_multiplicity(spec: AlgebraSpec, table: StringTable, lam: AffineWeight) -> int:
-    """Multiplicity of an arbitrary weight of the module, via its string."""
+    """Multiplicity of an arbitrary weight of the module, via its string.
+
+    `to_dominant` reduces the weight to its string point, and its integer
+    labels look the string up; no `AffineWeight` is built.  A weight whose
+    reduction outruns the step budget has multiplicity 0 if the invariant
+    form puts its string point above grade 0; otherwise the error stands.
+    """
     spec.check_rank(lam)
     if lam.level != table.level:
         raise ConfigurationError(
             f"weight level {lam.level} does not match module level {table.level}"
         )
     # Every weight of the module has integral labels and grade.
-    if not isinstance(lam.grade, int) or not all(isinstance(x, int) for x in lam.labels):
+    if type(lam.grade) is not int or not _INT.issuperset(map(type, lam.labels)):
         return 0
-    dominant = to_dominant(spec, lam).dominant
-    if dominant.grade > 0:
+    try:
+        outcome = to_dominant(spec, lam)
+    except NonterminationError:
+        if _priced_above_grade0(spec, lam):
+            return 0
+        raise
+    grade = outcome.grade
+    if grade > 0:
         return 0
-    if dominant.grade < table.cutoff:
-        raise OutOfWindowError(
-            f"grade {dominant.grade} is beyond the computed cutoff {table.cutoff}"
-        )
+    if grade < table.cutoff:
+        raise OutOfWindowError(f"grade {grade} is beyond the computed cutoff {table.cutoff}")
     # A dominant level-k weight of the module's class is a base weight.
-    s = table.base.positions.get(dominant.labels)
-    return 0 if s is None else table.coefficients[s][-dominant.grade]
+    s = table.base.positions.get(outcome.labels[1:])
+    return 0 if s is None else table.coefficients[s][-grade]
+
+
+def _priced_above_grade0(spec: AlgebraSpec, lam: AffineWeight) -> bool:
+    """Whether the invariant form puts the dominant point of `lam` above grade 0.
+
+    Reduction keeps |lambda-bar|^2 + 2k grade, and no dominant level-k
+    weight is longer than k^2 times the level-1 bound, so the dominant
+    grade is at least grade + (|lambda-bar|^2 - k^2 bound) / 2k.  Only a
+    reduction that outran the step budget is priced.
+    """
+    scale, level = spec.form_scale, lam.level
+    norm = scale * classical_inner(spec, lam.labels, lam.labels)
+    return 2 * level * scale * lam.grade + norm > level * level * spec.level1_norm_bound
 
 
 def character(spec: AlgebraSpec, table: StringTable, window) -> list:

@@ -17,15 +17,16 @@ The reverse walk, `descending_orbit`, visits the orbit of a dominant point
 along reflections at positive labels, which only ever lower the grade.
 
 Every Weyl walk in the package (fan enumeration, folding, the oracle, the
-character orbits) runs on integer labels through these three functions;
-the `AffineWeight` functions below are thin wrappers for the API edge,
-which build one weight from the final labels.
+character orbits, the multiplicity reads) runs on integer labels through
+these three functions.  `apply_word` builds one weight from its final
+labels; `to_dominant` returns the reduced labels themselves, and its
+`WeylOutcome` builds the dominant `AffineWeight` only when `dominant` is
+read, so a read that looks up a table by labels builds no weight.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
+from collections import deque, namedtuple
 
 from .algebra import AffineWeight, AlgebraSpec
 from .errors import ConfigurationError, NonterminationError
@@ -42,12 +43,24 @@ __all__ = [
 DEFAULT_STEP_LIMIT = 1_000_000
 
 
-@dataclass(frozen=True, slots=True)
-class WeylOutcome:
-    """Result of a dominant-chamber reduction: the representative and the word."""
+class WeylOutcome(namedtuple("WeylOutcome", "labels level grade word")):
+    """Result of a dominant-chamber reduction, as a tuple.
 
-    dominant: AffineWeight
-    word: tuple[int, ...]
+    `labels` are the affine Dynkin labels (lambda_0, ..., lambda_r) of the
+    dominant representative, ints for an integral weight; `level` and
+    `grade` are its level and grade, `word` the tuple of reflection
+    indices applied.  `dominant` builds the representative as an
+    `AffineWeight` on each access.
+    """
+
+    __slots__ = ()
+
+    @property
+    def dominant(self) -> AffineWeight:
+        return AffineWeight(self.labels[1:], self.level, self.grade)
+
+
+_outcome = WeylOutcome._make
 
 
 def reflect_labels(spec: AlgebraSpec, i: int, labels: list, grade):
@@ -120,11 +133,12 @@ def to_dominant(spec: AlgebraSpec, w: AffineWeight) -> WeylOutcome:
     """Reduce a positive-level weight to its dominant orbit representative.
 
     The rank is checked once, by `affine_labels`.  The reduction runs on
-    the affine labels, and the representative is the one `AffineWeight`
-    built, from the reduced labels.
+    the affine labels and the outcome holds the reduced labels; no
+    `AffineWeight` is built unless the caller reads `dominant`.
     """
     labels = spec.affine_labels(w)
-    if w.level <= 0:
-        raise NonterminationError(f"to_dominant needs positive level, got {w.level}")
+    level = w.level
+    if level <= 0:
+        raise NonterminationError(f"to_dominant needs positive level, got {level}")
     labels, grade, word = reduce_labels(spec, labels, w.grade)
-    return WeylOutcome(AffineWeight(labels[1:], w.level, grade), tuple(word))
+    return _outcome((labels, level, grade, tuple(word)))

@@ -1,11 +1,14 @@
 import dataclasses
 import json
+import pathlib
 import shutil
 
-from affstr import build_fan, build_folded_fans, cli, string_table
+from affstr import build_fan, build_folded_fans, cli, string_table, weyl
 from affstr.cli import main
 from affstr.strings import module_class
 from affstr.verify import fixture_dir
+
+CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "configs"
 
 
 def run(capsys, *argv):
@@ -137,6 +140,29 @@ def test_mult_command(capsys):
     )
     assert code == 0
     assert json.loads(out)["multiplicity"] == 10
+
+
+def test_mult_negative_first_label(capsys):
+    # argparse takes "-1,1,0,1" for an option, so it is written --weight=...
+    code, out, _ = run(
+        capsys, "mult", "--algebra", str(CONFIGS / "A4.json"), "--level", "2",
+        "--mu", "1,0,0,1", "--cutoff", "3", "--weight=-1,1,0,1", "--grade", "-1",
+    )
+    assert code == 0 and out.endswith(": 10\n")
+
+
+def test_mult_reduction_beyond_the_step_budget(capsys, monkeypatch):
+    # A weight far above the module reads 0; a weight of the module whose
+    # reduction outruns the budget is still a failure.
+    cmd = ("mult", "--algebra", "A2", "--level", "1", "--mu", "0,0", "--cutoff", "4")
+    code, out, _ = run(capsys, *cmd, "--weight", "0,-15", "--grade", "-79")
+    assert code == 0 and out.endswith(": 20\n")
+    monkeypatch.setattr(weyl, "DEFAULT_STEP_LIMIT", 20)
+    code, out, _ = run(capsys, *cmd, "--weight", "40,0", "--grade", "-1")
+    assert code == 0 and out.endswith(": 0\n")
+    code, out, err = run(capsys, *cmd, "--weight", "0,-15", "--grade", "-79")
+    assert code == 3 and out == ""
+    assert err.startswith("consistency failure: reduction exceeded 20 steps")
 
 
 def test_mult_beyond_window_is_a_request_error(capsys):

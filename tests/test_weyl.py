@@ -180,7 +180,7 @@ def test_translation_datum_trivial(a2):
 def test_translation_datum_s0(a2):
     from affstr.weyl import WeylOutcome
 
-    outcome = WeylOutcome(a2.weight((0, 0), 1, 0), (0,))
+    outcome = WeylOutcome((1, 0, 0), 1, 0, (0,))
     td = translation_datum(a2, outcome)
     assert td.theta == (1, 1)  # the highest coroot
     # recomposition: t_{-theta} . s_0 must act as the classical reflection
