@@ -27,7 +27,6 @@ from .folding import (
     FoldedFan,
     build_folded_fan,
     build_folded_fans,
-    lemma1_check,
 )
 from .oracle import (
     RacahOracle,

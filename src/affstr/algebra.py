@@ -11,8 +11,10 @@ exact application of the inverse Cartan matrix.
 No floating point is used anywhere.  `_gauss_jordan` is the package's one
 exact elimination: it gives the inverse Cartan matrix, the leading minors
 of the positive-definiteness test, the Cartan determinant of the
-congruence classifier, and the grade-zero determinant and per-depth solve
-of the string functions.
+congruence classifier, and the per-depth solve of the string functions.
+The invariant form is kept in integers too: `form_gram`, the Gram matrix
+of the fundamental weights scaled by `form_scale`, gives the norms that
+folds and far reads are priced with.
 
 Everything derived from an algebra (classifier, congruence classes, fans,
 folded fans, string tables) is memoised per instance by `algebra_memo`,
@@ -183,12 +185,13 @@ class AlgebraSpec:
         # otherwise, so form_scale * d_m is integral too.
         gram = [[d * x for x in row] for d, row in zip(self.symmetrizer, self.cartan_inverse)]
         self.form_scale = math.lcm(*(g.denominator for row in gram for g in row))
+        self.form_gram = tuple(tuple(int(self.form_scale * g) for g in row) for row in gram)
         self.form_symmetrizer = tuple(int(self.form_scale * d) for d in self.symmetrizer)
         # form_scale * |lambda|^2 of any dominant level-1 weight is at most
         # this: the dominant level-1 weights fill the simplex spanned by 0 and
         # the Lambda_i / a_i^vee, and a convex function peaks at a vertex.
         self.level1_norm_bound = max(
-            self.form_scale * gram[i][i] / (c * c) for i, c in enumerate(self.comarks)
+            Fraction(g[i], c * c) for i, (g, c) in enumerate(zip(self.form_gram, self.comarks))
         )
 
     def _validate_cartan(self):
@@ -282,6 +285,10 @@ class AlgebraSpec:
     def affine_labels(self, w: AffineWeight) -> tuple[int | Fraction, ...]:
         """(lambda_0, lambda_1, ..., lambda_r): ints for an integral weight."""
         return (self.label0(w),) + w.labels
+
+    def form_norm(self, labels) -> int:
+        """form_scale * |lambda-bar|^2 of integer Dynkin labels, an int."""
+        return sum(x * sum(map(mul, row, labels)) for x, row in zip(labels, self.form_gram))
 
     def root_labels(self, coords) -> tuple[int, ...]:
         """Affine labels (level 0) of a root-lattice vector in simple-root coordinates."""

@@ -126,7 +126,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the golden-fixture verification suite")
     p.add_argument("--fixtures", default=None,
-                   help="fixture directory (default: packaged, or $AFFSTR_FIXTURES)")
+                   help="fixture directory (default: packaged)")
     p.add_argument("--out", help="write the report to a file instead of stdout")
     p.set_defaults(handler=cmd_verify)
     return parser

@@ -28,7 +28,14 @@ chamber, so a pair whose offset that bound puts beyond the cutoff is
 skipped unreduced, whatever the base weight set holds.  All of it is
 integer arithmetic, scaled once per algebra by AlgebraSpec.form_scale;
 the fan stores |gamma-bar|^2 of each vector, a BaseWeightSet the norm
-of each of its weights.
+of each of its weights, read off the integer Gram matrix
+AlgebraSpec.form_gram.
+
+The fold is made once, at grade 0, and serves every depth of a string:
+the affine Weyl group fixes delta, so the dominant representative of
+lambda - n delta is that of lambda moved down by n, with the same word.
+Nothing here re-checks that at other grades; the `verify` harness
+compares the folded solve with the unfolded recursion at every depth.
 
 build_folded_fan checks every fold it reduces three ways and raises on a
 failure: the offset is at least the grade of the fan vector
@@ -43,9 +50,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from operator import mul
 
-from .algebra import AffineWeight, AlgebraSpec, algebra_memo, classical_inner
+from .algebra import AffineWeight, AlgebraSpec, algebra_memo
 from .errors import CongruenceError, ConfigurationError, ConventionError
-from .fan import Fan, FanVector, build_fan
+from .fan import Fan, build_fan
 from .weyl import reduce_labels
 
 __all__ = [
@@ -53,7 +60,6 @@ __all__ = [
     "FoldedFan",
     "build_folded_fan",
     "build_folded_fans",
-    "lemma1_check",
 ]
 
 
@@ -81,10 +87,8 @@ class BaseWeightSet:
         # labels -> position in `weights`, and form_scale * |xi|^2 of each
         # weight, the class norms folds are priced with; not dataclass fields.
         object.__setattr__(self, "positions", positions)
-        scale = self.algebra.form_scale
-        object.__setattr__(self, "norms", tuple(
-            int(scale * classical_inner(self.algebra, w.labels, w.labels)) for w in self.weights
-        ))
+        norm = self.algebra.form_norm
+        object.__setattr__(self, "norms", tuple(norm(w.labels) for w in self.weights))
 
     def __len__(self):
         return len(self.weights)
@@ -213,20 +217,3 @@ def build_folded_fans(spec: AlgebraSpec, base: BaseWeightSet, cutoff: int, /):
     folded = tuple(build_folded_fan(spec, base, j, fan, cutoff) for j in range(len(base)))
     return folded, fan
 
-
-def lemma1_check(
-    spec: AlgebraSpec,
-    base: BaseWeightSet,
-    base_index: int,
-    gamma: FanVector,
-    probe_grades,
-) -> bool:
-    """Folded targets and offsets must not depend on the grade of the probing string point."""
-    xi_labels = spec.affine_labels(base.weights[base_index])
-    gamma_labels = spec.root_labels(gamma.root)
-    folds = set()
-    for n in probe_grades:
-        if n > 0:
-            raise ConfigurationError("probe grades must be <= 0")
-        folds.add(_fold(spec, xi_labels, n, gamma_labels, gamma))
-    return len(folds) <= 1

@@ -13,9 +13,11 @@ simultaneously down to a cutoff grade u, becomes a square block system
 with Toeplitz upper-triangular blocks built from the folded fan
 multiplicities.  It is solved exactly grade by grade: at each depth the
 grade-zero block is eliminated against the shallower coefficients by
-algebra._gauss_jordan, the package's one exact elimination, which also
-gives the block's determinant.  Every solution component must come out a
-non-negative integer; anything else signals an upstream bug and aborts.
+algebra._gauss_jordan, the package's one exact elimination.  In base
+order that block has -1 on the diagonal and zeros below it, which the
+`verify` harness checks on the folded fans.  Every solution component
+must come out a non-negative integer; anything else signals an upstream
+bug and aborts.
 
 The classifier, the classes of a level and the table of a module are
 memoised per algebra instance (algebra.algebra_memo), as are the folded
@@ -29,7 +31,7 @@ from fractions import Fraction
 
 from .algebra import (
     _INT, AffineWeight, AlgebraSpec, _gauss_jordan, _integer_entry, algebra_memo,
-    classical_inner, to_root_basis,
+    to_root_basis,
 )
 from .errors import (
     ConfigurationError,
@@ -260,14 +262,6 @@ def solve_strings(system: BlockSystem) -> StringTable:
     return table
 
 
-def grade_zero_determinant(system: BlockSystem) -> int:
-    """Determinant of the grade-zero block; +-1 on every worked fixture."""
-    value, _ = _gauss_jordan(system.grade_matrix(0))
-    if value.denominator != 1:
-        raise ConsistencyError("grade-zero determinant is not an integer")
-    return int(value)
-
-
 def string_table(spec: AlgebraSpec, mu_labels, level: int, u: int) -> StringTable:
     """Full pipeline: class enumeration, folding, assembly, exact solve.
 
@@ -347,12 +341,14 @@ def _priced_above_grade0(spec: AlgebraSpec, lam: AffineWeight) -> bool:
 
     Reduction keeps |lambda-bar|^2 + 2k grade, and no dominant level-k
     weight is longer than k^2 times the level-1 bound, so the dominant
-    grade is at least grade + (|lambda-bar|^2 - k^2 bound) / 2k.  Only a
-    reduction that outran the step budget is priced.
+    grade is at least grade + (|lambda-bar|^2 - k^2 bound) / 2k.  All of
+    it is integers scaled by form_scale, the bound floored, which keeps the
+    strict comparison exact.  Only a reduction that outran the step budget
+    is priced.
     """
-    scale, level = spec.form_scale, lam.level
-    norm = scale * classical_inner(spec, lam.labels, lam.labels)
-    return 2 * level * scale * lam.grade + norm > level * level * spec.level1_norm_bound
+    level = lam.level
+    top = int(level * level * spec.level1_norm_bound)
+    return 2 * level * spec.form_scale * lam.grade + spec.form_norm(lam.labels) > top
 
 
 def character(spec: AlgebraSpec, table: StringTable, window) -> list:

@@ -4,16 +4,17 @@ Each check compares a pipeline stage with a fixture file and reports the
 first divergence.  Checks share results through the per-algebra memo
 (algebra.algebra_memo): each module is solved once, each class folded
 once and each module compared with the unfolded recursion once.  The
-checks double as the acceptance suite: the CLI `verify` subcommand and
-the test suite both run them.  Fixture files live in the packaged
-`fixtures/` directory unless the AFFSTR_FIXTURES environment variable
-points elsewhere.
+structural checks read those shared results rather than recomputing:
+grade independence of the folds is the two-path comparison at every
+depth, and the grade-0 block is read off the folded fans.  The checks
+double as the acceptance suite: the CLI `verify` subcommand and the test
+suite both run them.  Fixture files live in the packaged `fixtures/`
+directory; `run_all` and `affstr verify --fixtures` take another.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import pathlib
 import random
 from dataclasses import dataclass
@@ -21,16 +22,9 @@ from dataclasses import dataclass
 from .algebra import algebra_memo, load_algebra
 from .errors import ConfigurationError
 from .fan import build_fan, verify_denominator
-from .folding import build_folded_fans, lemma1_check
+from .folding import build_folded_fans
 from .oracle import RacahOracle, euler_square_series, level1_eta_series, two_path_mismatches
-from .strings import (
-    assemble_system,
-    enumerate_class_weights,
-    grade_zero_determinant,
-    module_class,
-    string_table,
-    weight_multiplicity,
-)
+from .strings import enumerate_class_weights, module_class, string_table, weight_multiplicity
 from .weyl import apply_word
 
 __all__ = ["CheckResult", "fixture_dir", "load_fixtures", "run_all"]
@@ -52,9 +46,6 @@ class CheckResult:
 
 
 def fixture_dir() -> pathlib.Path:
-    override = os.environ.get("AFFSTR_FIXTURES")
-    if override:
-        return pathlib.Path(override)
     return pathlib.Path(__file__).parent / "fixtures"
 
 
@@ -352,28 +343,34 @@ def check_oracle_equivalence(fixtures) -> list[CheckResult]:
 
 
 def check_structure(fixtures) -> list[CheckResult]:
-    """Shift-grade independence, Weyl invariance, unimodular grade-0 block."""
+    """Grade independence, triangular grade-0 block, Weyl invariance.
+
+    The folds are made at grade 0 and reused at every depth; the two-path
+    comparison (memoised, so no second oracle) shows they reproduce the
+    unfolded recursion there.  In base order the grade-0 block has -1 on
+    the diagonal and zeros below it, so its determinant is (-1)^p.
+    """
     rng = random.Random(_RNG_SEED)
     out = []
-    lemma_ok = True
-    lemma_detail = ""
-    det_ok = True
+    grade_detail = None
+    block_detail = None
     head_ok = True
     seen_classes = set()
     for spec, mu, level, depth in _fixture_modules(fixtures):
+        mismatches = _two_path(spec, mu, level, depth)
+        if mismatches and grade_detail is None:
+            s, d, _, _ = mismatches[0]
+            grade_detail = f"mu={list(mu)} level {level}: string {s} grade {-d}"
         table = string_table(spec, mu, level, -depth)
         base = table.base
         if base not in seen_classes:
             seen_classes.add(base)
-            folded, fan = build_folded_fans(spec, base, depth)
-            for j in range(len(base)):
-                for gamma in fan:
-                    if not lemma1_check(spec, base, j, gamma, (0, -5)):
-                        lemma_ok = False
-                        lemma_detail = f"level {level} base {j} shift {gamma}"
-            system = assemble_system(base, folded, table.mu_index, -depth)
-            if abs(grade_zero_determinant(system)) != 1:
-                det_ok = False
+            folded, _ = build_folded_fans(spec, base, depth)
+            for j, ff in enumerate(folded):
+                for s in range(j + 1):
+                    entry = ff.eta(s, 0)
+                    if entry != (-1 if s == j else 0) and block_detail is None:
+                        block_detail = f"level {level} base {j} target {s}: grade-0 entry {entry}"
         head_ok = head_ok and table.coefficients[table.mu_index][0] == 1
         bad = None
         for _ in range(_ORBIT_SAMPLES):
@@ -396,12 +393,20 @@ def check_structure(fixtures) -> list[CheckResult]:
     out.insert(
         0,
         CheckResult(
-            "grade independence of folded shifts (probes 0 and -5), all fixtures",
-            lemma_ok,
-            lemma_detail,
+            "grade independence: grade-0 folds match the unfolded recursion "
+            "at every depth, all fixture modules",
+            grade_detail is None,
+            grade_detail or "",
         ),
     )
-    out.insert(1, CheckResult("grade-0 block determinant is +-1, all fixtures", det_ok))
+    out.insert(
+        1,
+        CheckResult(
+            "grade-0 block has -1 on the diagonal and 0 below it (det +-1), all fixtures",
+            block_detail is None,
+            block_detail or "",
+        ),
+    )
     out.insert(2, CheckResult("highest weight multiplicity is 1, all fixture modules", head_ok))
     return out
 

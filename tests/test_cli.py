@@ -310,7 +310,7 @@ def test_verify_missing_fixture_dir(tmp_path, capsys):
     assert code == 2
 
 
-def test_verify_locates_injected_fault(tmp_path, capsys, monkeypatch):
+def test_verify_locates_injected_fault(tmp_path, capsys):
     for path in fixture_dir().glob("*.json"):
         shutil.copy(path, tmp_path / path.name)
     target = tmp_path / "level2_a2.json"
@@ -322,7 +322,3 @@ def test_verify_locates_injected_fault(tmp_path, capsys, monkeypatch):
     assert any(
         line.startswith("FAIL") and "class I" in line for line in out.splitlines()
     )
-    # the environment variable points the harness at the same directory
-    monkeypatch.setenv("AFFSTR_FIXTURES", str(tmp_path))
-    code, out, _ = run(capsys, "verify")
-    assert code == 3

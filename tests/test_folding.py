@@ -1,3 +1,6 @@
+import math
+import random
+
 import pytest
 
 from affstr import (
@@ -7,14 +10,13 @@ from affstr import (
     build_fan,
     build_folded_fan,
     build_folded_fans,
-    lemma1_check,
     level1_eta_series,
 )
 from affstr import folding
-from affstr.algebra import AlgebraSpec
+from affstr.algebra import AlgebraSpec, classical_inner
 from affstr.folding import BaseWeightSet
 from affstr.fan import Fan, FanVector
-from affstr.strings import classifier_for, enumerate_class_weights
+from affstr.strings import _priced_above_grade0, classifier_for, enumerate_class_weights
 from fold_reference import folded_entries
 
 
@@ -90,23 +92,6 @@ def test_seeded_diagonal(a2):
                 assert ff.eta(j, 0) == -1
 
 
-def test_lemma1_probes(a2):
-    base = class_of(a2, (0, 0), 2)
-    fan = build_fan(a2, 8)
-    gamma = next(v for v in fan if v.grade == 1)
-    assert lemma1_check(a2, base, 0, gamma, (0,))
-    assert lemma1_check(a2, base, 0, gamma, (0, -3, -7))
-    for g in (v for v in fan if v.grade == 2):
-        assert lemma1_check(a2, base, 1, g, (0, -5))
-
-
-def test_lemma1_rejects_positive_probe(a2):
-    base = class_of(a2, (0, 0), 2)
-    fan = build_fan(a2, 2)
-    with pytest.raises(ConfigurationError):
-        lemma1_check(a2, base, 0, next(v for v in fan if v.grade == 0), (1,))
-
-
 def test_congruence_violation_detected(a2):
     # a truncated base missing one class member cannot absorb all targets
     full = class_of(a2, (0, 0), 2)
@@ -142,8 +127,6 @@ def test_wrong_fan_grade_raises_convention_error(a2):
     wrong = Fan(a2, 4, [FanVector((1, 0), -1, 1)])
     with pytest.raises(ConventionError):
         build_folded_fan(a2, base, 0, wrong, 4)
-    with pytest.raises(ConventionError):
-        lemma1_check(a2, base, 0, wrong.vectors[0], (0, -5))
 
 
 def test_folded_grade_formula(a2):
@@ -151,7 +134,6 @@ def test_folded_grade_formula(a2):
     # correction: n - (k/2)|b|^2 - (v(phi), b), with b read off the word
     from fractions import Fraction
 
-    from affstr.algebra import classical_inner
     from weyl_reference import from_root_basis
     from affstr.weyl import apply_word, to_dominant
     from weyl_reference import translate, translation_datum
@@ -210,6 +192,31 @@ def test_priced_fold_matches_reference_fold(name):
             folded, fan = build_folded_fans(spec, base, cutoff)
             for j, ff in enumerate(folded):
                 assert ff.entries == folded_entries(spec, base, j, fan, cutoff)
+
+
+@pytest.mark.parametrize("name", REFERENCE_CASES)
+def test_integer_norms_match_the_rational_form(name):
+    # the integer Gram matrix gives the norms the fold and the far reads are
+    # priced with; classical_inner computes the same form in Fractions
+    spec = AlgebraSpec(name, REFERENCE_CASES[name][0])
+    scale = spec.form_scale
+    rng = random.Random(name)
+    for _ in range(200):
+        labels = tuple(rng.randint(-20, 20) for _ in range(spec.rank))
+        norm = spec.form_norm(labels)
+        assert type(norm) is int and norm == scale * classical_inner(spec, labels, labels)
+        # the two grades either side of the bound, where the pricing flips
+        level = rng.randint(1, 4)
+        bound = level * level * spec.level1_norm_bound
+        below = math.floor((bound - norm) / (2 * level * scale))
+        for grade in (below, below + 1):
+            rational = 2 * level * scale * grade + norm > bound
+            assert _priced_above_grade0(spec, spec.weight(labels, level, grade)) == rational
+    for level in (1, 2, 3):
+        for base in enumerate_class_weights(spec, level).values():
+            assert base.norms == tuple(
+                int(scale * classical_inner(spec, w.labels, w.labels)) for w in base.weights
+            )
 
 
 def test_fold_off_the_norm_identity_raises_convention_error(a2, monkeypatch):

@@ -19,7 +19,6 @@ from affstr.strings import (
     assemble_system,
     classifier_for,
     enumerate_class_weights,
-    grade_zero_determinant,
     solve_strings,
 )
 from affstr.weyl import apply_word
@@ -30,7 +29,6 @@ def test_singular_grade_zero_block_is_refused(a1):
     # A fold with no seeded -1 leaves the grade-zero block [[0]].
     base = enumerate_class_weights(a1, 1)[classifier_for(a1).id_of((0,))]
     system = assemble_system(base, [FoldedFan(0, 4, {})], 0, -4)
-    assert grade_zero_determinant(system) == 0
     with pytest.raises(ConsistencyError, match="singular"):
         solve_strings(system)
 
@@ -76,7 +74,6 @@ def test_assemble_level1_block(a2):
     # the single Toeplitz block is read off the folded shifts by grade
     assert [system.eta(0, 0, n) for n in range(6)] == folded[0].eta_row(0)
     assert system.grade_matrix(0) == [[-1]]
-    assert abs(grade_zero_determinant(system)) == 1
     assert system.depth == 5 and system.mu_index == 0
 
 

@@ -1,4 +1,5 @@
 import json
+import pathlib
 import random
 
 import pytest
@@ -248,6 +249,31 @@ def test_kernel_reflections_match_reference(kernel_specs, data):
     w = _draw_weight(data, spec)
     word = data.draw(st.lists(st.integers(0, spec.rank), max_size=8))
     assert apply_word(spec, word, w) == reference.apply_word(spec, word, w)
+
+
+PERFBENCH_CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "configs"
+
+
+@pytest.fixture(scope="module")
+def delta_specs():
+    return [load_algebra(name) for name in ("A2", "A3")] + [
+        load_algebra(str(PERFBENCH_CONFIGS / f"{name}.json")) for name in ("G2", "A4")
+    ]
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_delta_shift_commutes_with_reduction(delta_specs, data):
+    # The affine Weyl group fixes delta: lambda - n delta reduces to the
+    # dominant point of lambda moved down by n, by the same word.  So a fold
+    # made at grade 0 serves every depth of a string.
+    spec = data.draw(st.sampled_from(delta_specs))
+    w = _draw_weight(data, spec)
+    top = to_dominant(spec, w)
+    for n in range(21):
+        out = to_dominant(spec, w.shift_grade(-n))
+        assert (out.labels, out.level, out.word) == (top.labels, top.level, top.word)
+        assert out.grade == top.grade - n
 
 
 def test_kernel_step_budget(a2, monkeypatch):
