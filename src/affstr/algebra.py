@@ -290,14 +290,6 @@ class AlgebraSpec:
         """form_scale * |lambda-bar|^2 of integer Dynkin labels, an int."""
         return sum(x * sum(map(mul, row, labels)) for x, row in zip(labels, self.form_gram))
 
-    def root_labels(self, coords) -> tuple[int, ...]:
-        """Affine labels (level 0) of a root-lattice vector in simple-root coordinates."""
-        labels = [0] * (self.rank + 1)
-        for c, column in zip(coords, self.affine_columns[1:]):
-            for j, a in column:
-                labels[j] += c * a
-        return tuple(labels)
-
     def is_dominant(self, w: AffineWeight) -> bool:
         return all(x >= 0 for x in self.affine_labels(w))
 

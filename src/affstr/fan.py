@@ -1,16 +1,20 @@
 """The fan of recursion shifts: signed singular weights of the trivial module.
 
-Each fan vector is rho - w(rho) for a non-identity affine Weyl element w,
-stored as integer simple-root coordinates with a non-negative grade and
-multiplicity -det(w).  Enumeration is a breadth-first walk over the orbit
-of rho, kept as integer affine labels, along strictly descending
-reflections (weyl.descending_orbit).  Each step s_i with label l adds l
-to the i-th root coordinate of the shift, or for s_0 subtracts l times
-the marks and adds l to the grade, so no basis change is needed.  Descent
-never raises the grade, so pruning below the cutoff loses nothing within
-the window.  build_fan is memoised per algebra instance and cutoff
-(algebra.algebra_memo); a cutoff is served by its own fan, never as a
-prefix of a longer one.
+Each fan vector gamma = rho - w(rho), for a non-identity affine Weyl
+element w, is one immutable FanVector record, made only by build_fan:
+integer simple-root coordinates, a non-negative grade, the multiplicity
+-det(w), gamma's affine labels and its norm.  Enumeration is a
+breadth-first walk over the orbit of rho, kept as integer affine labels,
+along strictly descending reflections (weyl.descending_orbit).  Each step
+s_i with label l adds l to the i-th root coordinate of the shift, or for
+s_0 subtracts l times the marks and adds l to the grade, so no basis
+change is needed.  The labels of gamma are rho's (all 1) minus those of
+the orbit point w(rho).  Its norm needs no matrix product: w(rho) has the
+norm of rho, so |gamma|^2 = 2 (rho|gamma) = 2 sum_m gamma_m d_m +
+2 h^vee grade.  Descent never raises the grade, so pruning below the
+cutoff loses nothing within the window.  build_fan is memoised per
+algebra instance and cutoff (algebra.algebra_memo); a cutoff is served by
+its own fan, never as a prefix of a longer one.
 
 verify_denominator is the independent completeness gate: it expands the
 truncated product over the positive affine roots and compares it term by
@@ -28,8 +32,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import isqrt
 from operator import mul
+from typing import NamedTuple
 
-from .algebra import AlgebraSpec, algebra_memo
+from .algebra import AlgebraSpec, _integer_entry, algebra_memo
 from .errors import ConfigurationError, ResourceLimitError
 from .weyl import descending_orbit
 
@@ -38,41 +43,30 @@ __all__ = ["Fan", "FanVector", "DenominatorReport", "build_fan", "verify_denomin
 DEFAULT_NODE_LIMIT = 2_000_000
 
 
-@dataclass(frozen=True)
-class FanVector:
-    """A signed shift: simple-root coordinates, grade >= 0, multiplicity."""
+class FanVector(NamedTuple):
+    """A signed shift: simple-root coordinates, grade >= 0, multiplicity,
+    affine labels (level 0) and norm, form_scale * |gamma-bar|^2."""
 
     root: tuple[int, ...]
     grade: int
     mult: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "root", tuple(int(c) for c in self.root))
-        object.__setattr__(self, "grade", int(self.grade))
-        object.__setattr__(self, "mult", int(self.mult))
+    labels: tuple[int, ...]
+    norm: int
 
 
 class Fan:
-    """All fan vectors of one algebra up to a grade cutoff, sorted.
+    """All fan vectors of one algebra up to a grade cutoff.
 
-    `affine_labels` holds the affine labels of each vector's classical
-    part, in the same order, for the integer folding and oracle walks.
-    `norms` holds algebra.form_scale times the squared length of each
-    classical part, the integers folding prices its folds with.
+    `vectors` holds the records sorted by grade, then root; no two share
+    a root and grade.
     """
 
     def __init__(self, algebra: AlgebraSpec, cutoff: int, vectors):
         self.algebra = algebra
-        self.cutoff = int(cutoff)
+        self.cutoff = cutoff
         self.vectors = tuple(sorted(vectors, key=lambda v: (v.grade, v.root)))
         if len({(v.root, v.grade) for v in self.vectors}) != len(self.vectors):
             raise ConfigurationError("duplicate fan vectors")
-        self.affine_labels = tuple(algebra.root_labels(v.root) for v in self.vectors)
-        # (gamma|gamma) = sum_m gamma_m * (Dynkin label m of gamma) * d_m
-        self.norms = tuple(
-            sum(map(mul, v.root, map(mul, labels[1:], algebra.form_symmetrizer)))
-            for v, labels in zip(self.vectors, self.affine_labels)
-        )
 
     def __iter__(self):
         return iter(self.vectors)
@@ -97,28 +91,35 @@ def build_fan(spec: AlgebraSpec, cutoff: int, /) -> Fan:
     Memoised per algebra and cutoff.  The orbit walk stops with
     ResourceLimitError past DEFAULT_NODE_LIMIT nodes.
     """
+    cutoff = _integer_entry(cutoff, "fan cutoff")
     if cutoff < 0:
         raise ConfigurationError("fan cutoff must be non-negative")
-    # orbit point of rho -> (root coordinates of the shift, word length)
+    # form_scale * |gamma|^2 = 2 sum_m root_m form_symmetrizer_m + grade_norm * grade
+    symmetrizer = spec.form_symmetrizer
+    grade_norm = 2 * spec.dual_coxeter * spec.form_scale
+    # orbit point of rho -> (root coordinates of the shift, -det(w))
     shifts = {}
     vectors = []
     for parent, i, node in descending_orbit(spec, (1,) * (spec.rank + 1), 0, -cutoff):
         if parent is None:
-            shifts[node] = ((0,) * spec.rank, 0)
+            shifts[node] = ((0,) * spec.rank, -1)
             continue
-        root, length = shifts[parent]
+        root, mult = shifts[parent]
+        mult = -mult  # one more letter flips det(w)
         li = parent[0][i]
         if i:
             root = root[: i - 1] + (root[i - 1] + li,) + root[i:]
         else:
             root = tuple(c - li * m for c, m in zip(root, spec.marks))
-        shifts[node] = (root, length + 1)
+        shifts[node] = (root, mult)
         if len(shifts) > DEFAULT_NODE_LIMIT:
             raise ResourceLimitError(
                 f"fan orbit exceeded {DEFAULT_NODE_LIMIT} nodes at cutoff {cutoff}"
             )
-        # mult = -det(w), w having length + 1 letters
-        vectors.append(FanVector(root, -node[1], 1 if length % 2 == 0 else -1))
+        grade = -node[1]
+        labels = tuple(1 - x for x in node[0])
+        norm = 2 * sum(map(mul, root, symmetrizer)) + grade_norm * grade
+        vectors.append(FanVector(root, grade, mult, labels, norm))
     return Fan(spec, cutoff, vectors)
 
 

@@ -8,11 +8,11 @@ multiplicities accumulate there.  The zero shift is seeded with
 multiplicity -1, which turns the multiplicity recursion into a solvable
 triangular system (see strings.py).
 
-The affine labels of xi and of each fan vector are taken once and added
-as integers; the reduction kernel in weyl.py does the rest.  Reduction
-only ever raises the grade, so a folded offset is never below the grade
-of its fan vector: the fan built exactly to the cutoff holds every
-contributor.
+The affine labels of xi are taken once and added as integers to those
+each fan record carries; the reduction kernel in weyl.py does the rest.
+Reduction only ever raises the grade, so a folded offset is never below
+the grade of its fan vector: the fan built exactly to the cutoff holds
+every contributor.
 
 Each pair is priced before it is reduced.  The invariant form
 (lambda|lambda) = |lambda-bar|^2 + 2k * grade does not change under the
@@ -27,9 +27,8 @@ is longer than the longest vertex k Lambda_i / a_i^vee of the dominant
 chamber, so a pair whose offset that bound puts beyond the cutoff is
 skipped unreduced, whatever the base weight set holds.  All of it is
 integer arithmetic, scaled once per algebra by AlgebraSpec.form_scale;
-the fan stores |gamma-bar|^2 of each vector, a BaseWeightSet the norm
-of each of its weights, read off the integer Gram matrix
-AlgebraSpec.form_gram.
+each fan record carries |gamma-bar|^2, and a BaseWeightSet the norm of
+each of its weights, read off the integer Gram matrix AlgebraSpec.form_gram.
 
 The fold is made once, at grade 0, and serves every depth of a string:
 the affine Weyl group fixes delta, so the dominant representative of
@@ -48,7 +47,7 @@ so a class is folded once however many of its modules are solved.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import mul
+from operator import add, mul
 
 from .algebra import AffineWeight, AlgebraSpec, algebra_memo
 from .errors import CongruenceError, ConfigurationError, ConventionError
@@ -134,22 +133,6 @@ class FoldedFan:
         }
 
 
-def _fold(spec, xi_labels, xi_grade, gamma_labels, gamma):
-    """Dominant affine labels of xi + gamma and their grade offset from xi.
-
-    Walls are kept: ordinary weight multiplicities are Weyl-invariant, so
-    wall targets accumulate like any other.
-    """
-    shifted = [x + y for x, y in zip(xi_labels, gamma_labels)]
-    labels, grade, _ = reduce_labels(spec, shifted, xi_grade + gamma.grade)
-    offset = grade - xi_grade
-    if offset < 0 or offset < gamma.grade:
-        raise ConventionError(
-            f"folded offset {offset} is below the grade of shift {gamma} or negative"
-        )
-    return labels, offset
-
-
 def build_folded_fan(
     spec: AlgebraSpec,
     base: BaseWeightSet,
@@ -177,12 +160,20 @@ def build_folded_fan(
     top = int(xi.level * xi.level * spec.level1_norm_bound)
     pairing = [2 * x * d for x, d in zip(xi.labels, spec.form_symmetrizer)]
     entries = {(base_index, 0): -1}
-    for gamma, gamma_labels, gamma_norm in zip(fan.vectors, fan.affine_labels, fan.norms):
-        norm = xi_norm + sum(map(mul, pairing, gamma.root)) + gamma_norm
+    for root, grade, mult, gamma_labels, gamma_norm in fan.vectors:
+        norm = xi_norm + sum(map(mul, pairing, root)) + gamma_norm
         # 2k (offset - grade) = |xi + gamma|^2 - |target|^2 >= norm - top
-        if norm - top > two_k * (cutoff - gamma.grade):
+        if norm - top > two_k * (cutoff - grade):
             continue
-        labels, offset = _fold(spec, xi_labels, xi.grade, gamma_labels, gamma)
+        # xi sits at grade 0, so the reduced grade is the offset.  Walls are
+        # kept: ordinary weight multiplicities are Weyl-invariant, so wall
+        # targets accumulate like any other.
+        labels, offset, _ = reduce_labels(spec, map(add, xi_labels, gamma_labels), grade)
+        if offset < 0 or offset < grade:
+            raise ConventionError(
+                f"folded offset {offset} is below the grade of shift {root} at "
+                f"grade {grade} or negative"
+            )
         try:
             s = base.index_of(labels[1:])
         except CongruenceError:
@@ -190,15 +181,15 @@ def build_folded_fan(
                 f"folded target {labels[1:]} at offset {offset} of base {xi} "
                 "is outside its congruence class"
             ) from None
-        if two_k * (offset - gamma.grade) != norm - base.norms[s]:
+        if two_k * (offset - grade) != norm - base.norms[s]:
             raise ConventionError(
-                f"fold of shift {gamma} onto base {xi} reaches target {s} at "
-                f"offset {offset}, which the invariant form does not give"
+                f"fold of shift {root} at grade {grade} onto base {xi} reaches target "
+                f"{s} at offset {offset}, which the invariant form does not give"
             )
         if offset > cutoff:
             continue
         key = (s, offset)
-        value = entries.get(key, 0) + gamma.mult
+        value = entries.get(key, 0) + mult
         if value:
             entries[key] = value
         else:

@@ -95,11 +95,8 @@ class RacahOracle:
         )
         # (labels, grade, mult, classical labels, 2k grade + |gamma-bar|^2)
         self._shifts = tuple(
-            (
-                labels, v.grade, v.mult, labels[1:],
-                self._two_k * v.grade + self._form(labels[1:])[0],
-            )
-            for labels, v in zip(fan.affine_labels, fan.vectors)
+            (labels, grade, mult, labels[1:], self._two_k * grade + self._form(labels[1:])[0])
+            for _, grade, mult, labels, _ in fan.vectors
         )
         self._cache: dict[tuple, int] = {}
         self._forms: dict[tuple, tuple] = {}

@@ -49,7 +49,18 @@ def fixture_dir() -> pathlib.Path:
     return pathlib.Path(__file__).parent / "fixtures"
 
 
+# The top-level keys the checks of each fixture kind read.
+_FIXTURE_KEYS = {
+    "fan": "algebra cutoff entries printed_entries annotated".split(),
+    "level1": "algebra depth sigma eta eta_annotations paper_folded_fan paper_eta_list".split(),
+    "level2": "algebra level depth classes".split(),
+    "level4": "algebra level depth base eta eta_annotations modules distinct_strings".split(),
+}
+
+
 def load_fixtures(directory: pathlib.Path | None = None) -> list[dict]:
+    """Every fixture file of the directory; a file that is not an object, or
+    of a known kind without one of its keys, is a ConfigurationError."""
     directory = pathlib.Path(directory) if directory else fixture_dir()
     if not directory.is_dir():
         raise ConfigurationError(f"fixture directory {directory} does not exist")
@@ -60,6 +71,11 @@ def load_fixtures(directory: pathlib.Path | None = None) -> list[dict]:
                 data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigurationError(f"fixture {path} is not valid JSON: {exc}") from exc
+        if not isinstance(data, dict):
+            raise ConfigurationError(f"fixture {path} is not a JSON object")
+        for key in _FIXTURE_KEYS.get(data.get("kind"), ()):
+            if key not in data:
+                raise ConfigurationError(f"fixture {path} of kind {data['kind']!r} lacks {key!r}")
         data["_path"] = str(path)
         fixtures.append(data)
     return fixtures
@@ -309,16 +325,15 @@ def _fixture_modules(fixtures):
     """(spec, mu labels, level, depth) for every module any fixture mentions."""
     modules = []
     for fx in fixtures:
-        spec = load_algebra(fx["algebra"])
-        if fx["kind"] == "level1":
+        kind = fx.get("kind")
+        if kind == "level1":
+            spec = load_algebra(fx["algebra"])
             for base in enumerate_class_weights(spec, 1).values():
                 labels = tuple(int(x) for x in base.weights[0].labels)
                 modules.append((spec, labels, 1, fx["depth"]))
-        elif fx["kind"] == "level2":
-            for cls in fx["classes"]:
-                modules.append((spec, tuple(cls["mu"]), fx["level"], fx["depth"]))
-        elif fx["kind"] == "level4":
-            for module in fx["modules"]:
+        elif kind in ("level2", "level4"):
+            spec = load_algebra(fx["algebra"])
+            for module in fx["classes" if kind == "level2" else "modules"]:
                 modules.append((spec, tuple(module["mu"]), fx["level"], fx["depth"]))
     return modules
 

@@ -17,14 +17,14 @@ def folded_entries(spec, base, base_index, fan, cutoff) -> dict:
     xi = base.weights[base_index]
     xi_labels = spec.affine_labels(xi)
     entries = {(base_index, 0): -1}
-    for gamma, gamma_labels in zip(fan.vectors, fan.affine_labels):
+    for _, gamma_grade, mult, gamma_labels, _ in fan.vectors:
         shifted = [x + y for x, y in zip(xi_labels, gamma_labels)]
-        labels, grade, _ = reduce_labels(spec, shifted, xi.grade + gamma.grade)
+        labels, grade, _ = reduce_labels(spec, shifted, xi.grade + gamma_grade)
         offset = grade - xi.grade
         if offset > cutoff:
             continue
         key = (base.index_of(labels[1:]), offset)
-        value = entries.get(key, 0) + gamma.mult
+        value = entries.get(key, 0) + mult
         if value:
             entries[key] = value
         else:

@@ -18,8 +18,7 @@ class ReferenceOracle(RacahOracle):
     def _children(self, labels: tuple, grade: int):
         if grade < -self.fan.cutoff:
             raise OutOfWindowError(f"grade {grade} is beyond the fan cutoff {self.fan.cutoff}")
-        for shift, vector in zip(self.fan.affine_labels, self.fan.vectors):
-            shift_grade, mult = vector.grade, vector.mult
+        for _, shift_grade, mult, shift, _ in self.fan.vectors:
             if grade + shift_grade > 0:
                 break
             child, child_grade, _ = reduce_labels(

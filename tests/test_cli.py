@@ -3,6 +3,8 @@ import json
 import pathlib
 import shutil
 
+import pytest
+
 from affstr import build_fan, build_folded_fans, cli, string_table, weyl
 from affstr.cli import main
 from affstr.strings import module_class
@@ -308,6 +310,39 @@ def test_verify_empty_fixture_dir(tmp_path, capsys):
 def test_verify_missing_fixture_dir(tmp_path, capsys):
     code, _, err = run(capsys, "verify", "--fixtures", str(tmp_path / "nope"))
     assert code == 2
+
+
+def _level4_without_eta():
+    fixture = json.loads((fixture_dir() / "level4_a2_classI.json").read_text())
+    del fixture["eta"]
+    return fixture
+
+
+@pytest.mark.parametrize(
+    "fixture,named",
+    [
+        ([{"kind": "fan", "algebra": "A2", "cutoff": 2}], "not a JSON object"),
+        ({"kind": "fan", "algebra": "A2"}, "'cutoff'"),
+        (_level4_without_eta(), "'eta'"),
+    ],
+)
+def test_verify_refuses_a_malformed_fixture(tmp_path, capsys, fixture, named):
+    # a file that is not an object, or a known kind without one of its
+    # keys, exits 2 with an error naming the file and the key
+    (tmp_path / "bad.json").write_text(json.dumps(fixture))
+    code, out, err = run(capsys, "verify", "--fixtures", str(tmp_path))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "bad.json" in err and named in err
+
+
+def test_verify_reports_an_unknown_kind_as_a_failed_check(tmp_path, capsys):
+    # an unknown kind, even one without an algebra, is one FAIL line
+    (tmp_path / "odd.json").write_text(json.dumps({"kind": "level3"}))
+    code, out, _ = run(capsys, "verify", "--fixtures", str(tmp_path))
+    assert code == 3
+    assert [line for line in out.splitlines() if line.startswith("FAIL")] == [
+        f"FAIL  fixture {tmp_path / 'odd.json'}  unknown kind 'level3'"
+    ]
 
 
 def test_verify_locates_injected_fault(tmp_path, capsys):

@@ -4,8 +4,9 @@ import sys
 import pytest
 
 from affstr import AlgebraSpec, ConsistencyError, RacahOracle, build_fan, build_folded_fans
-from affstr.fan import Fan, FanVector
+from affstr.fan import Fan
 from affstr.strings import enumerate_class_weights
+from fan_reference import fan_vector
 
 
 def test_shared_oracle_parallel_queries(a2):
@@ -57,7 +58,7 @@ def test_parallel_folded_fan_builds():
 def test_cycle_tripwire(a2):
     # a fan containing the zero shift makes the recursion self-referential;
     # the oracle must refuse rather than loop
-    degenerate = Fan(a2, 0, [FanVector((0, 0), 0, 1)])
+    degenerate = Fan(a2, 0, [fan_vector(a2, (0, 0), 0, 1)])
     oracle = RacahOracle(a2, a2.weight((0, 0), 1, 0), degenerate)
     with pytest.raises(ConsistencyError):
         oracle.multiplicity(a2.weight((0, 0), 1, 0))

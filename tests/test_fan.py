@@ -13,7 +13,8 @@ from affstr import (
     weyl_vector,
 )
 from affstr import fan as fan_module
-from affstr.fan import Fan, FanVector, _denominator_series, _euler_power
+from affstr.fan import Fan, _denominator_series, _euler_power
+from fan_reference import fan_vector
 
 
 GRADE0_A2 = {((0, 1), 0): 1, ((1, 0), 0): 1, ((2, 1), 0): -1, ((1, 2), 0): -1, ((2, 2), 0): 1}
@@ -121,7 +122,7 @@ def test_denominator_detects_perturbation(a2):
 
     # a flipped sign
     v = vectors[6]
-    flipped = vectors[:6] + [FanVector(v.root, v.grade, -v.mult)] + vectors[7:]
+    flipped = vectors[:6] + [fan_vector(a2, v.root, v.grade, -v.mult)] + vectors[7:]
     report = _broken(fan, flipped)
     assert not report.ok
     assert report.mismatch == (v.root, v.grade, v.mult, -v.mult)
@@ -135,7 +136,7 @@ def test_denominator_detects_perturbation(a2):
     assert report.checked_terms == intact.checked_terms
 
     # a spurious vector at the cutoff grade
-    spurious = FanVector((1, 1), 2, 1)
+    spurious = fan_vector(a2, (1, 1), 2, 1)
     assert (spurious.root, spurious.grade) not in {(w.root, w.grade) for w in vectors}
     report = _broken(fan, vectors + [spurious])
     assert not report.ok
@@ -209,6 +210,18 @@ def test_node_budget(monkeypatch):
     monkeypatch.setattr(fan_module, "DEFAULT_NODE_LIMIT", 10)
     with pytest.raises(ResourceLimitError, match="exceeded 10 nodes"):
         build_fan(spec, 9)
+
+
+@pytest.mark.parametrize("cutoff", [2.5, "3", None, -1])
+def test_fan_cutoff_must_be_a_non_negative_integer(a2, cutoff):
+    # a cutoff that is not an integer is refused, never truncated
+    with pytest.raises(ConfigurationError, match="fan cutoff"):
+        build_fan(a2, cutoff)
+
+
+def test_integral_fan_cutoff_is_an_int():
+    fan = build_fan(AlgebraSpec("A2", [[2, -1], [-1, 2]]), 2.0)
+    assert type(fan.cutoff) is int and fan.cutoff == 2 and len(fan) == 23
 
 
 def test_layers(a2):

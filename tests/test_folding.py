@@ -15,8 +15,9 @@ from affstr import (
 from affstr import folding
 from affstr.algebra import AlgebraSpec, classical_inner
 from affstr.folding import BaseWeightSet
-from affstr.fan import Fan, FanVector
+from affstr.fan import Fan
 from affstr.strings import _priced_above_grade0, classifier_for, enumerate_class_weights
+from fan_reference import fan_vector, root_labels
 from fold_reference import folded_entries
 
 
@@ -34,7 +35,7 @@ def test_fold_shift_interior_no_folding(a2):
     # strictly interior base, small shift: the target is the shift itself
     base = class_of(a2, (1, 1), 4)
     assert base.weights[1].labels == (1, 1)
-    entries = fold_one(a2, base, 1, FanVector((0, 1), 0, 1), 0)
+    entries = fold_one(a2, base, 1, fan_vector(a2, (0, 1), 0, 1), 0)
     assert entries == {(1, 0): -1, (base.index_of((0, 3)), 0): 1}
 
 
@@ -43,10 +44,10 @@ def test_fold_shift_level2_examples(a2):
     # class weight at offset 0
     base = class_of(a2, (0, 0), 2)
     assert base.weights[0].labels == (0, 0)
-    entries = fold_one(a2, base, 0, FanVector((1, 0), 0, 1), 2)
+    entries = fold_one(a2, base, 0, fan_vector(a2, (1, 0), 0, 1), 2)
     assert entries == {(0, 0): -1, (base.index_of((1, 1)), 0): 1}
     # the longest-element shift lands back on the base two grades up
-    entries = fold_one(a2, base, 0, FanVector((2, 2), 0, 1), 2)
+    entries = fold_one(a2, base, 0, fan_vector(a2, (2, 2), 0, 1), 2)
     assert entries == {(0, 0): -1, (0, 2): 1}
 
 
@@ -124,7 +125,7 @@ def test_wrong_fan_grade_raises_convention_error(a2):
     # the root (1,0) of a grade-0 fan vector, given grade -1: it folds onto
     # (1,1) one grade above the base, below the grade of any real shift
     base = class_of(a2, (0, 0), 2)
-    wrong = Fan(a2, 4, [FanVector((1, 0), -1, 1)])
+    wrong = Fan(a2, 4, [fan_vector(a2, (1, 0), -1, 1)])
     with pytest.raises(ConventionError):
         build_folded_fan(a2, base, 0, wrong, 4)
 
@@ -217,6 +218,24 @@ def test_integer_norms_match_the_rational_form(name):
             assert base.norms == tuple(
                 int(scale * classical_inner(spec, w.labels, w.labels)) for w in base.weights
             )
+
+
+A5_CARTAN = [
+    [2, -1, 0, 0, 0], [-1, 2, -1, 0, 0], [0, -1, 2, -1, 0], [0, 0, -1, 2, -1], [0, 0, 0, -1, 2]
+]
+
+
+@pytest.mark.parametrize(
+    "name,cartan,cutoff",
+    [(name, *case) for name, case in REFERENCE_CASES.items()] + [("A5", A5_CARTAN, 4)],
+)
+def test_walk_records_labels_and_norms(name, cartan, cutoff):
+    # the labels and norm each record takes from the orbit walk are the
+    # affine labels of its root coordinates and their integer Gram norm
+    spec = AlgebraSpec(name, cartan)
+    for v in build_fan(spec, cutoff):
+        assert v.labels == root_labels(spec, v.root)
+        assert v.norm == spec.form_norm(v.labels[1:])
 
 
 def test_fold_off_the_norm_identity_raises_convention_error(a2, monkeypatch):
