@@ -94,6 +94,18 @@ class AffineWeight:
         _set_level(self, level if type(level) is int else _norm(level))
         _set_grade(self, grade if type(grade) is int else _norm(grade))
 
+    @classmethod
+    def _of_ints(cls, labels: tuple, level: int, grade: int) -> "AffineWeight":
+        """A weight from a tuple of int labels and an int level and grade.
+
+        Skips the normalising of `__init__`; the caller guarantees the types.
+        """
+        w = _new(cls)
+        _set_labels(w, labels)
+        _set_level(w, level)
+        _set_grade(w, grade)
+        return w
+
     def __add__(self, other: "AffineWeight") -> "AffineWeight":
         return AffineWeight(
             tuple(a + b for a, b in zip(self.labels, other.labels)),
@@ -120,6 +132,7 @@ class AffineWeight:
 _set_labels = AffineWeight.labels.__set__
 _set_level = AffineWeight.level.__set__
 _set_grade = AffineWeight.grade.__set__
+_new = object.__new__
 
 
 class AlgebraSpec:

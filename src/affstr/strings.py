@@ -359,9 +359,11 @@ def character(spec: AlgebraSpec, table: StringTable, window) -> list:
     `ConfigurationError`.  Weights are found by walking the ordinary orbit
     of each base weight once down to the window floor and placing every
     orbit point at each depth of its string; each weight reduces to
-    exactly one string point, so nothing is double counted.  The walk
-    keeps integer labels, each orbit point's classical labels sliced once;
-    one `AffineWeight` is built per weight returned.  Pairs come by grade
+    exactly one string point, so nothing is double counted.  A string
+    whose first non-zero depth lies below the window is not walked.  The
+    walk keeps integer labels, each orbit point's classical labels sliced
+    once; one `AffineWeight` is built per weight returned, straight from
+    those int labels, with no normalising.  Pairs come by grade
     descending, then by classical labels ascending.
     """
     top, bottom = _normalize_window(window)
@@ -378,13 +380,16 @@ def character(spec: AlgebraSpec, table: StringTable, window) -> list:
         # the string vanishes above its first non-zero depth `head`.
         head = next((d for d, mult in enumerate(coeffs) if mult), len(coeffs))
         floor = bottom + head
+        if floor > 0:
+            continue  # the whole string lies below the window
         for _, _, (labels, grade) in descending_orbit(spec, spec.affine_labels(xi), 0, floor):
             classical = labels[1:]
             for d in range(max(0, grade - top), grade - bottom + 1):
                 if coeffs[d]:
                     rows[top - grade + d][classical] = coeffs[d]
+    weight = AffineWeight._of_ints
     return [
-        (AffineWeight(labels, level, top - i), row[labels])
+        (weight(labels, level, top - i), row[labels])
         for i, row in enumerate(rows)
         for labels in sorted(row)
     ]

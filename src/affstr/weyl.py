@@ -6,34 +6,38 @@ plus the grade; the level is implicit in the labels.  A simple reflection
     s_i:  lambda_j -= lambda_i * A[j][i]   (A the affine Cartan matrix),
           and on s_0 only, grade -= lambda_0,
 
-touches only the nonzero entries of one precomputed affine Cartan column.
-Reduction applies the reflection at the most negative label (lowest index
-on ties) until all labels are non-negative.  Any strategy yields the same
-dominant representative; this one gives deterministic words.  It only ever
-raises the grade.  Termination requires positive level, guarded by a step
-budget.
+touches only the nonzero entries of one precomputed affine Cartan column,
+`AlgebraSpec.affine_columns[i]`.  Reduction applies the reflection at the
+most negative label (lowest index on ties) until all labels are
+non-negative.  Any strategy yields the same dominant representative; this
+one gives deterministic words.  It only ever raises the grade.
+Termination requires positive level, guarded by a step budget.
 
 The reverse walk, `descending_orbit`, visits the orbit of a dominant point
 along reflections at positive labels, which only ever lower the grade.
 
 Every Weyl walk in the package (fan enumeration, folding, the oracle, the
 character orbits, the multiplicity reads) runs on integer labels through
-these three functions.  `apply_word` builds one weight from its final
-labels; `to_dominant` returns the reduced labels themselves, and its
-`WeylOutcome` builds the dominant `AffineWeight` only when `dominant` is
-read, so a read that looks up a table by labels builds no weight.
+`reduce_labels` or `descending_orbit`, each of which applies the sparse
+column update in place inside its own loop, with no call per reflection.
+`to_dominant` computes lambda_0 from a weight's stored labels and returns
+the reduced labels themselves; its `WeylOutcome` builds the dominant
+`AffineWeight` only when `dominant` is read, so a read that looks up a
+table by labels builds no weight.  `apply_word`, which replays a recorded
+word on one weight, is the only walk that starts and ends at an
+`AffineWeight`.
 """
 
 from __future__ import annotations
 
-from collections import deque, namedtuple
+from collections import namedtuple
+from operator import mul
 
 from .algebra import AffineWeight, AlgebraSpec
 from .errors import ConfigurationError, NonterminationError
 
 __all__ = [
     "WeylOutcome",
-    "reflect_labels",
     "reduce_labels",
     "descending_orbit",
     "to_dominant",
@@ -63,14 +67,6 @@ class WeylOutcome(namedtuple("WeylOutcome", "labels level grade word")):
 _outcome = WeylOutcome._make
 
 
-def reflect_labels(spec: AlgebraSpec, i: int, labels: list, grade):
-    """Apply s_i to a mutable affine label list in place; return the new grade."""
-    li = labels[i]
-    for j, a in spec.affine_columns[i]:
-        labels[j] -= li * a
-    return grade - li if i == 0 else grade
-
-
 def reduce_labels(spec: AlgebraSpec, labels, grade):
     """Reduce affine labels to the dominant chamber.
 
@@ -78,6 +74,7 @@ def reduce_labels(spec: AlgebraSpec, labels, grade):
     reflection indices applied.  The caller guarantees positive level;
     more than DEFAULT_STEP_LIMIT reflections raise NonterminationError.
     """
+    columns = spec.affine_columns
     labels = list(labels)
     word: list[int] = []
     for _ in range(DEFAULT_STEP_LIMIT):
@@ -85,7 +82,10 @@ def reduce_labels(spec: AlgebraSpec, labels, grade):
         if low >= 0:
             return tuple(labels), grade, word
         i = labels.index(low)
-        grade = reflect_labels(spec, i, labels, grade)
+        for j, a in columns[i]:
+            labels[j] -= low * a
+        if not i:
+            grade -= low
         word.append(i)
     raise NonterminationError(f"reduction exceeded {DEFAULT_STEP_LIMIT} steps")
 
@@ -94,23 +94,34 @@ def descending_orbit(spec: AlgebraSpec, labels, grade, floor):
     """Breadth-first walk of the orbit of a dominant point down to a grade floor.
 
     Yields (parent, i, node) once per orbit point with grade >= floor,
-    nodes being (affine labels tuple, grade) and node = s_i(parent); the
-    starting point comes first, with parent and i None.
+    nodes being (affine labels tuple, grade) and node = s_i(parent), every
+    parent before its children.  The starting point comes first, with
+    parent and i None; a start below the floor yields nothing, since every
+    step lowers the grade or keeps it.  Only s_0 changes the grade, so a
+    child below the floor is dropped before it is built.
     """
     start = (tuple(labels), grade)
+    if grade < floor:
+        return
+    columns = spec.affine_columns
     seen = {start}
-    queue = deque([start])
+    # The list is the queue: the loop reads it while children are appended.
+    queue = [start]
     yield None, None, start
-    while queue:
-        parent = queue.popleft()
+    for parent in queue:
         labels, grade = parent
         for i, li in enumerate(labels):
             if li <= 0:
                 continue
+            if i:
+                child_grade = grade
+            else:
+                child_grade = grade - li
+                if child_grade < floor:
+                    continue
             child = list(labels)
-            child_grade = reflect_labels(spec, i, child, grade)
-            if child_grade < floor:
-                continue
+            for j, a in columns[i]:
+                child[j] -= li * a
             node = (tuple(child), child_grade)
             if node not in seen:
                 seen.add(node)
@@ -120,25 +131,33 @@ def descending_orbit(spec: AlgebraSpec, labels, grade, floor):
 
 def apply_word(spec: AlgebraSpec, word, w: AffineWeight) -> AffineWeight:
     """Apply reflections in the order they were recorded."""
+    columns = spec.affine_columns
     labels = list(spec.affine_labels(w))
     grade = w.grade
     for i in word:
         if not 0 <= i <= spec.rank:
             raise ConfigurationError(f"reflection index {i} out of range 0..{spec.rank}")
-        grade = reflect_labels(spec, i, labels, grade)
+        li = labels[i]
+        for j, a in columns[i]:
+            labels[j] -= li * a
+        if not i:
+            grade -= li
     return AffineWeight(labels[1:], w.level, grade)
 
 
 def to_dominant(spec: AlgebraSpec, w: AffineWeight) -> WeylOutcome:
     """Reduce a positive-level weight to its dominant orbit representative.
 
-    The rank is checked once, by `affine_labels`.  The reduction runs on
-    the affine labels and the outcome holds the reduced labels; no
-    `AffineWeight` is built unless the caller reads `dominant`.
+    The rank is checked once; lambda_0 = level - sum(comark_i * label_i) is
+    computed here from the stored labels.  The reduction runs on the affine
+    labels and the outcome holds the reduced labels; no `AffineWeight` is
+    built unless the caller reads `dominant`.
     """
-    labels = spec.affine_labels(w)
+    spec.check_rank(w)
+    labels = w.labels
     level = w.level
     if level <= 0:
         raise NonterminationError(f"to_dominant needs positive level, got {level}")
-    labels, grade, word = reduce_labels(spec, labels, w.grade)
+    label0 = level - sum(map(mul, spec.comarks, labels))
+    labels, grade, word = reduce_labels(spec, (label0, *labels), w.grade)
     return _outcome((labels, level, grade, tuple(word)))

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import pathlib
 import random
@@ -17,7 +18,7 @@ from affstr import (
     weyl_vector,
 )
 from affstr.algebra import load_algebra
-from affstr import weyl
+from affstr import strings, weyl
 from affstr.weyl import apply_word
 from weyl_reference import from_root_basis, shifted_reflect, translate, translation_datum
 
@@ -86,22 +87,6 @@ def test_shifted_reflect_examples(a2):
     assert len(out.word) % 2 == 1
 
 
-def _orbit(spec, start, floor):
-    # brute-force ordinary orbit, pruned below a grade floor
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        new = []
-        for w in frontier:
-            for i in range(spec.rank + 1):
-                img = apply_word(spec, [i], w)
-                if img.grade >= floor and img not in seen:
-                    seen.add(img)
-                    new.append(img)
-        frontier = new
-    return seen
-
-
 def test_to_dominant_trivial(a2):
     lam = a2.weight((1, 1), 3, 0)
     out = to_dominant(a2, lam)
@@ -120,7 +105,7 @@ def test_to_dominant_orbit_membership(a2):
     assert out.dominant == a2.weight((1, 0), 1, 0)
     assert len(out.word) % 2 == 1
     # brute-force cross-check: lam is in the orbit of the dominant rep
-    orbit = _orbit(a2, out.dominant, -3)
+    orbit = reference.orbit(a2, out.dominant, -3)
     assert lam in orbit
 
 
@@ -131,7 +116,7 @@ def test_to_dominant_level2(a2):
     out = to_dominant(a2, lam)
     assert out.dominant.labels == (1, 1)
     assert out.dominant.grade == 1
-    assert lam in _orbit(a2, out.dominant, -2)
+    assert lam in reference.orbit(a2, out.dominant, -2)
 
 
 def test_to_dominant_level_guard(a2):
@@ -287,6 +272,38 @@ def test_kernel_step_budget(a2, monkeypatch):
 
 
 @pytest.mark.parametrize(
+    "name,labels,level,grade,floor",
+    [
+        ("A2", (1, 0), 2, 0, -4),
+        # a start on the floor: only its classical orbit qualifies
+        ("A2", (1, 0), 1, -2, -2),
+        ("A2", (1, 1), 3, 0, 1),
+        ("G2", (0, 1), 2, 0, -4),
+        ("G2", (1, 0), 3, -1, 0),
+        ("A4", (1, 0, 0, 1), 2, 0, -2),
+        ("A4", (0, 0, 0, 0), 2, 0, 1),
+    ],
+    ids=["A2", "A2-start-on-floor", "A2-start-below", "G2", "G2-start-below", "A4", "A4-start-below"],
+)
+def test_descending_orbit_matches_brute_force(kernel_specs, name, labels, level, grade, floor):
+    spec = kernel_specs[name]
+    start = spec.weight(labels, level, grade)
+    walk = list(weyl.descending_orbit(spec, spec.affine_labels(start), grade, floor))
+    assert bool(walk) == (grade >= floor)
+    found = {}
+    for parent, i, node in walk:
+        w = AffineWeight(node[0][1:], level, node[1])
+        assert spec.affine_labels(w) == node[0] and node not in found
+        if parent is None:
+            assert (i, found, w) == (None, {}, start)
+        else:
+            # a KeyError here is a child yielded before its parent
+            assert reference.reflect(spec, i, found[parent]) == w
+        found[node] = w
+    assert set(found.values()) == reference.orbit(spec, start, floor)
+
+
+CHARACTER_CASES = pytest.mark.parametrize(
     "name,mu,level,depth,window",
     [
         ("A2", (1, 0), 2, 4, 4),
@@ -298,6 +315,9 @@ def test_kernel_step_budget(a2, monkeypatch):
     ],
     ids=["A2", "G2", "A4-full-depth", "A2-inner-window"],
 )
+
+
+@CHARACTER_CASES
 def test_character_orbits_match_brute_force(kernel_specs, name, mu, level, depth, window):
     spec = kernel_specs[name]
     table = string_table(spec, mu, level, -depth)
@@ -307,7 +327,7 @@ def test_character_orbits_match_brute_force(kernel_specs, name, mu, level, depth
         for d in range(depth + 1):
             mult = table.coefficients[s][d]
             if mult and -d >= bottom:
-                for w in _orbit(spec, xi.shift_grade(-d), bottom):
+                for w in reference.orbit(spec, xi.shift_grade(-d), bottom):
                     if w.grade <= top:
                         want[w] = mult
     got = character(spec, table, window)
@@ -316,3 +336,34 @@ def test_character_orbits_match_brute_force(kernel_specs, name, mu, level, depth
     # the CLI's text, JSON and CSV listings inherit this order
     keys = [(-w.grade, w.labels) for w, _ in got]
     assert keys == sorted(keys)
+
+
+@CHARACTER_CASES
+def test_character_weights_are_plain_int_weights(kernel_specs, name, mu, level, depth, window):
+    # character builds its weights without the public constructor's
+    # normalising; they must be indistinguishable from normalised ones
+    spec = kernel_specs[name]
+    got = character(spec, string_table(spec, mu, level, -depth), window)
+    assert got
+    for w, _ in got:
+        assert type(w.labels) is tuple
+        assert {type(x) for x in (*w.labels, w.level, w.grade)} == {int}
+        same = AffineWeight(w.labels, w.level, w.grade)
+        assert w == same and hash(w) == hash(same)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            w.grade = 0
+
+
+def test_character_walks_no_string_below_its_window(a2, monkeypatch):
+    # the (0,3) and (3,0) strings of the level-3 vacuum module start at
+    # depth 2, below a window of depth 1
+    walks = []
+
+    def recording(spec, labels, grade, floor):
+        walks.append((labels[1:], grade, floor))
+        return weyl.descending_orbit(spec, labels, grade, floor)
+
+    monkeypatch.setattr(strings, "descending_orbit", recording)
+    table = string_table(a2, (0, 0), 3, -6)
+    assert character(a2, table, 1)
+    assert walks == [((0, 0), 0, -1), ((1, 1), 0, 0)]

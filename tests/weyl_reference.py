@@ -4,7 +4,8 @@ Everything here works on `AffineWeight` values with the reflection
 formulas written out in the classical basis: s_0 adds label_0 times the
 highest root and lowers the grade by label_0, s_i subtracts label_i times
 the i-th simple root.  The reduction loop is the one the package used
-before its integer kernel and is the oracle the kernel is tested against.
+before its integer kernel and is the oracle the kernel is tested against;
+`orbit` is the brute-force orbit the walks are tested against.
 The translation helpers decompose a reducing element as t . s, and
 `from_root_basis` builds a weight from simple-root coordinates.
 """
@@ -44,6 +45,28 @@ def apply_word(spec, word, w):
     for i in word:
         w = reflect(spec, i, w)
     return w
+
+
+def orbit(spec, start, floor):
+    """Brute-force ordinary orbit of `start`: every point with grade >= floor.
+
+    Tries every simple reflection at every point found, so it needs no
+    dominant start; a start below the floor gives the empty set.
+    """
+    if start.grade < floor:
+        return set()
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        new = []
+        for w in frontier:
+            for i in range(spec.rank + 1):
+                img = reflect(spec, i, w)
+                if img.grade >= floor and img not in seen:
+                    seen.add(img)
+                    new.append(img)
+        frontier = new
+    return seen
 
 
 def to_dominant(spec, w, max_steps=1_000_000):
