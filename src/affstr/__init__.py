@@ -5,11 +5,9 @@ the dominant chamber, with an independent unfolded-recursion oracle."""
 from .algebra import (
     AffineWeight,
     AlgebraSpec,
-    inner_product,
     load_algebra,
     preset,
     to_root_basis,
-    weyl_vector,
 )
 from .errors import (
     AffstrError,

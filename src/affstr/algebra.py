@@ -1,12 +1,16 @@
 """Cartan data and exact affine weight arithmetic.
 
+An algebra is its classical Cartan matrix A_ij = <alpha_i^vee, alpha_j>
+(Kac's convention); `AlgebraSpec` derives the symmetrizer from it.
+
 A weight is stored as (classical Dynkin labels; level; grade), each
 component an exact rational: an `int` when integral, a `Fraction`
 otherwise.  `AffineWeight` normalises them once, at construction, and
 only those that are not already ints.  The zeroth label is never stored:
 it is recovered from the level as lambda_0 = level - sum(comark_i *
-label_i).  Simple-root coordinates exist only for display; they are an
-exact application of the inverse Cartan matrix.
+label_i).  Simple-root coordinates exist only for display and for the
+order of a congruence class; they are an exact application of the
+inverse Cartan matrix.
 
 No floating point is used anywhere.  `_gauss_jordan` is the package's one
 exact elimination: it gives the inverse Cartan matrix, the leading minors
@@ -36,11 +40,9 @@ __all__ = [
     "AffineWeight",
     "AlgebraSpec",
     "algebra_memo",
-    "inner_product",
     "load_algebra",
     "preset",
     "to_root_basis",
-    "weyl_vector",
 ]
 
 _ROOT_CLOSURE_LIMIT = 100_000
@@ -65,10 +67,6 @@ def _integer_entry(x, what: str = "Cartan entry") -> int:
     except (TypeError, ValueError, OverflowError):
         pass
     raise ConfigurationError(f"{what} {x!r} is not an integer")
-
-
-def _fracs(values) -> tuple[Fraction, ...]:
-    return tuple(Fraction(v) for v in values)
 
 
 _INT = frozenset((int,))
@@ -138,27 +136,24 @@ _new = object.__new__
 class AlgebraSpec:
     """Classical Cartan data with its untwisted affine extension.
 
-    Derived data (positive roots, highest root, marks, comarks, the
-    inverse Cartan matrix) is computed once at construction; instances
-    are immutable afterwards and safe to share between threads.  The
-    only mutable part is the memo of `algebra_memo`, which fills on use.
+    The Cartan matrix is the whole input.  Its convention is Kac's,
+    A_ij = <alpha_i^vee, alpha_j>, and the invariant form is
+    (alpha_i|alpha_j) = d_i A_ij.  The symmetrizer d is derived from A:
+    an irreducible Cartan matrix fixes it up to one scale, which is chosen
+    so that the highest root has |theta|^2 = 2 (d_i = 1 on long roots).
+    Derived data (symmetrizer, positive roots, highest root, marks,
+    comarks, the inverse Cartan matrix) is computed once at construction;
+    instances are immutable afterwards and safe to share between threads.
+    The only mutable part is the memo of `algebra_memo`, which fills on use.
     """
 
-    def __init__(self, label: str, cartan, symmetrizer=None):
+    def __init__(self, label: str, cartan):
         self._memo = {}
         self.label = str(label)
         self.cartan = tuple(tuple(_integer_entry(x) for x in row) for row in cartan)
         self.rank = len(self.cartan)
         self._validate_cartan()
-        if symmetrizer is None:
-            symmetrizer = self._derive_symmetrizer()
-        self.symmetrizer = _fracs(symmetrizer)
-        if len(self.symmetrizer) != self.rank or any(d <= 0 for d in self.symmetrizer):
-            raise ConfigurationError("symmetrizer must be rank positive rationals")
-        for i in range(self.rank):
-            for j in range(self.rank):
-                if self.symmetrizer[i] * self.cartan[i][j] != self.symmetrizer[j] * self.cartan[j][i]:
-                    raise ConfigurationError("symmetrizer does not symmetrize the Cartan matrix")
+        self.symmetrizer = self._derive_symmetrizer()
         self._check_positive_definite()
         identity = [[int(i == j) for j in range(self.rank)] for i in range(self.rank)]
         self.cartan_inverse = tuple(zip(*_gauss_jordan(self.cartan, identity)[1]))
@@ -224,7 +219,9 @@ class AlgebraSpec:
                         raise ConfigurationError("Cartan zero pattern must be symmetric")
 
     def _derive_symmetrizer(self):
-        # Propagate d_i A_ij = d_j A_ji along the Dynkin graph.
+        # Propagate d_i A_ij = d_j A_ji along the Dynkin graph.  The zero
+        # pattern is symmetric and off-diagonal entries are <= 0, so every
+        # ratio is positive and so is every d_i.
         d = [None] * self.rank
         for start in range(self.rank):
             if d[start] is not None:
@@ -341,28 +338,6 @@ def algebra_memo(fn):
     return memoised
 
 
-def weyl_vector(spec: AlgebraSpec) -> AffineWeight:
-    """All Dynkin labels 1 (including the zeroth); level is the dual Coxeter number."""
-    return AffineWeight((1,) * spec.rank, spec.dual_coxeter, 0)
-
-
-def inner_product(spec: AlgebraSpec, a: AffineWeight, b: AffineWeight) -> Fraction:
-    """Symmetric invariant form.
-
-    On classical parts this is the positive-definite symmetrized form;
-    the grade direction is isotropic and pairs with the level.
-    """
-    spec.check_rank(a)
-    spec.check_rank(b)
-    classical = classical_inner(spec, a.labels, b.labels)
-    return classical + a.level * b.grade + b.level * a.grade
-
-
-def classical_inner(spec: AlgebraSpec, la, lb) -> Fraction:
-    y = _apply(spec.cartan_inverse, lb)
-    return sum(l * d * c for l, d, c in zip(la, spec.symmetrizer, y))
-
-
 def to_root_basis(spec: AlgebraSpec, w: AffineWeight) -> tuple[Fraction, ...]:
     """Classical part in simple-root coordinates (display basis)."""
     spec.check_rank(w)
@@ -413,9 +388,9 @@ def _a_series(rank: int):
 
 
 _PRESETS = {
-    "A1": lambda: AlgebraSpec("A1", _a_series(1), [1]),
-    "A2": lambda: AlgebraSpec("A2", _a_series(2), [1, 1]),
-    "A3": lambda: AlgebraSpec("A3", _a_series(3), [1, 1, 1]),
+    "A1": lambda: AlgebraSpec("A1", _a_series(1)),
+    "A2": lambda: AlgebraSpec("A2", _a_series(2)),
+    "A3": lambda: AlgebraSpec("A3", _a_series(3)),
 }
 
 _preset_cache: dict[str, AlgebraSpec] = {}
@@ -434,8 +409,9 @@ def preset(name: str) -> AlgebraSpec:
 def load_algebra(source: str) -> AlgebraSpec:
     """Resolve a preset name or a JSON config file path.
 
-    Config schema: {"label": "A2", "cartan": [[2,-1],[-1,2]], "symmetrizer": [1,1]}
-    (the symmetrizer may be omitted for symmetrizable matrices).
+    Config schema: {"label": "A2", "cartan": [[2,-1],[-1,2]]}.  The
+    symmetrizer is derived from the Cartan matrix, so a config that names
+    one is refused rather than read.
     """
     if source in _PRESETS:
         return preset(source)
@@ -448,11 +424,12 @@ def load_algebra(source: str) -> AlgebraSpec:
         raise ConfigurationError(f"invalid JSON in {source!r}: {exc}") from exc
     if not isinstance(data, dict) or "cartan" not in data:
         raise ConfigurationError(f"algebra config {source!r} must define 'cartan'")
-    try:
-        return AlgebraSpec(
-            data.get("label", source),
-            data["cartan"],
-            data.get("symmetrizer"),
+    if "symmetrizer" in data:
+        raise ConfigurationError(
+            f"algebra config {source!r} names 'symmetrizer'; the symmetrizer is "
+            "derived from the Cartan matrix, so remove the key"
         )
+    try:
+        return AlgebraSpec(data.get("label", source), data["cartan"])
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigurationError(f"bad algebra config {source!r}: {exc}") from exc

@@ -81,13 +81,11 @@ class CongruenceClassifier:
         self._adj = tuple(tuple(int(self._det * x) for x in row) for row in spec.cartan_inverse)
 
     def id_of(self, labels) -> CongruenceClassId:
-        labels = tuple(labels)
+        labels = tuple(_integer_entry(x, "Dynkin label") for x in labels)
         if len(labels) != self.spec.rank:
             raise ConfigurationError("label length does not match rank")
-        if any(Fraction(x).denominator != 1 for x in labels):
-            raise ConfigurationError("congruence classes need integral Dynkin labels")
         return CongruenceClassId(
-            tuple(sum(a * int(x) for a, x in zip(row, labels)) % self._det for row in self._adj)
+            tuple(sum(a * x for a, x in zip(row, labels)) % self._det for row in self._adj)
         )
 
 
@@ -103,6 +101,7 @@ def enumerate_class_weights(spec: AlgebraSpec, level: int, /) -> dict:
     Within a class, weights are ordered by their simple-root coordinates,
     the order level-plane tables are conventionally listed in.
     """
+    level = _integer_entry(level, "level")
     if level < 1:
         raise ConfigurationError("level must be >= 1")
     classify = classifier_for(spec)
@@ -291,8 +290,9 @@ def module_class(spec: AlgebraSpec, mu_labels, level: int) -> tuple[BaseWeightSe
     of the level (non-negative labels, zeroth label >= 0), and the one
     lookup of its congruence class.  Returns (base weight set, mu index).
     """
+    mu_labels = tuple(_integer_entry(x, "Dynkin label") for x in mu_labels)
+    level = _integer_entry(level, "level")
     classes = enumerate_class_weights(spec, level)
-    mu_labels = tuple(mu_labels)
     if any(x < 0 for x in mu_labels):
         raise ConfigurationError("highest weight labels must be non-negative")
     label0 = level - sum(c * x for c, x in zip(spec.comarks, mu_labels))
@@ -311,7 +311,11 @@ def weight_multiplicity(spec: AlgebraSpec, table: StringTable, lam: AffineWeight
     labels look the string up; no `AffineWeight` is built.  A weight whose
     reduction outruns the step budget has multiplicity 0 if the invariant
     form puts its string point above grade 0; otherwise the error stands.
+    A table of an algebra with another Cartan matrix raises
+    `ConfigurationError`.
     """
+    if spec is not table.algebra:
+        _check_table_algebra(spec, table)
     spec.check_rank(lam)
     if lam.level != table.level:
         raise ConfigurationError(
@@ -334,6 +338,15 @@ def weight_multiplicity(spec: AlgebraSpec, table: StringTable, lam: AffineWeight
     # A dominant level-k weight of the module's class is a base weight.
     s = table.base.positions.get(outcome.labels[1:])
     return 0 if s is None else table.coefficients[s][-grade]
+
+
+def _check_table_algebra(spec: AlgebraSpec, table: StringTable):
+    # An algebra is its Cartan matrix: equal matrices give equal tables.
+    if spec.cartan != table.algebra.cartan:
+        raise ConfigurationError(
+            f"table of algebra {table.algebra.label} cannot be read with algebra "
+            f"{spec.label}: their Cartan matrices differ"
+        )
 
 
 def _priced_above_grade0(spec: AlgebraSpec, lam: AffineWeight) -> bool:
@@ -364,8 +377,11 @@ def character(spec: AlgebraSpec, table: StringTable, window) -> list:
     walk keeps integer labels, each orbit point's classical labels sliced
     once; one `AffineWeight` is built per weight returned, straight from
     those int labels, with no normalising.  Pairs come by grade
-    descending, then by classical labels ascending.
+    descending, then by classical labels ascending.  A table of an algebra
+    with another Cartan matrix raises `ConfigurationError`.
     """
+    if spec is not table.algebra:
+        _check_table_algebra(spec, table)
     top, bottom = _normalize_window(window)
     if bottom < table.cutoff:
         raise OutOfWindowError(

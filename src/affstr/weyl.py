@@ -33,7 +33,7 @@ from __future__ import annotations
 from collections import namedtuple
 from operator import mul
 
-from .algebra import AffineWeight, AlgebraSpec
+from .algebra import AffineWeight, AlgebraSpec, _integer_entry
 from .errors import ConfigurationError, NonterminationError
 
 __all__ = [
@@ -135,6 +135,7 @@ def apply_word(spec: AlgebraSpec, word, w: AffineWeight) -> AffineWeight:
     labels = list(spec.affine_labels(w))
     grade = w.grade
     for i in word:
+        i = _integer_entry(i, "reflection index")
         if not 0 <= i <= spec.rank:
             raise ConfigurationError(f"reflection index {i} out of range 0..{spec.rank}")
         li = labels[i]

@@ -12,13 +12,11 @@ from affstr import (
     AffineWeight,
     AlgebraSpec,
     ConfigurationError,
-    inner_product,
     load_algebra,
     to_root_basis,
-    weyl_vector,
 )
 from affstr.algebra import _PRESETS, _gauss_jordan
-from weyl_reference import from_root_basis
+from weyl_reference import from_root_basis, inner_product, weyl_vector
 
 CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "configs"
 

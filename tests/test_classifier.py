@@ -17,7 +17,7 @@ def lattice_member(spec, vector):
 
 CLASSIFIER_CONFIGS = {
     # det 2
-    "B2": {"label": "B2", "cartan": [[2, -2], [-1, 2]], "symmetrizer": [1, 2]},
+    "B2": {"label": "B2", "cartan": [[2, -2], [-1, 2]]},
     # weight/root quotient Z2 x Z2, not cyclic
     "D4": {
         "label": "D4",

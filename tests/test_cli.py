@@ -52,6 +52,16 @@ def test_invalid_algebra_file(capsys, tmp_path):
     assert err.startswith("error:") and "-1.5" in err
 
 
+def test_config_naming_a_symmetrizer_exits_2(capsys, tmp_path):
+    # the symmetrizer is derived from the Cartan matrix; the key is refused,
+    # never ignored
+    b2 = tmp_path / "b2.json"
+    b2.write_text(json.dumps({"label": "B2", "cartan": [[2, -2], [-1, 2]], "symmetrizer": [1, 2]}))
+    code, out, err = run(capsys, "fan", "--algebra", str(b2), "--cutoff", "0")
+    assert code == 2 and out == ""
+    assert "'symmetrizer'" in err and "derived" in err
+
+
 def test_inconsistent_mu_level(capsys):
     code, _, err = run(capsys, "strings", "--level", "1", "--mu", "2,0", "--cutoff", "4")
     assert code == 2 and "zeroth label" in err

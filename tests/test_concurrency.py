@@ -43,7 +43,7 @@ def test_parallel_folded_fan_builds():
     # Each call gets a fresh algebra, so the per-algebra memo serves
     # nothing and every thread builds its own fan, classes and folds.
     def fold_all(_):
-        spec = AlgebraSpec("A2", [[2, -1], [-1, 2]], [1, 1])
+        spec = AlgebraSpec("A2", [[2, -1], [-1, 2]])
         return [
             [f.entries for f in build_folded_fans(spec, base, 6)[0]]
             for base in enumerate_class_weights(spec, 4).values()

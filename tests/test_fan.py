@@ -10,11 +10,11 @@ from affstr import (
     preset,
     to_dominant,
     verify_denominator,
-    weyl_vector,
 )
 from affstr import fan as fan_module
 from affstr.fan import Fan, _denominator_series, _euler_power
 from fan_reference import fan_vector
+from weyl_reference import weyl_vector
 
 
 GRADE0_A2 = {((0, 1), 0): 1, ((1, 0), 0): 1, ((2, 1), 0): -1, ((1, 2), 0): -1, ((2, 2), 0): 1}
@@ -66,10 +66,19 @@ INLINE_CARTAN = {
     "G2": [[2, -1], [-3, 2]],
     "B2": [[2, -2], [-1, 2]],
     "C2": [[2, -1], [-2, 2]],
-    "B3": [[2, -1, 0], [-1, 2, -2], [0, -1, 2]],
-    "C3": [[2, -1, 0], [-1, 2, -1], [0, -2, 2]],
+    "B3": [[2, -1, 0], [-1, 2, -1], [0, -2, 2]],
+    "C3": [[2, -1, 0], [-1, 2, -2], [0, -1, 2]],
     "D4": [[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]],
 }
+
+# h^vee of each inline algebra: A_n n+1, B_n 2n-1, C_n n+1, D_n 2n-2, G2 4
+DUAL_COXETER = {"A4": 5, "G2": 4, "B2": 3, "C2": 3, "B3": 5, "C3": 4, "D4": 6}
+
+
+@pytest.mark.parametrize("name", sorted(INLINE_CARTAN))
+def test_inline_cartan_names_match_dual_coxeter(name):
+    # A_ij = <alpha_i^vee, alpha_j>: B3's short simple root is the last one
+    assert AlgebraSpec(name, INLINE_CARTAN[name]).dual_coxeter == DUAL_COXETER[name]
 
 
 @pytest.mark.parametrize(
@@ -166,7 +175,7 @@ def test_random_shifted_orbit_points_are_in_fan(a2):
     # whenever its grade fits the cutoff
     import random
 
-    from affstr.algebra import to_root_basis, weyl_vector
+    from affstr.algebra import to_root_basis
     from affstr.weyl import apply_word
 
     fan = build_fan(a2, 9)
@@ -193,8 +202,8 @@ def test_fan_determinism():
     # fresh algebra instances bypass the build cache
     import json
 
-    one = build_fan(AlgebraSpec("A2", [[2, -1], [-1, 2]], [1, 1]), 5)
-    two = build_fan(AlgebraSpec("A2", [[2, -1], [-1, 2]], [1, 1]), 5)
+    one = build_fan(AlgebraSpec("A2", [[2, -1], [-1, 2]]), 5)
+    two = build_fan(AlgebraSpec("A2", [[2, -1], [-1, 2]]), 5)
     assert json.dumps(one.to_json()) == json.dumps(two.to_json())
 
 
@@ -206,7 +215,7 @@ def test_rank_zero_degenerate():
 
 
 def test_node_budget(monkeypatch):
-    spec = AlgebraSpec("A2", [[2, -1], [-1, 2]], [1, 1])
+    spec = AlgebraSpec("A2", [[2, -1], [-1, 2]])
     monkeypatch.setattr(fan_module, "DEFAULT_NODE_LIMIT", 10)
     with pytest.raises(ResourceLimitError, match="exceeded 10 nodes"):
         build_fan(spec, 9)

@@ -13,12 +13,13 @@ from affstr import (
     level1_eta_series,
 )
 from affstr import folding
-from affstr.algebra import AlgebraSpec, classical_inner
+from affstr.algebra import AlgebraSpec
 from affstr.folding import BaseWeightSet
 from affstr.fan import Fan
 from affstr.strings import _priced_above_grade0, classifier_for, enumerate_class_weights
 from fan_reference import fan_vector, root_labels
 from fold_reference import folded_entries
+from weyl_reference import classical_inner
 
 
 def class_of(spec, labels, level):

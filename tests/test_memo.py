@@ -9,7 +9,7 @@ from affstr.strings import classifier_for, enumerate_class_weights
 
 
 def fresh_a2():
-    return AlgebraSpec("A2", [[2, -1], [-1, 2]], [1, 1])
+    return AlgebraSpec("A2", [[2, -1], [-1, 2]])
 
 
 def test_repeat_calls_on_one_spec_share_one_object():

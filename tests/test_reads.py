@@ -9,9 +9,11 @@ from hypothesis import given, settings, strategies as st
 import weyl_reference as reference
 from affstr import (
     AffineWeight,
+    ConfigurationError,
     NonterminationError,
     RacahOracle,
     build_fan,
+    character,
     load_algebra,
     string_table,
     to_dominant,
@@ -147,3 +149,21 @@ def test_priced_reads_are_sound(modules, oracles, data):
             assert oracles[name].multiplicity(lam) == truth
         except NonterminationError:
             pass
+
+
+def test_reads_refuse_a_table_of_another_algebra(a2):
+    # A G2 read of an A2 table gave 0 for a multiplicity of 32 and listed
+    # 39 pairs for a window of 27.
+    table = string_table(a2, (0, 0), 2, -6)
+    lam = a2.weight((1, 1), 2, -4)
+    g2 = load_algebra(str(CONFIGS / "G2.json"))
+    with pytest.raises(ConfigurationError, match="Cartan matrices differ"):
+        weight_multiplicity(g2, table, lam)
+    with pytest.raises(ConfigurationError, match="Cartan matrices differ"):
+        character(g2, table, 2)
+    # An algebra is its Cartan matrix: a JSON A2 reads the preset's table.
+    json_a2 = load_algebra(str(CONFIGS / "A2.json"))
+    assert json_a2 is not a2
+    assert weight_multiplicity(json_a2, table, lam) == 32
+    pairs = character(json_a2, table, 2)
+    assert len(pairs) == 27 and pairs == character(a2, table, 2)

@@ -19,6 +19,7 @@ from affstr.strings import (
     assemble_system,
     classifier_for,
     enumerate_class_weights,
+    module_class,
     solve_strings,
 )
 from affstr.weyl import apply_word
@@ -237,6 +238,27 @@ def test_solver_rejects_corrupted_folding(a2):
     corrupted.entries[(0, 1)] = corrupted.entries.get((0, 1), 0) - 9
     with pytest.raises(ConsistencyError):
         solve_strings(assemble_system(base, (corrupted, folded[1]), 0, -6))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda a2: module_class(a2, ("1", 0), 2), id="module_class-str-label"),
+        pytest.param(lambda a2: module_class(a2, (None, 0), 2), id="module_class-None-label"),
+        pytest.param(lambda a2: module_class(a2, (0.5, 0), 2), id="module_class-half-label"),
+        pytest.param(lambda a2: module_class(a2, (0, 0), 1.5), id="module_class-level"),
+        pytest.param(lambda a2: enumerate_class_weights(a2, 1.5), id="class_weights-level"),
+        pytest.param(lambda a2: classifier_for(a2).id_of((0, "1")), id="id_of-str-label"),
+        pytest.param(
+            lambda a2: apply_word(a2, [1.5], a2.weight((1, 0), 1, 0)), id="apply_word-index"
+        ),
+    ],
+)
+def test_malformed_integer_input_is_a_configuration_error(a2, call):
+    # the classifier read the string "1" as 1, a half label was refused
+    # already, and the others raised a bare TypeError
+    with pytest.raises(ConfigurationError, match="is not an integer"):
+        call(a2)
 
 
 def test_string_table_rejects_bad_mu(a2):

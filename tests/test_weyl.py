@@ -12,15 +12,20 @@ from affstr import (
     ConfigurationError,
     NonterminationError,
     character,
-    inner_product,
     string_table,
     to_dominant,
-    weyl_vector,
 )
 from affstr.algebra import load_algebra
 from affstr import strings, weyl
 from affstr.weyl import apply_word
-from weyl_reference import from_root_basis, shifted_reflect, translate, translation_datum
+from weyl_reference import (
+    from_root_basis,
+    inner_product,
+    shifted_reflect,
+    translate,
+    translation_datum,
+    weyl_vector,
+)
 
 
 labels2 = st.tuples(st.integers(-8, 8), st.integers(-8, 8))

@@ -8,6 +8,9 @@ before its integer kernel and is the oracle the kernel is tested against;
 `orbit` is the brute-force orbit the walks are tested against.
 The translation helpers decompose a reducing element as t . s, and
 `from_root_basis` builds a weight from simple-root coordinates.
+`classical_inner` and `inner_product` are the invariant form in
+`Fraction`s, the reference for the package's integer `form_gram`, and
+`weyl_vector` is rho.
 """
 
 from __future__ import annotations
@@ -15,8 +18,33 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from affstr import AffineWeight, NonterminationError, weyl_vector
-from affstr.algebra import classical_inner, to_root_basis
+from affstr import AffineWeight, NonterminationError
+from affstr.algebra import to_root_basis
+
+
+def weyl_vector(spec):
+    """All Dynkin labels 1 (including the zeroth); level is the dual Coxeter number."""
+    return AffineWeight((1,) * spec.rank, spec.dual_coxeter, 0)
+
+
+def inner_product(spec, a, b):
+    """Symmetric invariant form.
+
+    On classical parts this is the positive-definite symmetrized form;
+    the grade direction is isotropic and pairs with the level.
+    """
+    spec.check_rank(a)
+    spec.check_rank(b)
+    classical = classical_inner(spec, a.labels, b.labels)
+    return classical + a.level * b.grade + b.level * a.grade
+
+
+def classical_inner(spec, la, lb):
+    """(la|lb) = sum_i la_i d_i (A^-1 lb)_i on classical Dynkin labels."""
+    return sum(
+        l * d * sum(x * y for x, y in zip(row, lb))
+        for l, d, row in zip(la, spec.symmetrizer, spec.cartan_inverse)
+    )
 
 
 def from_root_basis(spec, coords, level=0, grade=0):
