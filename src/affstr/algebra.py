@@ -30,7 +30,6 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
@@ -72,17 +71,15 @@ def _integer_entry(x, what: str = "Cartan entry") -> int:
 _INT = frozenset((int,))
 
 
-@dataclass(frozen=True, slots=True, init=False)
 class AffineWeight:
     """A weight (classical part; level; grade) in the Dynkin-label basis.
 
     Components are exact rationals, stored as int when integral.  Labels
     that are all ints already, the common case, are kept as they are.
+    Instances are immutable and compare and hash by (labels, level, grade).
     """
 
-    labels: tuple
-    level: object
-    grade: object
+    __slots__ = ("labels", "level", "grade")
 
     def __init__(self, labels, level, grade):
         labels = tuple(labels)
@@ -121,12 +118,29 @@ class AffineWeight:
     def shift_grade(self, dn) -> "AffineWeight":
         return AffineWeight(self.labels, self.level, self.grade + _norm(dn))
 
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.labels, self.level, self.grade) == (other.labels, other.level, other.grade)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.labels, self.level, self.grade))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an AffineWeight")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of an AffineWeight")
+
+    def __reduce__(self):
+        return self.__class__, (self.labels, self.level, self.grade)
+
     def __repr__(self):
         lab = ",".join(str(x) for x in self.labels)
         return f"({lab};{self.level};{self.grade})"
 
 
-# The slots' own setters: the frozen class refuses plain assignment.
+# The slots' own setters: the class refuses plain assignment.
 _set_labels = AffineWeight.labels.__set__
 _set_level = AffineWeight.level.__set__
 _set_grade = AffineWeight.grade.__set__

@@ -16,7 +16,6 @@ import json
 import os
 import sys
 
-from . import verify as verify_mod
 from .algebra import load_algebra, to_root_basis
 from .errors import AffstrError, ConfigurationError, ConsistencyError, OutOfWindowError
 from .fan import build_fan, verify_denominator
@@ -292,7 +291,10 @@ def cmd_character(args) -> str:
 
 
 def cmd_verify(args) -> str:
-    results = verify_mod.run_all(args.fixtures)
+    # Imported here: no other command needs the fixture harness.
+    from . import verify
+
+    results = verify.run_all(args.fixtures)
     lines = [r.line() for r in results]
     failed = sum(not r.ok for r in results)
     lines.append(f"{len(results) - failed} of {len(results)} checks passed")

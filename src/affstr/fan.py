@@ -29,7 +29,6 @@ addition; the keys are unpacked once, at the end.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isqrt
 from operator import mul
 from typing import NamedTuple
@@ -126,8 +125,7 @@ def build_fan(spec: AlgebraSpec, cutoff: int, /) -> Fan:
 # -- denominator identity -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DenominatorReport:
+class DenominatorReport(NamedTuple):
     """Outcome of the truncated denominator check; falsy iff a term differs."""
 
     ok: bool

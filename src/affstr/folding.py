@@ -46,8 +46,8 @@ so a class is folded once however many of its modules are solved.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from operator import add, mul
+from typing import NamedTuple
 
 from .algebra import AffineWeight, AlgebraSpec, algebra_memo
 from .errors import CongruenceError, ConfigurationError, ConventionError
@@ -62,32 +62,49 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class BaseWeightSet:
-    """Ordered dominant level-k grade-0 weights of one congruence class."""
+    """Ordered dominant level-k grade-0 weights of one congruence class.
 
-    algebra: AlgebraSpec
-    level: int
-    weights: tuple[AffineWeight, ...]
-    class_id: object = None
+    Sets with equal algebra, level, weights and class id are equal and hash
+    alike: build_folded_fans keys its memo by the set.
+    """
 
-    def __post_init__(self):
-        if not self.weights:
+    def __init__(
+        self, algebra: AlgebraSpec, level: int, weights: tuple[AffineWeight, ...], class_id=None
+    ):
+        if not weights:
             raise ConfigurationError("base weight set is empty")
         positions = {}
-        for i, w in enumerate(self.weights):
-            if w.level != self.level or w.grade != 0:
+        for i, w in enumerate(weights):
+            if w.level != level or w.grade != 0:
                 raise ConfigurationError("base weights must sit at grade 0 of the level plane")
-            if not self.algebra.is_dominant(w):
+            if not algebra.is_dominant(w):
                 raise ConfigurationError(f"base weight {w} is not dominant")
             if w.labels in positions:
                 raise ConfigurationError("base weights must be distinct")
             positions[w.labels] = i
+        self.algebra = algebra
+        self.level = level
+        self.weights = weights
+        self.class_id = class_id
         # labels -> position in `weights`, and form_scale * |xi|^2 of each
-        # weight, the class norms folds are priced with; not dataclass fields.
-        object.__setattr__(self, "positions", positions)
-        norm = self.algebra.form_norm
-        object.__setattr__(self, "norms", tuple(norm(w.labels) for w in self.weights))
+        # weight, the class norms folds are priced with.
+        self.positions = positions
+        self.norms = tuple(algebra.form_norm(w.labels) for w in weights)
+
+    def _key(self):
+        return self.algebra, self.level, self.weights, self.class_id
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return f"BaseWeightSet{self._key()!r}"
 
     def __len__(self):
         return len(self.weights)
@@ -103,8 +120,7 @@ class BaseWeightSet:
             raise CongruenceError(f"labels {target} not in base weight set") from None
 
 
-@dataclass
-class FoldedFan:
+class FoldedFan(NamedTuple):
     """Shift multiplicities eta for one base weight.
 
     `entries` maps (target index, grade offset) to the accumulated
@@ -114,7 +130,7 @@ class FoldedFan:
 
     base_index: int
     cutoff: int
-    entries: dict = field(default_factory=dict)
+    entries: dict
 
     def eta(self, target: int, grade: int) -> int:
         return self.entries.get((target, grade), 0)

@@ -26,8 +26,8 @@ fans they are solved from: the modules of one class share a single fold.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .algebra import (
     _INT, AffineWeight, AlgebraSpec, _gauss_jordan, _integer_entry, algebra_memo,
@@ -57,8 +57,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CongruenceClassId:
+class CongruenceClassId(NamedTuple):
     """Residues of the classical part in the weight/root lattice quotient."""
 
     residue: tuple[int, ...]
@@ -125,8 +124,7 @@ def _dominant_labels(comarks, budget, prefix=()):
         yield from _dominant_labels(rest, budget - head * x, prefix + (x,))
 
 
-@dataclass
-class BlockSystem:
+class BlockSystem(NamedTuple):
     """The square system determining all strings of one congruence class.
 
     Block (j, s) is the upper-triangular Toeplitz matrix of the folded
@@ -144,7 +142,7 @@ class BlockSystem:
 
     def grade_matrix(self, n: int):
         p = len(self.base)
-        return [[self.eta(j, s, n) for s in range(p)] for j in range(p)]
+        return [[ff.eta(s, n) for s in range(p)] for ff in self.folded]
 
 
 def assemble_system(base: BaseWeightSet, folded, mu_index: int, u: int) -> BlockSystem:
@@ -167,8 +165,7 @@ def assemble_system(base: BaseWeightSet, folded, mu_index: int, u: int) -> Block
     return BlockSystem(base, mu_index, depth, folded)
 
 
-@dataclass
-class StringTable:
+class StringTable(NamedTuple):
     """String function coefficients m_{s,n} for one module, n = 0..depth."""
 
     algebra: AlgebraSpec
@@ -314,12 +311,13 @@ def weight_multiplicity(spec: AlgebraSpec, table: StringTable, lam: AffineWeight
     A table of an algebra with another Cartan matrix raises
     `ConfigurationError`.
     """
-    if spec is not table.algebra:
+    algebra, base, _, cutoff, coefficients = table
+    if spec is not algebra:
         _check_table_algebra(spec, table)
     spec.check_rank(lam)
-    if lam.level != table.level:
+    if lam.level != base.level:
         raise ConfigurationError(
-            f"weight level {lam.level} does not match module level {table.level}"
+            f"weight level {lam.level} does not match module level {base.level}"
         )
     # Every weight of the module has integral labels and grade.
     if type(lam.grade) is not int or not _INT.issuperset(map(type, lam.labels)):
@@ -333,11 +331,11 @@ def weight_multiplicity(spec: AlgebraSpec, table: StringTable, lam: AffineWeight
     grade = outcome.grade
     if grade > 0:
         return 0
-    if grade < table.cutoff:
-        raise OutOfWindowError(f"grade {grade} is beyond the computed cutoff {table.cutoff}")
+    if grade < cutoff:
+        raise OutOfWindowError(f"grade {grade} is beyond the computed cutoff {cutoff}")
     # A dominant level-k weight of the module's class is a base weight.
-    s = table.base.positions.get(outcome.labels[1:])
-    return 0 if s is None else table.coefficients[s][-grade]
+    s = base.positions.get(outcome.labels[1:])
+    return 0 if s is None else coefficients[s][-grade]
 
 
 def _check_table_algebra(spec: AlgebraSpec, table: StringTable):

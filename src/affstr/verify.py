@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import pathlib
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .algebra import algebra_memo, load_algebra
 from .errors import ConfigurationError
@@ -33,8 +33,7 @@ _RNG_SEED = 20081212
 _ORBIT_SAMPLES = 100
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     ok: bool
     detail: str = ""

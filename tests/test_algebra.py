@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import json
 import pathlib
 import pickle
@@ -248,8 +247,11 @@ def test_affine_weight_is_built_once_and_frozen():
     fracs = AffineWeight((Fraction(6, 2), Fraction(-3, 3)), Fraction(2), Fraction(-8, 2))
     assert ints == fracs and hash(ints) == hash(fracs)
     assert repr(ints) == repr(fracs) == "(3,-1;2;-4)"
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         w.grade = 0
+    with pytest.raises(AttributeError):
+        del w.labels
+    assert (w.labels, w.level, w.grade) == ((2, Fraction(1, 2)), 2, -2)
     assert not hasattr(w, "__dict__")
     for twin in (pickle.loads(pickle.dumps(w)), copy.deepcopy(w)):
         assert twin == w and hash(twin) == hash(w)

@@ -1,10 +1,13 @@
-import dataclasses
 import json
+import os
 import pathlib
 import shutil
+import subprocess
+import sys
 
 import pytest
 
+import affstr
 from affstr import build_fan, build_folded_fans, cli, string_table, weyl
 from affstr.cli import main
 from affstr.strings import module_class
@@ -109,7 +112,7 @@ def test_strings_verify_checks_every_depth(capsys, monkeypatch):
         table = solve(*args)
         rows = [list(r) for r in table.coefficients]
         rows[2][8] += 1
-        return dataclasses.replace(table, coefficients=tuple(map(tuple, rows)))
+        return table._replace(coefficients=tuple(map(tuple, rows)))
 
     monkeypatch.setattr(cli, "string_table", off_by_one_at_depth_8)
     code, _, err = run(
@@ -367,3 +370,24 @@ def test_verify_locates_injected_fault(tmp_path, capsys):
     assert any(
         line.startswith("FAIL") and "class I" in line for line in out.splitlines()
     )
+
+
+def test_cold_start_imports_neither_dataclasses_nor_verify():
+    # One fresh interpreter: pytest itself has imported dataclasses here.
+    # A command other than `verify` must not pay for either module.
+    src = pathlib.Path(affstr.__file__).resolve().parents[1]
+    program = (
+        "import sys, affstr, affstr.cli\n"
+        "code = affstr.cli.main(['mult', '--algebra', 'A2', '--level', '1', '--mu', '0,0',\n"
+        "                        '--cutoff', '4', '--weight', '1,0', '--grade', '-1'])\n"
+        "print(sorted({'dataclasses', 'affstr.verify'} & set(sys.modules)), code)\n"
+    )
+    path = [str(src), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.run(
+        [sys.executable, "-c", program], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    answer, loaded = proc.stdout.splitlines()
+    assert answer.endswith("in L^[0, 0] at level 1: 0")
+    assert loaded == "[] 0"

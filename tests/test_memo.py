@@ -1,11 +1,21 @@
 import concurrent.futures
 import gc
 import weakref
+from fractions import Fraction
 
 import pytest
 
-from affstr import AlgebraSpec, build_fan, build_folded_fans, string_table
-from affstr.strings import classifier_for, enumerate_class_weights
+from affstr import (
+    AffineWeight,
+    AlgebraSpec,
+    BaseWeightSet,
+    build_fan,
+    build_folded_fans,
+    string_table,
+    verify_denominator,
+)
+from affstr.strings import classifier_for, enumerate_class_weights, module_class
+from affstr.verify import CheckResult
 
 
 def fresh_a2():
@@ -66,3 +76,33 @@ def test_threads_racing_on_one_key_share_the_first_value():
     with concurrent.futures.ThreadPoolExecutor(max_workers=4) as pool:
         tables = list(pool.map(lambda _: string_table(spec, (0, 0), 2, -8), range(8)))
     assert all(table is tables[0] for table in tables)
+
+
+def test_equal_base_weight_sets_share_one_fold():
+    # build_folded_fans keys its memo by value: a base weight set rebuilt
+    # from fresh weights finds the fold of the first
+    spec = fresh_a2()
+    base, _ = module_class(spec, (1, 0), 2)
+    weights = tuple(AffineWeight(w.labels, w.level, w.grade) for w in base)
+    twin = BaseWeightSet(spec, base.level, weights, base.class_id)
+    assert twin is not base and twin == base and hash(twin) == hash(base)
+    assert build_folded_fans(spec, twin, 4) is build_folded_fans(spec, base, 4)
+    assert BaseWeightSet(spec, base.level, weights) != base
+
+
+def test_record_hashes_and_reprs_are_unchanged(a2):
+    # set and dict orders, and every printed record, stay as they were
+    for w in (AffineWeight((1, 0), 1, -2), AffineWeight((Fraction(1, 2), 3), 2, 0)):
+        assert hash(w) == hash((w.labels, w.level, w.grade))
+    report = verify_denominator(build_fan(a2, 3))
+    assert repr(report) == "DenominatorReport(ok=True, mismatch=None, checked_terms=23)"
+    assert repr(CheckResult("fan", False, "grade 2")) == (
+        "CheckResult(name='fan', ok=False, detail='grade 2')"
+    )
+    base, _ = module_class(a2, (1, 0), 2)
+    assert repr(build_folded_fans(a2, base, 2)[0][1]) == (
+        "FoldedFan(base_index=1, cutoff=2, "
+        "entries={(1, 0): -1, (0, 1): 2, (0, 2): -1, (1, 2): 1})"
+    )
+    assert repr(base.class_id) == "class(2, 1)"
+    assert repr(classifier_for(a2).id_of((1, 1))) == "class(0, 0)"

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 import sys
 
@@ -156,7 +155,7 @@ def test_two_path_mismatches_lists_every_disagreement(a2):
     rows = [list(r) for r in table.coefficients]
     rows[0][3] += 1
     rows[1][6] -= 2
-    bad = dataclasses.replace(table, coefficients=tuple(map(tuple, rows)))
+    bad = table._replace(coefficients=tuple(map(tuple, rows)))
     assert two_path_mismatches(bad, oracle) == [
         (0, 3, table.coefficients[0][3] + 1, table.coefficients[0][3]),
         (1, 6, table.coefficients[1][6] - 2, table.coefficients[1][6]),

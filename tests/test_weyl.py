@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import pathlib
 import random
@@ -355,8 +354,11 @@ def test_character_weights_are_plain_int_weights(kernel_specs, name, mu, level, 
         assert {type(x) for x in (*w.labels, w.level, w.grade)} == {int}
         same = AffineWeight(w.labels, w.level, w.grade)
         assert w == same and hash(w) == hash(same)
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             w.grade = 0
+        with pytest.raises(AttributeError):
+            del w.labels
+        assert w == same
 
 
 def test_character_walks_no_string_below_its_window(a2, monkeypatch):
