@@ -26,12 +26,6 @@ from .folding import (
     build_folded_fan,
     build_folded_fans,
 )
-from .oracle import (
-    RacahOracle,
-    euler_square_series,
-    level1_eta_series,
-    two_path_mismatches,
-)
 from .strings import (
     BlockSystem,
     CongruenceClassId,
@@ -47,3 +41,15 @@ from .strings import (
 from .weyl import WeylOutcome, to_dominant
 
 __version__ = "0.1.0"
+
+_ORACLE_NAMES = ("RacahOracle", "euler_square_series", "level1_eta_series", "two_path_mismatches")
+
+
+def __getattr__(name):
+    # The oracle module is imported on first use: only the two-path checks
+    # need it, so no other command pays for compiling it.
+    if name in _ORACLE_NAMES:
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

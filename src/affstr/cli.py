@@ -20,7 +20,6 @@ from .algebra import load_algebra, to_root_basis
 from .errors import AffstrError, ConfigurationError, ConsistencyError, OutOfWindowError
 from .fan import build_fan, verify_denominator
 from .folding import build_folded_fans
-from .oracle import RacahOracle, two_path_mismatches
 from .strings import character, module_class, string_table, weight_multiplicity
 
 EXIT_OK = 0
@@ -200,6 +199,9 @@ def cmd_strings(args) -> str:
     spec, mu = _class_data(args)
     table = string_table(spec, mu, args.level, -args.cutoff)
     if args.verify:
+        # Imported here: no other command needs the unfolded recursion.
+        from .oracle import RacahOracle, two_path_mismatches
+
         # string_table cached the fan built to the cutoff; the oracle reuses it.
         oracle = RacahOracle(spec, table.mu, build_fan(spec, args.cutoff))
         mismatches = two_path_mismatches(table, oracle)

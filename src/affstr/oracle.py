@@ -23,6 +23,18 @@ norm and the bound from its own integer Gram matrix of the fundamental
 weights, built from the Cartan data, never from the norms the fold prices
 with, so one wrong number cannot make both paths skip the same term.
 
+Only the singular term depends on the highest weight.  The Gram matrix,
+the priced shifts and each state's expansion (its children with summed
+multiplicities, and its rho-shifted reduction) are computed once per
+algebra, fan object and level, and shared by every oracle on them
+(algebra.algebra_memo), so the modules of one class reduce each state's
+shifts once.  Per dominant labels the shifts are kept sorted by their
+grade-free price, and a state at any grade takes the prefix its bound
+admits.  Sharing keeps the check independent of the fold: every admitted
+shift is still reduced at its state's own grade and checked against the
+identity, nothing is reused across grades, and an expansion that raises
+is not kept.
+
 The level-1 closed forms are pure q-series: the single string function
 is the reciprocal of the squared Euler product, and the level-1 shift
 multiplicities are its negated inverse series.  Both are powers of the
@@ -32,9 +44,10 @@ Euler function from fan._euler_power, the package's one q-series power.
 from __future__ import annotations
 
 import math
-from operator import mul
+from bisect import bisect_right
+from operator import add, itemgetter, mul
 
-from .algebra import _INT, AffineWeight, AlgebraSpec
+from .algebra import _INT, AffineWeight, AlgebraSpec, algebra_memo
 from .errors import ConfigurationError, ConsistencyError, NonterminationError, OutOfWindowError
 from .fan import Fan, _euler_power
 from .strings import StringTable, classifier_for
@@ -62,11 +75,85 @@ def level1_eta_series(n: int) -> list[int]:
     return [-c for c in _euler_power(2, n)]
 
 
+class _Recursion:
+    """The part of the recursion no highest weight enters, for one algebra,
+    fan and level: the oracle's own integer form, the priced shifts, and
+    every state's expansion, filled on use by the oracles that share it."""
+
+    def __init__(self, spec: AlgebraSpec, fan: Fan, level: int):
+        # The invariant form on Dynkin labels, scaled to integers: the Gram
+        # matrix (Lambda_i|Lambda_j) = d_i (A^-1)_ij over its common denominator.
+        gram = [[d * x for x in row] for d, row in zip(spec.symmetrizer, spec.cartan_inverse)]
+        scale = math.lcm(*(g.denominator for row in gram for g in row))
+        self.gram = tuple(tuple(int(scale * g) for g in row) for row in gram)
+        self.two_k = 2 * level * scale
+        # A bound on the scaled norm of any dominant level-k weight, floored:
+        # an integer exceeds the bound iff it exceeds its floor.
+        self.top = max(
+            level * level * self.gram[i][i] // (c * c) for i, c in enumerate(spec.comarks)
+        )
+        # (labels, grade, mult, classical labels, 2k grade + |gamma-bar|^2)
+        self.shifts = tuple(
+            (labels, grade, mult, labels[1:], self.two_k * grade + self.form(labels[1:])[0])
+            for _, grade, mult, labels, _ in fan.vectors
+        )
+        self.cutoff = fan.cutoff
+        self.forms: dict[tuple, tuple] = {}
+        self.orders: dict[tuple, tuple] = {}
+        self.expansions: dict[tuple, tuple] = {}
+
+    def form(self, classical) -> tuple:
+        """(|lambda|^2, (2 (lambda|Lambda_j))_j), scaled, of classical Dynkin labels."""
+        pairing = tuple(2 * sum(map(mul, row, classical)) for row in self.gram)
+        return sum(map(mul, classical, pairing)) // 2, pairing
+
+    def state_form(self, labels: tuple) -> tuple:
+        """form of the classical part of a state's labels, memoised per labels."""
+        forms = self.forms
+        return forms.get(labels) or forms.setdefault(labels, self.form(labels[1:]))
+
+    def price_order(self, labels: tuple) -> tuple:
+        """(prices, shifts) of the dominant labels, sorted by grade-free price.
+
+        A shift's price at labels lambda is 2k grade(gamma) + |gamma-bar|^2 +
+        2 (lambda-bar|gamma-bar), so a state at grade g admits exactly the
+        shifts priced at most top - |lambda-bar|^2 - 2k g: a prefix.  Shifts
+        priced out at the deepest grade of the window are left out.
+        """
+        order = self.orders.get(labels)
+        if order is None:
+            norm, pairing = self.state_form(labels)
+            ceiling = self.top - norm + self.two_k * self.cutoff
+            priced = sorted(
+                (
+                    (price, shift, grade, mult, classical)
+                    for shift, grade, mult, classical, cost in self.shifts
+                    if (price := cost + sum(map(mul, pairing, classical))) <= ceiling
+                ),
+                key=itemgetter(0),
+            )
+            order = self.orders.setdefault(labels, ([p[0] for p in priced], priced))
+        return order
+
+
+@algebra_memo
+def _recursion(spec: AlgebraSpec, fan: Fan, level: int, children, /) -> _Recursion:
+    """The _Recursion of an algebra, fan (by identity) and level.
+
+    `children` is the oracle class's method that expands a state: it is
+    part of the key, so an oracle that expands states its own way never
+    reads another's expansions.
+    """
+    return _Recursion(spec, fan, level)
+
+
 class RacahOracle:
     """Unfolded multiplicity recursion for one module, with memoization.
 
     States are dominant (affine labels, grade) integer pairs, so the number
     of states is bounded by (dominant classes at the level) x (grade window).
+    Everything but the singular term is shared with every oracle on the same
+    algebra, fan and level (_recursion); each oracle keeps its own values.
     """
 
     def __init__(self, spec: AlgebraSpec, mu: AffineWeight, fan: Fan):
@@ -79,27 +166,10 @@ class RacahOracle:
         self.mu = mu
         self.fan = fan
         self.mu_class = classifier_for(spec).id_of(mu.labels)
-        # mu + rho: the only regular dominant point of the singular term.
-        self._mu_rho = tuple(x + 1 for x in spec.affine_labels(mu))
-        # The invariant form on Dynkin labels, scaled to integers: the Gram
-        # matrix (Lambda_i|Lambda_j) = d_i (A^-1)_ij over its common denominator.
-        gram = [[d * x for x in row] for d, row in zip(spec.symmetrizer, spec.cartan_inverse)]
-        scale = math.lcm(*(g.denominator for row in gram for g in row))
-        self._gram = tuple(tuple(int(scale * g) for g in row) for row in gram)
-        level = mu.level
-        self._two_k = 2 * level * scale
-        # A bound on the scaled norm of any dominant level-k weight, floored:
-        # an integer exceeds the bound iff it exceeds its floor.
-        self._top = max(
-            level * level * self._gram[i][i] // (c * c) for i, c in enumerate(spec.comarks)
-        )
-        # (labels, grade, mult, classical labels, 2k grade + |gamma-bar|^2)
-        self._shifts = tuple(
-            (labels, grade, mult, labels[1:], self._two_k * grade + self._form(labels[1:])[0])
-            for _, grade, mult, labels, _ in fan.vectors
-        )
+        # (mu + rho, 0): the only regular dominant state of the singular term.
+        self._mu_rho = (tuple(x + 1 for x in spec.affine_labels(mu)), 0)
+        self._recursion = _recursion(spec, fan, mu.level, type(self)._children)
         self._cache: dict[tuple, int] = {}
-        self._forms: dict[tuple, tuple] = {}
 
     def multiplicity(self, lam: AffineWeight) -> int:
         spec = self.spec
@@ -114,7 +184,8 @@ class RacahOracle:
         except NonterminationError:
             # A reduction that outran the step budget is priced as a shift
             # is; at level 0 the error stands, as there is no bound.
-            if lam.level > 0 and self._two_k * lam.grade + self._form(lam.labels)[0] > self._top:
+            r = self._recursion
+            if lam.level > 0 and r.two_k * lam.grade + r.form(lam.labels)[0] > r.top:
                 return 0
             raise
         labels, grade = outcome.labels, outcome.grade
@@ -128,18 +199,19 @@ class RacahOracle:
         # children pushed) on its first visit and summed on its second.  An
         # uncached child this call expanded lies on its path: a cycle.  Other
         # threads may cache a state this call expanded, so test cache first.
-        cache, expanded = self._cache, {}
+        cache, expanded, mu_rho = self._cache, {}, self._mu_rho
         stack = [(labels, grade)]
         while stack:
             state = stack[-1]
             if state in cache:
                 stack.pop()
             elif state in expanded:
-                children = expanded.pop(state)
-                cache[state] = self._singular_term(*state) + sum(m * cache[c] for c, m in children)
+                children, shifted, sign = expanded.pop(state)
+                value = sign if shifted == mu_rho else 0
+                cache[state] = value + sum(m * cache[c] for c, m in children)
             else:
-                expanded[state] = children = list(self._children(*state))
-                for child, _ in children:
+                expanded[state] = expansion = self._expansion(state)
+                for child, _ in expansion[0]:
                     if child not in cache:
                         if child in expanded:
                             raise ConsistencyError(
@@ -148,54 +220,56 @@ class RacahOracle:
                         stack.append(child)
         return cache[labels, grade]
 
-    def _form(self, classical) -> tuple:
-        """(|lambda|^2, (2 (lambda|Lambda_j))_j), scaled, of classical Dynkin labels."""
-        pairing = tuple(2 * sum(map(mul, row, classical)) for row in self._gram)
-        return sum(map(mul, classical, pairing)) // 2, pairing
+    def _expansion(self, state: tuple) -> tuple:
+        """(children, shifted state, sign) of a state, shared through _recursion.
 
-    def _state_form(self, labels: tuple) -> tuple:
-        """_form of the classical part of a state's labels, memoised per labels."""
-        forms = self._forms
-        return forms.get(labels) or forms.setdefault(labels, self._form(labels[1:]))
+        The children are (child state, summed shift multiplicity) pairs; the
+        shifted state is the state plus rho (every affine label 1) reduced,
+        whose singular term is the sign when it is (mu + rho, 0), and the
+        sign is 0 when the shifted labels lie on a wall.  An expansion that
+        raises stores nothing.
+        """
+        expansions = self._recursion.expansions
+        expansion = expansions.get(state)
+        if expansion is None:
+            children: dict[tuple, int] = {}
+            for child, mult in self._children(*state):
+                children[child] = children.get(child, 0) + mult
+            labels, grade = state
+            shifted, shifted_grade, word = reduce_labels(self.spec, [x + 1 for x in labels], grade)
+            sign = 0 if 0 in shifted else -1 if len(word) % 2 else 1
+            expansion = expansions.setdefault(
+                state, (tuple(children.items()), (shifted, shifted_grade), sign)
+            )
+        return expansion
 
     def _children(self, labels: tuple, grade: int):
         """(dominant child state, shift multiplicity) for every shift that can reach grade 0."""
         if grade < -self.fan.cutoff:
             raise OutOfWindowError(f"grade {grade} is beyond the fan cutoff {self.fan.cutoff}")
-        spec, two_k, top = self.spec, self._two_k, self._top
-        norm, pairing = self._state_form(labels)
-        # 2k child_grade = 2k (grade + grade(gamma)) + |lambda + gamma|^2 - |child|^2,
-        # with |lambda + gamma|^2 = norm + 2 (lambda|gamma) + |gamma|^2 and
-        # |child|^2 <= top: `low` bounds 2k child_grade from below, and the
-        # child's own norm fixes it exactly.
-        base = two_k * grade + norm - top
-        for shift, shift_grade, mult, classical, cost in self._shifts:
-            # Shifts are sorted by grade and reduction only raises it, so
-            # no later shift gives a child at or below grade 0.
+        spec, r = self.spec, self._recursion
+        two_k, state_form = r.two_k, r.state_form
+        # 2k child_grade = 2k (grade + grade(gamma)) + |lambda + gamma|^2 - |child|^2
+        # = base + price - |child|^2, and |child|^2 <= top: a shift priced
+        # above top - base leaves a child above grade 0, and the child's own
+        # norm fixes its grade exactly.
+        base = two_k * grade + state_form(labels)[0]
+        prices, priced = r.price_order(labels)
+        admitted = bisect_right(prices, r.top - base)
+        for price, shift, shift_grade, mult, classical in priced[:admitted]:
+            # Reduction only raises the grade.
             if grade + shift_grade > 0:
-                break
-            low = base + cost + sum(map(mul, pairing, classical))
-            if low > 0:
                 continue
             child, child_grade, _ = reduce_labels(
-                spec, [x + y for x, y in zip(labels, shift)], grade + shift_grade
+                spec, map(add, labels, shift), grade + shift_grade
             )
-            if two_k * child_grade != low + top - self._state_form(child)[0]:
+            if two_k * child_grade != base + price - state_form(child)[0]:
                 raise ConsistencyError(
                     f"shift {classical} at grade {shift_grade} of state {labels} at grade "
                     f"{grade} reaches grade {child_grade}, which the invariant form does not give"
                 )
             if child_grade <= 0:
                 yield (child, child_grade), mult
-
-    def _singular_term(self, labels: tuple, grade: int) -> int:
-        # Shifted reduction: add rho (every affine label 1) and reduce.
-        shifted, shifted_grade, word = reduce_labels(self.spec, [x + 1 for x in labels], grade)
-        if 0 in shifted:
-            return 0
-        if shifted == self._mu_rho and shifted_grade == 0:
-            return -1 if len(word) % 2 else 1
-        return 0
 
 
 def two_path_mismatches(table: StringTable, oracle: RacahOracle) -> list[tuple]:

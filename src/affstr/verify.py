@@ -109,7 +109,12 @@ def run_all(directory=None) -> list[CheckResult]:
 
 @algebra_memo
 def _two_path(spec, mu, level, depth, /):
-    """The two-path comparison of one module, with one RacahOracle."""
+    """The two-path comparison of one module, with one RacahOracle.
+
+    Oracles on one algebra, fan and level share their expansions, so the
+    modules of a class after the first reduce no shift; each keeps its
+    own singular term and values.
+    """
     oracle = RacahOracle(spec, spec.weight(mu, level, 0), build_fan(spec, depth))
     return two_path_mismatches(string_table(spec, mu, level, -depth), oracle)
 

@@ -391,3 +391,27 @@ def test_cold_start_imports_neither_dataclasses_nor_verify():
     answer, loaded = proc.stdout.splitlines()
     assert answer.endswith("in L^[0, 0] at level 1: 0")
     assert loaded == "[] 0"
+
+
+def test_the_oracle_is_imported_on_first_use():
+    # Only the two-path checks need the unfolded recursion: a fresh
+    # interpreter that runs `mult` has not imported it, and the package
+    # serves its names on first access.
+    src = pathlib.Path(affstr.__file__).resolve().parents[1]
+    program = (
+        "import sys, affstr, affstr.cli\n"
+        "code = affstr.cli.main(['mult', '--algebra', 'A2', '--level', '1', '--mu', '0,0',\n"
+        "                        '--cutoff', '4', '--weight', '1,0', '--grade', '-1'])\n"
+        "print('affstr.oracle' in sys.modules, code)\n"
+        "names = ['RacahOracle', 'euler_square_series', 'level1_eta_series',\n"
+        "         'two_path_mismatches']\n"
+        "served = [getattr(affstr, n) is getattr(sys.modules['affstr.oracle'], n) for n in names]\n"
+        "print(all(served), hasattr(affstr, 'no_such_name'))\n"
+    )
+    path = [str(src), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.run(
+        [sys.executable, "-c", program], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[1:] == ["False 0", "True False"]

@@ -39,6 +39,38 @@ def test_shared_oracle_under_frequent_thread_switches(a2):
         sys.setswitchinterval(interval)
 
 
+def test_oracles_of_one_class_share_expansions_across_threads():
+    # Two modules of one class on one fan fill one shared expansion memo
+    # while eight threads query both; a fresh algebra, so the memo starts
+    # empty under the threads.  The answers must be a fresh sequential
+    # oracle's, on an algebra of its own.
+    def setup():
+        spec = AlgebraSpec("A2", [[2, -1], [-1, 2]])
+        fan = build_fan(spec, 10)
+        return spec, fan, [spec.weight(m, 3, 0) for m in [(0, 0), (1, 1)]]
+
+    spec, fan, mus = setup()
+    queries = [
+        (k, spec.weight(s, 3, -d))
+        for k in range(2)
+        for s in [(0, 0), (1, 1), (3, 0), (0, 3)]
+        for d in range(11)
+    ][::-1]
+    ref_spec, ref_fan, ref_mus = setup()
+    references = [RacahOracle(ref_spec, mu, ref_fan) for mu in ref_mus]
+    expected = [references[k].multiplicity(q) for k, q in queries]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        oracles = [RacahOracle(spec, mu, fan) for mu in mus]
+        with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(oracles[k].multiplicity, q) for k, q in queries * 4]
+            got = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == expected * 4
+
+
 def test_parallel_folded_fan_builds():
     # Each call gets a fresh algebra, so the per-algebra memo serves
     # nothing and every thread builds its own fan, classes and folds.
@@ -59,6 +91,10 @@ def test_cycle_tripwire(a2):
     # a fan containing the zero shift makes the recursion self-referential;
     # the oracle must refuse rather than loop
     degenerate = Fan(a2, 0, [fan_vector(a2, (0, 0), 0, 1)])
-    oracle = RacahOracle(a2, a2.weight((0, 0), 1, 0), degenerate)
-    with pytest.raises(ConsistencyError):
-        oracle.multiplicity(a2.weight((0, 0), 1, 0))
+    mu = a2.weight((0, 0), 1, 0)
+    oracle = RacahOracle(a2, mu, degenerate)
+    # the shared expansion of the state names the state itself: a second
+    # query, and a second oracle on the fan, meet the cycle again
+    for asked in (oracle, oracle, RacahOracle(a2, mu, degenerate)):
+        with pytest.raises(ConsistencyError):
+            asked.multiplicity(mu)

@@ -16,9 +16,9 @@ from affstr import (
 )
 from affstr import oracle as oracle_module
 from affstr.algebra import AlgebraSpec
-from affstr.fan import _euler_power, pentagonal_series
+from affstr.fan import Fan, _euler_power, pentagonal_series
 from affstr.oracle import two_path_mismatches
-from affstr.strings import enumerate_class_weights
+from affstr.strings import classifier_for, enumerate_class_weights
 from affstr.weyl import apply_word
 from test_folding import REFERENCE_CASES
 
@@ -198,7 +198,11 @@ def test_priced_oracle_matches_reference_oracle(name, monkeypatch):
 
 def test_oracle_off_the_norm_identity_raises(a2, monkeypatch):
     # a reduction one grade too high stays dominant and in the class, so
-    # only the invariant-form identity can catch it
+    # only the invariant-form identity can catch it.  A fresh algebra: the
+    # session's A2 may hold these states' expansions from an earlier test.
+    spec = AlgebraSpec("A2", a2.cartan)
+    fan = build_fan(spec, 4)
+    mu, query = spec.weight((0, 0), 2, 0), spec.weight((1, 1), 2, -3)
     reduce_labels = oracle_module.reduce_labels
 
     def one_grade_high(spec, labels, grade):
@@ -206,6 +210,92 @@ def test_oracle_off_the_norm_identity_raises(a2, monkeypatch):
         return labels, grade + 1, word
 
     monkeypatch.setattr(oracle_module, "reduce_labels", one_grade_high)
-    oracle = RacahOracle(a2, a2.weight((0, 0), 2, 0), build_fan(a2, 4))
-    with pytest.raises(ConsistencyError, match="invariant form"):
-        oracle.multiplicity(a2.weight((1, 1), 2, -3))
+    oracle = RacahOracle(spec, mu, fan)
+    # a failed expansion is not shared: the same query, on this oracle and
+    # on the next one of the fan, meets the identity again
+    for asked in (oracle, oracle, RacahOracle(spec, mu, fan)):
+        with pytest.raises(ConsistencyError, match="invariant form"):
+            asked.multiplicity(query)
+    monkeypatch.undo()
+    expected = weight_multiplicity(spec, string_table(spec, (0, 0), 2, -4), query)
+    assert RacahOracle(spec, mu, fan).multiplicity(query) == expected == 12
+    assert oracle_reference.ReferenceOracle(spec, mu, fan).multiplicity(query) == expected
+
+
+def _count_reductions(monkeypatch):
+    """Count the calls of affstr.oracle.reduce_labels from now on."""
+    reduce_labels = oracle_module.reduce_labels
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return reduce_labels(*args)
+
+    monkeypatch.setattr(oracle_module, "reduce_labels", counted)
+    return calls
+
+
+def test_modules_of_a_class_share_one_expansion(monkeypatch):
+    # the five modules of the A2 level-4 class I ask the same states; once
+    # the first module's comparison is made, the others reduce nothing
+    spec = AlgebraSpec("A2", [[2, -1], [-1, 2]])
+    depth = 9
+    fan = build_fan(spec, depth)
+    base = enumerate_class_weights(spec, 4)[classifier_for(spec).id_of((0, 0))]
+    assert len(base) == 5
+    calls = _count_reductions(monkeypatch)
+    oracles = []
+    for k, mu in enumerate(base.weights):
+        oracles.append(RacahOracle(spec, mu, fan))
+        table = string_table(spec, mu.labels, 4, -depth)
+        assert two_path_mismatches(table, oracles[-1]) == []
+        if k == 0:
+            first = calls[0]
+            assert first > 0
+    assert calls[0] == first
+    monkeypatch.undo()
+    queries = [xi.shift_grade(-d) for xi in base.weights for d in range(depth + 1)]
+    for mu, oracle in zip(base.weights, oracles):
+        reference = oracle_reference.ReferenceOracle(spec, mu, fan)
+        assert [oracle.multiplicity(q) for q in queries] == [
+            reference.multiplicity(q) for q in queries
+        ]
+
+
+def test_each_recursion_and_fan_and_level_expands_on_its_own(monkeypatch):
+    # An oracle shares expansions only with oracles of its own class on the
+    # same fan object and level: the unpriced reference and the priced
+    # oracle never read each other's, and a copy of the fan or another
+    # level starts empty.  Each line runs on a fresh algebra, then after
+    # the others on one algebra; the reductions must match.
+    def runs(spec):
+        fan = build_fan(spec, 6)
+        copy = Fan(spec, fan.cutoff, fan.vectors)
+        return [
+            (RacahOracle, fan, 2),
+            (oracle_reference.ReferenceOracle, fan, 2),
+            (RacahOracle, copy, 2),
+            (oracle_reference.ReferenceOracle, copy, 2),
+            (RacahOracle, fan, 3),
+        ]
+
+    def reductions(spec, make, fan, level):
+        calls = _count_reductions(monkeypatch)
+        oracle = make(spec, spec.weight((0, 0), level, 0), fan)
+        queries = [spec.weight(s, level, -d) for s in [(0, 0), (1, 1)] for d in range(7)]
+        values = [oracle.multiplicity(q) for q in queries]
+        monkeypatch.undo()
+        return calls[0], values
+
+    cartan = [[2, -1], [-1, 2]]
+    alone = []
+    for k in range(5):
+        spec = AlgebraSpec("A2", cartan)
+        alone.append(reductions(spec, *runs(spec)[k]))
+    spec = AlgebraSpec("A2", cartan)
+    together = [reductions(spec, *run) for run in runs(spec)]
+    assert together == alone
+    assert all(n > 0 for n, _ in alone)
+    assert alone[0][1] == alone[1][1]
+    # the same triple again reduces nothing
+    assert reductions(spec, *runs(spec)[0]) == (0, alone[0][1])
