@@ -17,11 +17,12 @@ and no dominant level-k weight is longer than the longest vertex
 k Lambda_i / a_i^vee of the dominant chamber.  A shift that this bound puts
 above grade 0 is skipped unreduced, and every reduced child must meet the
 identity exactly or ConsistencyError is raised.  A query whose reduction
-outruns the step budget is priced by the same bound: above grade 0 its
-multiplicity is 0, else the budget error stands.  The oracle takes every
-norm and the bound from its own integer Gram matrix of the fundamental
-weights, built from the Cartan data, never from the norms the fold prices
-with, so one wrong number cannot make both paths skip the same term.
+runs past `weyl.ASK_AFTER` reflections is priced by the same bound: above
+grade 0 its multiplicity is 0 at once, else the reduction runs on and a
+budget error stands.  The oracle takes every norm and the bound from its
+own integer Gram matrix of the fundamental weights, built from the Cartan
+data, never from the norms the fold prices with, so one wrong number
+cannot make both paths skip the same term.
 
 Only the singular term depends on the highest weight.  The Gram matrix,
 the priced shifts and each state's expansion (its children with summed
@@ -180,12 +181,10 @@ class RacahOracle:
         if type(lam.grade) is not int or not _INT.issuperset(map(type, lam.labels)):
             return 0
         try:
-            outcome = to_dominant(spec, lam)
+            outcome = to_dominant(spec, lam, give_up=self._priced_above_grade0)
         except NonterminationError:
-            # A reduction that outran the step budget is priced as a shift
-            # is; at level 0 the error stands, as there is no bound.
-            r = self._recursion
-            if lam.level > 0 and r.two_k * lam.grade + r.form(lam.labels)[0] > r.top:
+            # At level 0 the error stands, as there is no bound.
+            if lam.level > 0 and self._priced_above_grade0(spec, lam):
                 return 0
             raise
         labels, grade = outcome.labels, outcome.grade
@@ -193,6 +192,14 @@ class RacahOracle:
         if grade > 0 or classifier_for(spec).id_of(labels[1:]) != self.mu_class:
             return 0
         return self._dominant_multiplicity(labels, grade)
+
+    def _priced_above_grade0(self, spec: AlgebraSpec, lam: AffineWeight) -> bool:
+        """Whether the oracle's own form puts the dominant point of lam above grade 0.
+
+        A long reduction is priced as a shift is.
+        """
+        r = self._recursion
+        return r.two_k * lam.grade + r.form(lam.labels)[0] > r.top
 
     def _dominant_multiplicity(self, labels: tuple, grade: int) -> int:
         # Depth-first on an explicit stack: a state is expanded (unknown

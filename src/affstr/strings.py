@@ -305,9 +305,11 @@ def weight_multiplicity(spec: AlgebraSpec, table: StringTable, lam: AffineWeight
     """Multiplicity of an arbitrary weight of the module, via its string.
 
     `to_dominant` reduces the weight to its string point, and its integer
-    labels look the string up; no `AffineWeight` is built.  A weight whose
-    reduction outruns the step budget has multiplicity 0 if the invariant
-    form puts its string point above grade 0; otherwise the error stands.
+    labels look the string up; no `AffineWeight` is built.  A reduction
+    still running after `weyl.ASK_AFTER` reflections is priced: if the
+    invariant form puts the string point above grade 0, the multiplicity
+    is 0 at once.  Otherwise it runs on, and if it outruns the step budget
+    the error stands.
     A table of an algebra with another Cartan matrix raises
     `ConfigurationError`.
     """
@@ -323,7 +325,7 @@ def weight_multiplicity(spec: AlgebraSpec, table: StringTable, lam: AffineWeight
     if type(lam.grade) is not int or not _INT.issuperset(map(type, lam.labels)):
         return 0
     try:
-        outcome = to_dominant(spec, lam)
+        outcome = to_dominant(spec, lam, give_up=_priced_above_grade0)
     except NonterminationError:
         if _priced_above_grade0(spec, lam):
             return 0
@@ -354,8 +356,8 @@ def _priced_above_grade0(spec: AlgebraSpec, lam: AffineWeight) -> bool:
     weight is longer than k^2 times the level-1 bound, so the dominant
     grade is at least grade + (|lambda-bar|^2 - k^2 bound) / 2k.  All of
     it is integers scaled by form_scale, the bound floored, which keeps the
-    strict comparison exact.  Only a reduction that outran the step budget
-    is priced.
+    strict comparison exact.  Only a reduction that has run
+    `weyl.ASK_AFTER` reflections, or outran the step budget, is priced.
     """
     level = lam.level
     top = int(level * level * spec.level1_norm_bound)

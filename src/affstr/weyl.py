@@ -1,39 +1,51 @@
-"""The affine Weyl group: one reflection kernel and dominant-chamber reduction.
+"""The affine Weyl group: one reflection kernel per algebra, generated from its Cartan matrix.
 
-The kernel works on affine Dynkin labels (lambda_0, lambda_1, ..., lambda_r)
-plus the grade; the level is implicit in the labels.  A simple reflection
+Every Weyl walk works on affine Dynkin labels (lambda_0, lambda_1, ...,
+lambda_r) plus the grade; the level is implicit in the labels.  A simple
+reflection
 
     s_i:  lambda_j -= lambda_i * A[j][i]   (A the affine Cartan matrix),
           and on s_0 only, grade -= lambda_0,
 
-touches only the nonzero entries of one precomputed affine Cartan column,
-`AlgebraSpec.affine_columns[i]`.  Reduction applies the reflection at the
-most negative label (lowest index on ties) until all labels are
+touches only the nonzero entries of one affine Cartan column,
+`AlgebraSpec.affine_columns[i]`.
+
+The kernel.  Each algebra's walks are written out once as straight-line
+Python, the way `collections.namedtuple` writes its classes, and compiled
+on the first walk of that algebra instance (`algebra_memo`), never at
+import or when the algebra is loaded.  The labels become the locals
+`l0 ... lr`; a reflection is one assignment per nonzero column entry and a
+child in an orbit walk is one tuple display.  There is no other reflection
+loop in the package.  The source holds only integer literals, each written
+with `%d` from the int Cartan data, and its own local names; nothing of a
+config file (not even the algebra's label) enters it, and it runs with no
+builtins but `min` and `range`.
+
+Reduction (`reduce_labels`, `to_dominant`) applies the reflection at the
+most negative label, the lowest index on ties, until all labels are
 non-negative.  Any strategy yields the same dominant representative; this
-one gives deterministic words.  It only ever raises the grade.
-Termination requires positive level, guarded by a step budget.
+one gives the same word every time, whose length the oracle's sign and the
+benchmark's reflection counts read.  It only ever raises the grade.
+Termination needs positive level, so each reduction runs under a budget of
+DEFAULT_STEP_LIMIT reflections, read at each call, and raises
+NonterminationError past it.  A caller that can price a long reduction
+passes `give_up` to `to_dominant`: it is asked once, after ASK_AFTER
+reflections, so a short reduction never pays for it.
 
 The reverse walk, `descending_orbit`, visits the orbit of a dominant point
 along reflections at positive labels, which only ever lower the grade.
-
-Every Weyl walk in the package (fan enumeration, folding, the oracle, the
-character orbits, the multiplicity reads) runs on integer labels through
-`reduce_labels` or `descending_orbit`, each of which applies the sparse
-column update in place inside its own loop, with no call per reflection.
-`to_dominant` computes lambda_0 from a weight's stored labels and returns
-the reduced labels themselves; its `WeylOutcome` builds the dominant
-`AffineWeight` only when `dominant` is read, so a read that looks up a
-table by labels builds no weight.  `apply_word`, which replays a recorded
-word on one weight, is the only walk that starts and ends at an
-`AffineWeight`.
+`apply_word` replays a recorded word on one weight.  `to_dominant`
+computes lambda_0 from a weight's stored labels inside the kernel and
+returns the reduced labels themselves; its `WeylOutcome` builds the
+dominant `AffineWeight` only when `dominant` is read, so a read that looks
+up a table by labels builds no weight.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from operator import mul
 
-from .algebra import AffineWeight, AlgebraSpec, _integer_entry
+from .algebra import AffineWeight, AlgebraSpec, _integer_entry, algebra_memo
 from .errors import ConfigurationError, NonterminationError
 
 __all__ = [
@@ -45,6 +57,8 @@ __all__ = [
 ]
 
 DEFAULT_STEP_LIMIT = 1_000_000
+# Reflections a reduction runs before it asks its caller's `give_up`.
+ASK_AFTER = 64
 
 
 class WeylOutcome(namedtuple("WeylOutcome", "labels level grade word")):
@@ -67,6 +81,151 @@ class WeylOutcome(namedtuple("WeylOutcome", "labels level grade word")):
 _outcome = WeylOutcome._make
 
 
+# -- the generated kernel -------------------------------------------------
+
+
+class _Kernel:
+    """One algebra's compiled walks.
+
+    dominant(labels, level, grade, word, limit) and
+    reduce(l0, ..., lr, grade, word, limit) reduce, appending each
+    reflection's index to `word` and stopping after `limit` reflections;
+    they return (labels tuple, grade), and the reduction finished iff
+    fewer than `limit` indices were appended.  `dominant` takes the
+    classical labels and the level and computes lambda_0 itself.
+    replay(l0, ..., lr, grade, word) applies a checked word;
+    orbit(labels, grade, floor) is the generator of `descending_orbit`.
+    """
+
+    __slots__ = ("dominant", "reduce", "replay", "orbit")
+
+
+# The kernel's source, filled in per algebra; {names} is "l0, l1, ..., lr".
+_SOURCE = """\
+def reduce({names}, grade, word, limit):
+{loop}
+def dominant(labels, level, grade, word, limit):
+    {classical}, = labels
+    return reduce({label0}, {classical}, grade, word, limit)
+
+def replay({names}, grade, word):
+    for i in word:
+{replay}
+    return ({names}), grade
+
+def orbit(labels, grade, floor):
+    if grade < floor:
+        return
+    start = (labels, grade)
+    seen = {{start}}
+    queue = [start]
+    yield None, None, start
+    for parent in queue:
+        ({names}), grade = parent
+{children}"""
+
+# Reflect at the most negative label, the lowest index on ties.
+_LOOP = """\
+    for _ in range(limit):
+        if {nonnegative}:
+            return ({names}), grade
+        low = min({names})
+{steps}
+    return ({names}), grade
+"""
+
+# The orbit walk's child s_i(parent), for i > 0 and for i = 0: only s_0
+# lowers the grade, so a child below the floor is never built.
+_CHILD = """\
+        if l{i} > 0:
+            node = (({labels}), grade)
+            if node not in seen:
+                seen.add(node)
+                queue.append(node)
+                yield parent, {i}, node
+"""
+_CHILD0 = """\
+        if l0 > 0:
+            g = grade - l0
+            if g >= floor:
+                node = (({labels}), g)
+                if node not in seen:
+                    seen.add(node)
+                    queue.append(node)
+                    yield parent, 0, node
+"""
+
+
+def _term(i, j, a, x):
+    # lambda_j after s_i, x holding lambda_i before it: lambda_j - a * x for
+    # the entry a = A[j][i] of the affine Cartan column.
+    if j == i:
+        return "-" + x
+    if not a:
+        return "l%d" % j
+    if a == -1:
+        return "l%d + %s" % (j, x)
+    return "l%d + %d * %s" % (j, -a, x) if a < 0 else "l%d - %d * %s" % (j, a, x)
+
+
+def _chain(columns, test, x, before, after):
+    """An if/elif chain applying s_i under `test`; the last reflection takes `else`.
+
+    Each branch runs `before`, the reflection with lambda_i read from x,
+    then `after`; `test`, `before` and `after` are formatted with i.
+    """
+    lines = []
+    for i, column in enumerate(columns):
+        if i == len(columns) - 1:
+            lines.append("else:")
+        else:
+            lines.append(("elif " if i else "if ") + test.format(i=i) + ":")
+        body = [before.format(i=i)] + ["l%d = %s" % (j, _term(i, j, a, x)) for j, a in column]
+        body += ["grade -= " + x] * (not i) + [after.format(i=i)]
+        lines += ["    " + line for line in body if line]
+    return "\n".join(" " * 8 + line for line in lines)
+
+
+def _kernel_source(columns, comarks) -> str:
+    n = len(columns)
+    names = ", ".join("l%d" % j for j in range(n))
+    children = ""
+    for i, column in enumerate(columns):
+        entries = dict(column)
+        labels = ", ".join(_term(i, j, entries.get(j, 0), "l%d" % i) for j in range(n))
+        children += (_CHILD if i else _CHILD0).format(i=i, labels=labels)
+    label0 = "".join(
+        " - l%d" % j if c == 1 else " - %d * l%d" % (c, j) for j, c in enumerate(comarks, 1)
+    )
+    return _SOURCE.format(
+        names=names,
+        classical=", ".join("l%d" % j for j in range(1, n)),
+        label0="level" + label0,
+        loop=_LOOP.format(
+            names=names,
+            nonnegative=" and ".join("l%d >= 0" % j for j in range(n)),
+            steps=_chain(columns, "l{i} == low", "low", "", "word.append({i})"),
+        ),
+        replay=_chain(columns, "i == {i}", "x", "x = l{i}", ""),
+        children=children,
+    )
+
+
+@algebra_memo
+def _kernel(spec: AlgebraSpec, /) -> _Kernel:
+    """The algebra's kernel, compiled on its first walk."""
+    source = _kernel_source(spec.affine_columns, spec.comarks)
+    namespace = {"__builtins__": {}, "min": min, "range": range}
+    exec(compile(source, "<affstr.weyl kernel of rank %d>" % spec.rank, "exec"), namespace)
+    kernel = _Kernel()
+    for name in _Kernel.__slots__:
+        setattr(kernel, name, namespace[name])
+    return kernel
+
+
+# -- the walks ------------------------------------------------------------
+
+
 def reduce_labels(spec: AlgebraSpec, labels, grade):
     """Reduce affine labels to the dominant chamber.
 
@@ -74,20 +233,12 @@ def reduce_labels(spec: AlgebraSpec, labels, grade):
     reflection indices applied.  The caller guarantees positive level;
     more than DEFAULT_STEP_LIMIT reflections raise NonterminationError.
     """
-    columns = spec.affine_columns
-    labels = list(labels)
+    limit = DEFAULT_STEP_LIMIT
     word: list[int] = []
-    for _ in range(DEFAULT_STEP_LIMIT):
-        low = min(labels)
-        if low >= 0:
-            return tuple(labels), grade, word
-        i = labels.index(low)
-        for j, a in columns[i]:
-            labels[j] -= low * a
-        if not i:
-            grade -= low
-        word.append(i)
-    raise NonterminationError(f"reduction exceeded {DEFAULT_STEP_LIMIT} steps")
+    labels, grade = _kernel(spec).reduce(*labels, grade, word, limit)
+    if len(word) >= limit:
+        raise NonterminationError(f"reduction exceeded {limit} steps")
+    return labels, grade, word
 
 
 def descending_orbit(spec: AlgebraSpec, labels, grade, floor):
@@ -100,65 +251,53 @@ def descending_orbit(spec: AlgebraSpec, labels, grade, floor):
     step lowers the grade or keeps it.  Only s_0 changes the grade, so a
     child below the floor is dropped before it is built.
     """
-    start = (tuple(labels), grade)
-    if grade < floor:
-        return
-    columns = spec.affine_columns
-    seen = {start}
-    # The list is the queue: the loop reads it while children are appended.
-    queue = [start]
-    yield None, None, start
-    for parent in queue:
-        labels, grade = parent
-        for i, li in enumerate(labels):
-            if li <= 0:
-                continue
-            if i:
-                child_grade = grade
-            else:
-                child_grade = grade - li
-                if child_grade < floor:
-                    continue
-            child = list(labels)
-            for j, a in columns[i]:
-                child[j] -= li * a
-            node = (tuple(child), child_grade)
-            if node not in seen:
-                seen.add(node)
-                queue.append(node)
-                yield parent, i, node
+    return _kernel(spec).orbit(tuple(labels), grade, floor)
 
 
 def apply_word(spec: AlgebraSpec, word, w: AffineWeight) -> AffineWeight:
     """Apply reflections in the order they were recorded."""
-    columns = spec.affine_columns
-    labels = list(spec.affine_labels(w))
-    grade = w.grade
+    checked = []
     for i in word:
         i = _integer_entry(i, "reflection index")
         if not 0 <= i <= spec.rank:
             raise ConfigurationError(f"reflection index {i} out of range 0..{spec.rank}")
-        li = labels[i]
-        for j, a in columns[i]:
-            labels[j] -= li * a
-        if not i:
-            grade -= li
+        checked.append(i)
+    labels, grade = _kernel(spec).replay(*spec.affine_labels(w), w.grade, checked)
     return AffineWeight(labels[1:], w.level, grade)
 
 
-def to_dominant(spec: AlgebraSpec, w: AffineWeight) -> WeylOutcome:
+def to_dominant(spec: AlgebraSpec, w: AffineWeight, *, give_up=None) -> WeylOutcome:
     """Reduce a positive-level weight to its dominant orbit representative.
 
-    The rank is checked once; lambda_0 = level - sum(comark_i * label_i) is
-    computed here from the stored labels.  The reduction runs on the affine
-    labels and the outcome holds the reduced labels; no `AffineWeight` is
-    built unless the caller reads `dominant`.
+    The kernel computes lambda_0 = level - sum(comark_i * label_i) from the
+    stored labels and reduces; the outcome holds the reduced labels, and
+    no `AffineWeight` is built unless the caller reads `dominant`.  The
+    rank is checked only when the labels do not fit the kernel.
+
+    `give_up(spec, w)`, if given, is asked once when the reduction has run
+    ASK_AFTER reflections without finishing; when it holds, the reduction
+    stops there and raises NonterminationError, as it does past the
+    budget.
     """
-    spec.check_rank(w)
-    labels = w.labels
     level = w.level
     if level <= 0:
+        spec.check_rank(w)
         raise NonterminationError(f"to_dominant needs positive level, got {level}")
-    label0 = level - sum(map(mul, spec.comarks, labels))
-    labels, grade, word = reduce_labels(spec, (label0, *labels), w.grade)
+    kernel = _kernel(spec)
+    limit = DEFAULT_STEP_LIMIT
+    first = limit if give_up is None or limit <= ASK_AFTER else ASK_AFTER
+    word: list[int] = []
+    try:
+        labels, grade = kernel.dominant(w.labels, level, w.grade, word, first)
+    except ValueError:
+        spec.check_rank(w)
+        raise
+    if len(word) >= first:
+        if first == limit:
+            raise NonterminationError(f"reduction exceeded {limit} steps")
+        if give_up(spec, w):
+            raise NonterminationError(f"reduction given up after {first} steps")
+        labels, grade = kernel.reduce(*labels, grade, word, limit - first)
+        if len(word) >= limit:
+            raise NonterminationError(f"reduction exceeded {limit} steps")
     return _outcome((labels, level, grade, tuple(word)))

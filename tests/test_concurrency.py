@@ -1,9 +1,20 @@
 import concurrent.futures
+import random
 import sys
 
 import pytest
 
-from affstr import AlgebraSpec, ConsistencyError, RacahOracle, build_fan, build_folded_fans
+import weyl_reference
+from affstr import (
+    AlgebraSpec,
+    ConsistencyError,
+    RacahOracle,
+    build_fan,
+    build_folded_fans,
+    character,
+    string_table,
+    weight_multiplicity,
+)
 from affstr.fan import Fan
 from affstr.strings import enumerate_class_weights
 from fan_reference import fan_vector
@@ -69,6 +80,44 @@ def test_oracles_of_one_class_share_expansions_across_threads():
     finally:
         sys.setswitchinterval(interval)
     assert got == expected * 4
+
+
+def test_first_walks_of_a_fresh_algebra_across_threads():
+    # The reads and windows of eight threads are the first walks of a fresh
+    # algebra, so its kernel is compiled under them; the table was solved
+    # on another instance with the same Cartan matrix.  The answers must
+    # be a sequential run's on a third instance.
+    cartan = [[2, -1, 0], [-1, 2, -1], [0, -1, 2]]
+    table = string_table(AlgebraSpec("A3", cartan), (1, 0, 1), 2, -4)
+    rng = random.Random(7)
+    jobs = []
+    for _ in range(60):
+        s = rng.randrange(len(table.base))
+        word = [rng.randrange(4) for _ in range(rng.randrange(10))]
+        jobs.append(("mult", word, s, rng.randrange(5)))
+    jobs += [("character", None, None, depth) for depth in (1, 2, 3)]
+
+    def run(spec, job):
+        kind, word, s, d = job
+        if kind == "character":
+            return character(spec, table, d)
+        point = table.base.weights[s].shift_grade(-d)
+        return weight_multiplicity(spec, table, weyl_reference.apply_word(spec, word, point))
+
+    reference = AlgebraSpec("A3", cartan)
+    expected = [run(reference, job) for job in jobs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            spec = AlgebraSpec("A3", cartan)
+            with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(run, spec, job) for job in jobs * 2]
+                got = [f.result(timeout=60) for f in futures]
+            assert got == expected * 2
+            assert len(spec._memo) == 1  # one kernel kept, whichever thread won
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_parallel_folded_fan_builds():

@@ -2,6 +2,7 @@
 and the `WeylOutcome` of `to_dominant` that both read from."""
 
 import pathlib
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -123,6 +124,26 @@ def test_budget_error_stands_for_a_weight_of_the_module(a2, monkeypatch):
         weight_multiplicity(a2, table, inside)
     with pytest.raises(NonterminationError):
         oracle.multiplicity(inside)
+
+
+def test_far_read_is_priced_after_a_few_kernel_steps(kernel_steps):
+    # `affstr mult --algebra A2 --level 1 --mu 0,0 --cutoff 4 --weight
+    # 1000000,0 --grade -1`: the reduction would take over a million
+    # reflections; the read prices the weight after ASK_AFTER of them.
+    spec = load_algebra(str(CONFIGS / "A2.json"))
+    table = string_table(spec, (0, 0), 1, -4)
+    oracle = RacahOracle(spec, table.mu, build_fan(spec, 4))
+    steps = kernel_steps(spec)
+    for far in ((10**6, 0), (10**12, 0), (0, -(10**6))):
+        for read in (partial(weight_multiplicity, spec, table), oracle.multiplicity):
+            steps.clear()
+            assert read(spec.weight(far, 1, -1)) == 0
+            assert steps == [weyl.ASK_AFTER]
+    # an ordinary read runs its reduction once, to the end
+    steps.clear()
+    image = reference.apply_word(spec, (0, 1, 2, 0), table.mu.shift_grade(-2))
+    assert weight_multiplicity(spec, table, image) == 5
+    assert steps == [len(reference.to_dominant(spec, image)[1])] == [4]
 
 
 @given(st.data())

@@ -1,6 +1,13 @@
+import io
 import json
+import keyword
+import os
 import pathlib
 import random
+import re
+import subprocess
+import sys
+import tokenize
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -203,6 +210,14 @@ CONFIGS = {
         "label": "A4",
         "cartan": [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -1], [0, 0, -1, 2]],
     },
+    # symmetrizers of ratio 2, one short simple root at each end of the chain
+    "B3": {"label": "B3", "cartan": [[2, -1, 0], [-1, 2, -1], [0, -2, 2]]},
+    "C3": {"label": "C3", "cartan": [[2, -1, 0], [-1, 2, -2], [0, -1, 2]]},
+    # a branched diagram: alpha_2 meets three simple roots
+    "D4": {
+        "label": "D4",
+        "cartan": [[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]],
+    },
 }
 
 
@@ -275,6 +290,156 @@ def test_kernel_step_budget(a2, monkeypatch):
         to_dominant(a2, lam)
 
 
+def test_budget_is_read_at_each_call_of_a_compiled_kernel(kernel_specs, kernel_steps, monkeypatch):
+    # The budget is not written into the generated source: a kernel
+    # compiled under one budget stops at a budget patched afterwards.
+    spec = kernel_specs["D4"]
+    lam = spec.weight((-9, 4, -7, 2), 1, 0)
+    steps = len(reference.to_dominant(spec, lam)[1])
+    assert to_dominant(spec, lam).word == reference.to_dominant(spec, lam)[1]
+    ran = kernel_steps(spec)
+    labels = spec.affine_labels(lam)
+    for limit in (steps, steps // 2, 0):
+        monkeypatch.setattr(weyl, "DEFAULT_STEP_LIMIT", limit)
+        with pytest.raises(NonterminationError, match=f"exceeded {limit} steps"):
+            to_dominant(spec, lam)
+        with pytest.raises(NonterminationError, match=f"exceeded {limit} steps"):
+            weyl.reduce_labels(spec, labels, 0)
+        assert ran[-2:] == [limit, limit]
+    monkeypatch.setattr(weyl, "DEFAULT_STEP_LIMIT", steps + 1)
+    assert len(to_dominant(spec, lam).word) == len(weyl.reduce_labels(spec, labels, 0)[2]) == steps
+
+
+def test_give_up_is_asked_once_after_the_first_reflections(a2, monkeypatch):
+    lam = a2.weight((-40, 3), 1, 0)
+    steps = len(reference.to_dominant(a2, lam)[1])
+    assert steps > weyl.ASK_AFTER
+    asked = []
+
+    def ask(answer):
+        def give_up(spec, w):
+            asked.append((spec, w))
+            return answer
+
+        return give_up
+
+    assert to_dominant(a2, lam, give_up=ask(False)) == to_dominant(a2, lam)
+    assert asked == [(a2, lam)]
+    with pytest.raises(NonterminationError, match=f"given up after {weyl.ASK_AFTER} steps"):
+        to_dominant(a2, lam, give_up=ask(True))
+    # a reduction that finishes first never asks; nor does a budget at or
+    # below ASK_AFTER, which is spent first
+    assert to_dominant(a2, a2.weight((-3, 1), 1, 0), give_up=ask(True)).word
+    monkeypatch.setattr(weyl, "DEFAULT_STEP_LIMIT", weyl.ASK_AFTER)
+    with pytest.raises(NonterminationError, match=f"exceeded {weyl.ASK_AFTER} steps"):
+        to_dominant(a2, lam, give_up=ask(True))
+    assert len(asked) == 2
+
+
+def test_fraction_labels_reduce_in_the_kernel(a2):
+    from fractions import Fraction
+
+    lam = a2.weight((Fraction(-7, 3), Fraction(2, 3)), 2, Fraction(1, 2))
+    out = to_dominant(a2, lam)
+    assert (out.dominant, out.word) == reference.to_dominant(a2, lam)
+    assert Fraction in {type(x) for x in out.labels}
+
+
+def test_to_dominant_checks_the_rank_of_a_weight_that_does_not_fit(a2):
+    for labels, level in (((1, 0, 0), 1), ((1,), 1), ((1, 0, 0), 0)):
+        with pytest.raises(ConfigurationError, match="rank 2"):
+            to_dominant(a2, AffineWeight(labels, level, 0))
+
+
+# -- the generated kernel --------------------------------------------------
+
+
+def _compiles(monkeypatch):
+    """Record each kernel compiled from now on (weyl's `compile`)."""
+    compiled = []
+
+    def counting(source, filename, mode):
+        compiled.append(source)
+        return compile(source, filename, mode)
+
+    monkeypatch.setattr(weyl, "compile", counting, raising=False)
+    return compiled
+
+
+def test_kernel_compiles_on_the_first_walk_once_per_algebra(tmp_path, monkeypatch):
+    compiled = _compiles(monkeypatch)
+    path = tmp_path / "D4.json"
+    path.write_text(json.dumps(CONFIGS["D4"]))
+    spec = load_algebra(str(path))
+    start = spec.affine_labels(spec.weight((1, 0, 0, 0), 1, 0))
+    assert compiled == []
+    walk = list(weyl.descending_orbit(spec, start, 0, -2))
+    assert len(compiled) == 1
+    assert weyl.reduce_labels(spec, walk[-1][2][0], walk[-1][2][1])[0] == start
+    assert apply_word(spec, [2, 0, 1], spec.weight((0, 1, 0, 0), 2, 0))
+    assert to_dominant(spec, spec.weight((-1, 0, 1, 0), 1, 0)).word
+    assert len(compiled) == 1
+    # an equal algebra loaded again is another instance with its own kernel
+    other = load_algebra(str(path))
+    assert to_dominant(other, other.weight((-1, 0, 1, 0), 1, 0)).word
+    assert compiled[1:] == compiled[:1]
+
+
+def test_import_and_load_compile_no_kernel():
+    src = pathlib.Path(weyl.__file__).resolve().parents[1]
+    program = (
+        "import affstr, affstr.cli\n"
+        "from affstr import load_algebra, weyl\n"
+        "specs = [load_algebra(name) for name in ('A1', 'A2', 'A3')]\n"
+        "print([len(spec._memo) for spec in specs])\n"
+        "walk = weyl.descending_orbit(specs[1], (1, 1, 1), 0, 0)\n"
+        "print(walk is not None, len(specs[1]._memo))\n"
+    )
+    path = [str(src), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.run(
+        [sys.executable, "-c", program], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[0, 0, 0]", "True 1"]
+
+
+KERNEL_NAMES = {
+    "dominant", "reduce", "replay", "orbit", "labels", "level", "grade", "word", "limit",
+    "low", "x", "i", "_", "g", "floor", "start", "seen", "queue", "parent", "node",
+    "min", "range", "add", "append",
+}
+
+
+def test_kernel_source_holds_only_integers_and_its_own_names(tmp_path, monkeypatch):
+    # A config is outside input: whatever its label, the source compiled
+    # is made of keywords, operators, integer literals and the kernel's
+    # own names.
+    compiled = _compiles(monkeypatch)
+    configs = [*CONFIGS.values(), {"label": "__import__('os')\n1.5", "cartan": [[2, -1], [-3, 2]]}]
+    for k, config in enumerate(configs):
+        path = tmp_path / f"{k}.json"
+        path.write_text(json.dumps(config))
+        spec = load_algebra(str(path))
+        assert to_dominant(spec, spec.weight((-1,) * spec.rank, 1, 0)).word
+    assert len(compiled) == len(configs)
+    for source in compiled:
+        for token in tokenize.generate_tokens(io.StringIO(source).readline):
+            if token.type == tokenize.NAME:
+                assert (
+                    keyword.iskeyword(token.string)
+                    or token.string in KERNEL_NAMES
+                    or re.fullmatch(r"l[0-9]+", token.string)
+                ), token
+            elif token.type == tokenize.NUMBER:
+                assert re.fullmatch(r"[1-9][0-9]*|0", token.string), token
+            else:
+                assert token.type in (
+                    tokenize.OP, tokenize.NEWLINE, tokenize.NL, tokenize.INDENT,
+                    tokenize.DEDENT, tokenize.ENDMARKER,
+                ), token
+
+
 @pytest.mark.parametrize(
     "name,labels,level,grade,floor",
     [
@@ -286,8 +451,15 @@ def test_kernel_step_budget(a2, monkeypatch):
         ("G2", (1, 0), 3, -1, 0),
         ("A4", (1, 0, 0, 1), 2, 0, -2),
         ("A4", (0, 0, 0, 0), 2, 0, 1),
+        ("B3", (0, 0, 1), 2, 0, -3),
+        ("C3", (1, 0, 0), 2, 0, -3),
+        ("D4", (0, 0, 1, 1), 2, 0, -2),
+        ("D4", (1, 0, 0, 0), 1, -1, -1),
     ],
-    ids=["A2", "A2-start-on-floor", "A2-start-below", "G2", "G2-start-below", "A4", "A4-start-below"],
+    ids=[
+        "A2", "A2-start-on-floor", "A2-start-below", "G2", "G2-start-below", "A4",
+        "A4-start-below", "B3", "C3", "D4", "D4-start-on-floor",
+    ],
 )
 def test_descending_orbit_matches_brute_force(kernel_specs, name, labels, level, grade, floor):
     spec = kernel_specs[name]
