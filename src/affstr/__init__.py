@@ -42,12 +42,12 @@ from .weyl import WeylOutcome, to_dominant
 
 __version__ = "0.1.0"
 
-_ORACLE_NAMES = ("RacahOracle", "euler_square_series", "level1_eta_series", "two_path_mismatches")
+_ORACLE_NAMES = ("RacahOracle", "certify", "euler_square_series", "level1_eta_series")
 
 
 def __getattr__(name):
-    # The oracle module is imported on first use: only the two-path checks
-    # need it, so no other command pays for compiling it.
+    # The oracle module is imported on first use: only certifying a table
+    # needs it, so no other command pays for compiling it.
     if name in _ORACLE_NAMES:
         from . import oracle
 

@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands mirror the pipeline stages: `fan`, `folded-fan`, `strings`,
-`mult`, `character`, and the fixture harness `verify`.  Weights are
+`mult`, `character`, and the fixture harness `verify`; `strings --verify`
+prints only a table that `oracle.certify` certifies.  Weights are
 entered as comma-separated classical Dynkin labels; the zeroth label is
 inferred from the level.  Exit codes: 0 success, 2 configuration error or
 a request beyond the computed window, 3 mathematical consistency failure.
@@ -105,7 +106,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("strings", help="string function table for a module")
     common(p)
     p.add_argument("--verify", action="store_true",
-                   help="check every coefficient, depths 0..cutoff, against the unfolded recursion")
+                   help="gate the fan and check depths 0..cutoff by the unfolded recursion")
     p.set_defaults(handler=cmd_strings)
 
     p = sub.add_parser("mult", help="multiplicity of a single weight")
@@ -199,12 +200,12 @@ def cmd_strings(args) -> str:
     spec, mu = _class_data(args)
     table = string_table(spec, mu, args.level, -args.cutoff)
     if args.verify:
-        # Imported here: no other command needs the unfolded recursion.
-        from .oracle import RacahOracle, two_path_mismatches
+        # Imported here: no other command certifies a table.
+        from .oracle import certify
 
-        # string_table cached the fan built to the cutoff; the oracle reuses it.
-        oracle = RacahOracle(spec, table.mu, build_fan(spec, args.cutoff))
-        mismatches = two_path_mismatches(table, oracle)
+        gate, mismatches = certify(table)
+        if not gate:
+            raise ConsistencyError(f"denominator identity fails on the fan: {gate.mismatch}")
         if mismatches:
             s, d, folded, unfolded = mismatches[0]
             raise ConsistencyError(

@@ -4,8 +4,8 @@ The Racah-type recursion below walks the unfolded fan directly, so it
 shares nothing with the folding pipeline beyond the algebra data and the
 chamber-reduction kernel.  It adjudicates table typos and is the second leg of
 the two-path verification: folded solve and unfolded recursion must agree
-exactly on every multiplicity.  `two_path_mismatches` is the one place
-the two are compared.
+exactly on every multiplicity.  `certify` is the one place they are
+compared, on the fan object the fold read, which it also gates.
 
 Each shift is priced before it is reduced.  The invariant form is
 Weyl-invariant, so the child of a state (lambda, grade) under a shift
@@ -47,19 +47,16 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from operator import add, itemgetter, mul
+from typing import NamedTuple
 
 from .algebra import _INT, AffineWeight, AlgebraSpec, algebra_memo
 from .errors import ConfigurationError, ConsistencyError, NonterminationError, OutOfWindowError
-from .fan import Fan, _euler_power
+from .fan import DenominatorReport, Fan, _euler_power, verify_denominator
+from .folding import build_folded_fans
 from .strings import StringTable, classifier_for
 from .weyl import reduce_labels, to_dominant
 
-__all__ = [
-    "RacahOracle",
-    "euler_square_series",
-    "level1_eta_series",
-    "two_path_mismatches",
-]
+__all__ = ["Certificate", "RacahOracle", "certify", "euler_square_series", "level1_eta_series"]
 
 
 def euler_square_series(n: int) -> list[int]:
@@ -279,11 +276,31 @@ class RacahOracle:
                 yield (child, child_grade), mult
 
 
-def two_path_mismatches(table: StringTable, oracle: RacahOracle) -> list[tuple]:
-    """(string, depth, folded, unfolded) wherever the table and the recursion disagree."""
-    return [
+class Certificate(NamedTuple):
+    """The gate of the fan both paths read, and (string, depth, folded,
+    unfolded) wherever the table and the recursion disagree."""
+
+    gate: DenominatorReport
+    mismatches: list
+
+
+def certify(table: StringTable) -> Certificate:
+    """A string table's certificate, memoised per algebra and table."""
+    return _certify(table.algebra, table)
+
+
+@algebra_memo
+def _certify(spec: AlgebraSpec, table: StringTable, /) -> Certificate:
+    _, fan = build_folded_fans(spec, table.base, table.depth)  # the fold's own fan object
+    oracle = RacahOracle(spec, table.mu, fan)
+    return Certificate(_gate(spec, fan), [
         (s, d, folded, unfolded)
         for s, xi in enumerate(table.base.weights)
         for d, folded in enumerate(table.coefficients[s])
         if (unfolded := oracle.multiplicity(xi.shift_grade(-d))) != folded
-    ]
+    ])
+
+
+@algebra_memo
+def _gate(spec: AlgebraSpec, fan: Fan, /) -> DenominatorReport:
+    return verify_denominator(fan)  # once per fan object

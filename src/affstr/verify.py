@@ -3,7 +3,8 @@
 Each check compares a pipeline stage with a fixture file and reports the
 first divergence.  Checks share results through the per-algebra memo
 (algebra.algebra_memo): each module is solved once, each class folded
-once and each module compared with the unfolded recursion once.  The
+once, each table certified once (oracle.certify) and each fan gated
+once; a two-path line fails when its fan fails the gate.  The
 structural checks read those shared results rather than recomputing:
 grade independence of the folds is the two-path comparison at every
 depth, and the grade-0 block is read off the folded fans.  The checks
@@ -19,11 +20,11 @@ import pathlib
 import random
 from typing import NamedTuple
 
-from .algebra import algebra_memo, load_algebra
+from .algebra import load_algebra
 from .errors import ConfigurationError
-from .fan import build_fan, verify_denominator
+from .fan import build_fan
 from .folding import build_folded_fans
-from .oracle import RacahOracle, euler_square_series, level1_eta_series, two_path_mismatches
+from .oracle import _gate, certify, euler_square_series, level1_eta_series
 from .strings import enumerate_class_weights, module_class, string_table, weight_multiplicity
 from .weyl import apply_word
 
@@ -107,18 +108,6 @@ def run_all(directory=None) -> list[CheckResult]:
     return results
 
 
-@algebra_memo
-def _two_path(spec, mu, level, depth, /):
-    """The two-path comparison of one module, with one RacahOracle.
-
-    Oracles on one algebra, fan and level share their expansions, so the
-    modules of a class after the first reduce no shift; each keeps its
-    own singular term and values.
-    """
-    oracle = RacahOracle(spec, spec.weight(mu, level, 0), build_fan(spec, depth))
-    return two_path_mismatches(string_table(spec, mu, level, -depth), oracle)
-
-
 # -- individual checks -----------------------------------------------------
 
 
@@ -127,7 +116,7 @@ def check_fan(fx) -> list[CheckResult]:
     cutoff = fx["cutoff"]
     fan = build_fan(spec, cutoff)
     out = []
-    report = verify_denominator(fan)
+    report = _gate(spec, fan)
     out.append(
         CheckResult(
             f"fan {fx['algebra']} n<={cutoff}: denominator identity",
@@ -286,7 +275,7 @@ def check_level4(fx) -> list[CheckResult]:
         detail = ""
         if ok and module["annotations"]:
             # An annotation covers one grade of its string, or all of them.
-            for s, d, _, _ in _two_path(spec, mu, level, depth):
+            for s, d, _, _ in certify(table).mismatches:
                 if any(a["string"] == s and a.get("grade", d) == d for a in module["annotations"]):
                     ok, detail = False, f"oracle disagrees at string {s} grade {d}"
         out.append(
@@ -343,18 +332,20 @@ def _fixture_modules(fixtures):
 
 
 def check_oracle_equivalence(fixtures) -> list[CheckResult]:
-    """Folded path vs unfolded recursion on every in-window dominant weight."""
+    """Folded path vs unfolded recursion on every in-window dominant weight, on a gated fan."""
     out = []
     for spec, mu, level, depth in _fixture_modules(fixtures):
-        mismatches = _two_path(spec, mu, level, depth)
+        gate, mismatches = certify(string_table(spec, mu, level, -depth))
         detail = ""
-        if mismatches:
+        if not gate:
+            detail = f"denominator identity fails: first mismatch {gate.mismatch}"
+        elif mismatches:
             s, d, folded, unfolded = mismatches[0]
             detail = f"string {s} grade {-d}: folded {folded} unfolded {unfolded}"
         out.append(
             CheckResult(
                 f"two-path identity mu={list(mu)} level {level} to depth {depth}",
-                not mismatches,
+                gate.ok and not mismatches,
                 detail,
             )
         )
@@ -376,11 +367,11 @@ def check_structure(fixtures) -> list[CheckResult]:
     head_ok = True
     seen_classes = set()
     for spec, mu, level, depth in _fixture_modules(fixtures):
-        mismatches = _two_path(spec, mu, level, depth)
+        table = string_table(spec, mu, level, -depth)
+        mismatches = certify(table).mismatches
         if mismatches and grade_detail is None:
             s, d, _, _ = mismatches[0]
             grade_detail = f"mu={list(mu)} level {level}: string {s} grade {-d}"
-        table = string_table(spec, mu, level, -depth)
         base = table.base
         if base not in seen_classes:
             seen_classes.add(base)

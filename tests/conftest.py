@@ -1,5 +1,8 @@
+import sys
+
 import pytest
 
+from affstr import fan as fan_module
 from affstr import preset, weyl
 
 
@@ -42,3 +45,33 @@ def kernel_steps(monkeypatch):
         return steps
 
     return count
+
+
+@pytest.fixture
+def drop_fan_vectors(monkeypatch):
+    """drop(cutoffs): from now on every affstr binding of build_fan serves the
+    fans at those cutoffs (all of them for None) without the A2 vectors of
+    grade >= 2 and root[0] > 2, one Fan object per fan, so that the fold and
+    the oracle read the same wrong fan.  Patched the way perfbench's tracer
+    patches: at every affstr module attribute bound to build_fan."""
+
+    def drop(cutoffs):
+        original = fan_module.build_fan
+        served = {}
+
+        def build_fan(spec, cutoff, /):
+            fan = original(spec, cutoff)
+            if cutoffs is not None and cutoff not in cutoffs:
+                return fan
+            if fan not in served:
+                kept = [v for v in fan if v.grade < 2 or v.root[0] <= 2]
+                served[fan] = fan_module.Fan(spec, fan.cutoff, kept)
+            return served[fan]
+
+        for name, module in list(sys.modules.items()):
+            if module is not None and (name == "affstr" or name.startswith("affstr.")):
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, build_fan)
+
+    return drop

@@ -122,6 +122,23 @@ def test_strings_verify_checks_every_depth(capsys, monkeypatch):
     assert "string 2 depth 8" in err
 
 
+def test_strings_verify_gates_the_fan_both_paths_read(tmp_path, capsys, drop_fan_vectors):
+    # Without the A2 vectors of grade >= 2 and root[0] > 2 the fold gives a
+    # wrong table that the unfolded recursion, on the same fan, confirms:
+    # only the denominator identity finds the fault.  Fresh specs from a
+    # config, so no true fold is held.
+    config = tmp_path / "A2.json"
+    config.write_text(json.dumps({"label": "A2", "cartan": [[2, -1], [-1, 2]]}))
+    argv = ("strings", "--algebra", str(config), "--level", "2", "--mu", "1,0", "--cutoff", "10")
+    _, true_table, _ = run(capsys, *argv)
+    drop_fan_vectors(None)
+    code, wrong_table, _ = run(capsys, *argv)
+    assert code == 0 and wrong_table != true_table
+    code, out, err = run(capsys, *argv, "--verify")
+    assert code == 3 and out == ""
+    assert err.startswith("consistency failure: denominator identity fails")
+
+
 def test_strings_csv(capsys):
     code, out, _ = run(
         capsys, "strings", "--level", "2", "--mu", "0,0", "--cutoff", "3",
@@ -403,8 +420,7 @@ def test_the_oracle_is_imported_on_first_use():
         "code = affstr.cli.main(['mult', '--algebra', 'A2', '--level', '1', '--mu', '0,0',\n"
         "                        '--cutoff', '4', '--weight', '1,0', '--grade', '-1'])\n"
         "print('affstr.oracle' in sys.modules, code)\n"
-        "names = ['RacahOracle', 'euler_square_series', 'level1_eta_series',\n"
-        "         'two_path_mismatches']\n"
+        "names = ['RacahOracle', 'certify', 'euler_square_series', 'level1_eta_series']\n"
         "served = [getattr(affstr, n) is getattr(sys.modules['affstr.oracle'], n) for n in names]\n"
         "print(all(served), hasattr(affstr, 'no_such_name'))\n"
     )

@@ -12,6 +12,7 @@ from affstr import (
     verify_denominator,
 )
 from affstr import fan as fan_module
+from affstr import weyl
 from affstr.fan import Fan, _denominator_series, _euler_power
 from fan_reference import fan_vector
 from weyl_reference import weyl_vector
@@ -219,6 +220,13 @@ def test_node_budget(monkeypatch):
     monkeypatch.setattr(fan_module, "DEFAULT_NODE_LIMIT", 10)
     with pytest.raises(ResourceLimitError, match="exceeded 10 nodes"):
         build_fan(spec, 9)
+
+
+def test_default_budgets():
+    # README's exit-code paragraph states both budgets; the tests that patch
+    # a limit would not notice its default change.
+    assert fan_module.DEFAULT_NODE_LIMIT == 2_000_000
+    assert weyl.DEFAULT_STEP_LIMIT == 1_000_000
 
 
 @pytest.mark.parametrize("cutoff", [2.5, "3", None, -1])

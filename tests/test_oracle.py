@@ -12,12 +12,13 @@ from affstr import (
     euler_square_series,
     level1_eta_series,
     string_table,
+    verify_denominator,
     weight_multiplicity,
 )
 from affstr import oracle as oracle_module
 from affstr.algebra import AlgebraSpec
 from affstr.fan import Fan, _euler_power, pentagonal_series
-from affstr.oracle import two_path_mismatches
+from affstr.oracle import certify
 from affstr.strings import classifier_for, enumerate_class_weights
 from affstr.weyl import apply_word
 from test_folding import REFERENCE_CASES
@@ -150,13 +151,13 @@ def test_deep_query_needs_no_stack(a1):
 
 def test_two_path_mismatches_lists_every_disagreement(a2):
     table = string_table(a2, (0, 0), 2, -6)
-    oracle = RacahOracle(a2, a2.weight((0, 0), 2, 0), build_fan(a2, 6))
-    assert two_path_mismatches(table, oracle) == []
+    assert certify(table) == (verify_denominator(build_fan(a2, 6)), [])
     rows = [list(r) for r in table.coefficients]
     rows[0][3] += 1
     rows[1][6] -= 2
     bad = table._replace(coefficients=tuple(map(tuple, rows)))
-    assert two_path_mismatches(bad, oracle) == [
+    assert certify(bad).gate.ok
+    assert certify(bad).mismatches == [
         (0, 3, table.coefficients[0][3] + 1, table.coefficients[0][3]),
         (1, 6, table.coefficients[1][6] - 2, table.coefficients[1][6]),
     ]
@@ -244,18 +245,17 @@ def test_modules_of_a_class_share_one_expansion(monkeypatch):
     base = enumerate_class_weights(spec, 4)[classifier_for(spec).id_of((0, 0))]
     assert len(base) == 5
     calls = _count_reductions(monkeypatch)
-    oracles = []
     for k, mu in enumerate(base.weights):
-        oracles.append(RacahOracle(spec, mu, fan))
-        table = string_table(spec, mu.labels, 4, -depth)
-        assert two_path_mismatches(table, oracles[-1]) == []
+        assert certify(string_table(spec, mu.labels, 4, -depth)).mismatches == []
         if k == 0:
             first = calls[0]
             assert first > 0
     assert calls[0] == first
     monkeypatch.undo()
+    # oracles on the shared expansions give the unshared reference's values
     queries = [xi.shift_grade(-d) for xi in base.weights for d in range(depth + 1)]
-    for mu, oracle in zip(base.weights, oracles):
+    for mu in base.weights:
+        oracle = RacahOracle(spec, mu, fan)
         reference = oracle_reference.ReferenceOracle(spec, mu, fan)
         assert [oracle.multiplicity(q) for q in queries] == [
             reference.multiplicity(q) for q in queries

@@ -240,6 +240,16 @@ def test_solver_rejects_corrupted_folding(a2):
         solve_strings(assemble_system(base, (corrupted, folded[1]), 0, -6))
 
 
+def test_solver_asserts_the_highest_weight_multiplicity_is_one(a2):
+    # Grade-0 blocks [[-1, 1], [1, -2]] give the integral, non-negative
+    # head column (2, 1): only the head-is-1 check can refuse it.
+    base, _ = module_class(a2, (0, 0), 2)
+    assert [w.labels for w in base.weights] == [(0, 0), (1, 1)]
+    folded = (FoldedFan(0, 0, {(0, 0): -1, (1, 0): 1}), FoldedFan(1, 0, {(0, 0): 1, (1, 0): -2}))
+    with pytest.raises(ConsistencyError, match="highest weight multiplicity is not 1"):
+        solve_strings(assemble_system(base, folded, 0, 0))
+
+
 @pytest.mark.parametrize(
     "call",
     [

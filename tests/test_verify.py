@@ -2,14 +2,14 @@ import functools
 
 import pytest
 
-from affstr import algebra, folding, strings, verify
+from affstr import algebra, fan, folding, oracle, strings, verify
 
 
 def test_run_all_computes_each_result_once(monkeypatch):
     # Fresh preset specs, so the per-algebra memo starts empty and the
     # counts are the work one run actually does.
     monkeypatch.setattr(algebra, "_preset_cache", {})
-    calls = {"build_folded_fan": 0, "solve_strings": 0, "RacahOracle": 0}
+    calls = {"build_folded_fan": 0, "solve_strings": 0, "RacahOracle": 0, "verify_denominator": 0}
 
     def counted(module, name):
         original = getattr(module, name)
@@ -23,12 +23,16 @@ def test_run_all_computes_each_result_once(monkeypatch):
 
     counted(folding, "build_folded_fan")
     counted(strings, "solve_strings")
-    counted(verify, "RacahOracle")
+    counted(oracle, "RacahOracle")
+    counted(oracle, "verify_denominator")
     results = verify.run_all()
     assert len(results) == 48 and all(r.ok for r in results)
     # 7 (algebra, level, class, depth) foldings with 14 base weights in all,
-    # each folded once; 11 fixture modules, each solved and compared once.
-    assert calls == {"build_folded_fan": 14, "solve_strings": 11, "RacahOracle": 11}
+    # each folded once; 11 fixture modules, each solved and certified once;
+    # the three fans they read (A2 at cutoffs 9, 10 and 20), each gated once.
+    assert calls == {
+        "build_folded_fan": 14, "solve_strings": 11, "RacahOracle": 11, "verify_denominator": 3
+    }
 
 
 def _structure_lines(fixtures):
@@ -66,15 +70,34 @@ def test_grade0_block_line_fails_on_a_wrong_grade0_entry(monkeypatch, j, s, valu
 
 
 def test_grade_independence_line_fails_on_a_two_path_mismatch(monkeypatch):
-    two_path = verify._two_path
+    certify = verify.certify
 
-    def injected(spec, mu, level, depth):
-        mismatches = two_path(spec, mu, level, depth)
-        if (mu, level) == ((1, 1), 4):
-            mismatches = mismatches + [(1, 3, 5, 4)]
-        return mismatches
+    def injected(table):
+        certificate = certify(table)
+        if (table.mu.labels, table.level) == ((1, 1), 4):
+            certificate = certificate._replace(mismatches=certificate.mismatches + [(1, 3, 5, 4)])
+        return certificate
 
-    monkeypatch.setattr(verify, "_two_path", injected)
+    monkeypatch.setattr(verify, "certify", injected)
     grade, block = _structure_lines(verify.load_fixtures())
     assert block.ok and not grade.ok
     assert grade.detail == "mu=[1, 1] level 4: string 1 grade -3"
+
+
+def test_two_path_lines_fail_when_their_fan_fails_the_gate(monkeypatch, drop_fan_vectors):
+    # The level-1 modules are folded from the cutoff-20 fan, and the oracle
+    # reads that fan too, so both paths agree on a wrong fan: only its
+    # denominator gate can fail their two-path lines.  Fresh presets, so no
+    # true fold of that fan is held.
+    monkeypatch.setattr(algebra, "_preset_cache", {})
+    drop_fan_vectors({20})
+    results = verify.check_oracle_equivalence(verify.load_fixtures())
+    report = fan.verify_denominator(verify.build_fan(algebra.preset("A2"), 20))
+    assert not report.ok
+    failed = [r for r in results if not r.ok]
+    assert [r.name for r in failed] == [
+        r.name for r in results if r.name.endswith("level 1 to depth 20")
+    ]
+    assert len(failed) == 3
+    for r in failed:
+        assert r.detail == f"denominator identity fails: first mismatch {report.mismatch}"
