@@ -20,9 +20,11 @@ The invariant form is kept in integers too: `form_gram`, the Gram matrix
 of the fundamental weights scaled by `form_scale`, gives the norms that
 folds and far reads are priced with.
 
-Everything derived from an algebra (classifier, congruence classes, fans,
-folded fans, string tables) is memoised per instance by `algebra_memo`,
-the one cache policy of the package.
+Everything derived from an algebra (kernel, classifier, congruence
+classes, fans, folded fans, string tables) is memoised per instance by
+`algebra_memo`, the one cache policy of the package.  `preset` and
+`load_algebra` serve one registered instance per label and Cartan matrix,
+which keeps the algebra and its memo for the life of the process.
 """
 
 from __future__ import annotations
@@ -159,6 +161,8 @@ class AlgebraSpec:
     comarks, the inverse Cartan matrix) is computed once at construction;
     instances are immutable afterwards and safe to share between threads.
     The only mutable part is the memo of `algebra_memo`, which fills on use.
+    `preset` and `load_algebra` return the registered instance; calling the
+    constructor gives an unregistered one with an empty memo.
     """
 
     def __init__(self, label: str, cartan):
@@ -330,7 +334,8 @@ def algebra_memo(fn):
     """Memoise fn(spec, *key) per algebra instance.
 
     Values are stored on the spec itself, so they live exactly as long as
-    the spec does and a freshly loaded algebra starts empty.  (A mapping
+    the spec does: a registered algebra's for the whole process, while a
+    new `AlgebraSpec` starts empty.  (A mapping
     keyed weakly by the spec would never drop an entry: the values refer
     back to their spec.)  Within one spec the key is the other positional
     arguments, compared exactly: callers normalise them first (int tuples,
@@ -394,40 +399,34 @@ def _apply(matrix, vec) -> tuple[Fraction, ...]:
 # -- presets and config files --------------------------------------------
 
 
-def _a_series(rank: int):
-    return [
-        [2 if i == j else (-1 if abs(i - j) == 1 else 0) for j in range(rank)]
-        for i in range(rank)
-    ]
+_registry: dict[tuple, AlgebraSpec] = {}
+_PRESET_NAMES = ("A1", "A2", "A3")
 
 
-_PRESETS = {
-    "A1": lambda: AlgebraSpec("A1", _a_series(1)),
-    "A2": lambda: AlgebraSpec("A2", _a_series(2)),
-    "A3": lambda: AlgebraSpec("A3", _a_series(3)),
-}
-
-_preset_cache: dict[str, AlgebraSpec] = {}
+def _registered(label, cartan) -> AlgebraSpec:
+    # One instance per label and integer Cartan matrix, normalised as the
+    # constructor does; threads racing on a first load get the first stored.
+    key = (str(label), tuple(tuple(_integer_entry(x) for x in row) for row in cartan))
+    return _registry.get(key) or _registry.setdefault(key, AlgebraSpec(*key))
 
 
 def preset(name: str) -> AlgebraSpec:
-    try:
-        maker = _PRESETS[name]
-    except KeyError:
-        raise ConfigurationError(f"unknown algebra preset {name!r}") from None
-    if name not in _preset_cache:
-        _preset_cache[name] = maker()
-    return _preset_cache[name]
+    """The registered A_r algebra of a preset name: A1, A2 or A3."""
+    if name not in _PRESET_NAMES:
+        raise ConfigurationError(f"unknown algebra preset {name!r}")
+    r = range(int(name[1]))  # A_r: 2 on the diagonal, -1 beside it
+    return _registered(name, [[2 * (i == j) - (abs(i - j) == 1) for j in r] for i in r])
 
 
 def load_algebra(source: str) -> AlgebraSpec:
-    """Resolve a preset name or a JSON config file path.
+    """The registered algebra of a preset name or a JSON config file path.
 
     Config schema: {"label": "A2", "cartan": [[2,-1],[-1,2]]}.  The
     symmetrizer is derived from the Cartan matrix, so a config that names
-    one is refused rather than read.
+    one is refused rather than read.  Equal label and matrix, equal
+    instance: a config twice, or a preset's label and matrix, give one.
     """
-    if source in _PRESETS:
+    if source in _PRESET_NAMES:
         return preset(source)
     try:
         with open(source) as fh:
@@ -444,6 +443,6 @@ def load_algebra(source: str) -> AlgebraSpec:
             "derived from the Cartan matrix, so remove the key"
         )
     try:
-        return AlgebraSpec(data.get("label", source), data["cartan"])
+        return _registered(data.get("label", source), data["cartan"])
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigurationError(f"bad algebra config {source!r}: {exc}") from exc

@@ -27,8 +27,10 @@ fans they are solved from: the modules of one class share a single fold.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 from typing import NamedTuple
 
+from . import fan
 from .algebra import (
     _INT, AffineWeight, AlgebraSpec, _gauss_jordan, _integer_entry, algebra_memo,
     to_root_basis,
@@ -38,6 +40,7 @@ from .errors import (
     ConsistencyError,
     NonterminationError,
     OutOfWindowError,
+    ResourceLimitError,
 )
 from .folding import BaseWeightSet, FoldedFan, build_folded_fans
 from .weyl import descending_orbit, to_dominant
@@ -98,14 +101,23 @@ def enumerate_class_weights(spec: AlgebraSpec, level: int, /) -> dict:
     """All dominant level-k grade-0 weights, partitioned by congruence class.
 
     Within a class, weights are ordered by their simple-root coordinates,
-    the order level-plane tables are conventionally listed in.
+    the order level-plane tables are conventionally listed in.  A level
+    with more than fan.DEFAULT_NODE_LIMIT dominant weights raises
+    ResourceLimitError, at once when the lower bound C(k // max comark +
+    rank, rank) on their count already passes it.
     """
     level = _integer_entry(level, "level")
     if level < 1:
         raise ConfigurationError("level must be >= 1")
+    limit = fan.DEFAULT_NODE_LIMIT
+    too_many = f"level {level} has more than {limit} dominant weights"
+    if comb(level // max(spec.comarks) + spec.rank, spec.rank) > limit:
+        raise ResourceLimitError(too_many)
     classify = classifier_for(spec)
     buckets: dict[CongruenceClassId, list[AffineWeight]] = {}
-    for labels in _dominant_labels(spec.comarks, level):
+    for count, labels in enumerate(_dominant_labels(spec.comarks, level), 1):
+        if count > limit:
+            raise ResourceLimitError(too_many)
         w = spec.weight(labels, level, 0)
         buckets.setdefault(classify.id_of(labels), []).append(w)
     out = {}

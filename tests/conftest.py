@@ -2,6 +2,7 @@ import sys
 
 import pytest
 
+from affstr import algebra
 from affstr import fan as fan_module
 from affstr import preset, weyl
 
@@ -19,6 +20,19 @@ def a2():
 @pytest.fixture(scope="session")
 def a3():
     return preset("A3")
+
+
+@pytest.fixture
+def fresh_algebras(monkeypatch):
+    """An empty algebra registry for one test, returned so it can be cleared.
+
+    `preset` and `load_algebra` build new instances with empty memos, and
+    whatever the test computes on them, or corrupts by patching, is gone
+    with them when it ends; the session's registered algebras are left as
+    they were."""
+    registry = {}
+    monkeypatch.setattr(algebra, "_registry", registry)
+    return registry
 
 
 @pytest.fixture

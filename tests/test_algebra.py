@@ -12,9 +12,10 @@ from affstr import (
     AlgebraSpec,
     ConfigurationError,
     load_algebra,
+    preset,
     to_root_basis,
 )
-from affstr.algebra import _PRESETS, _gauss_jordan
+from affstr.algebra import _gauss_jordan
 from weyl_reference import from_root_basis, inner_product, weyl_vector
 
 CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "configs"
@@ -90,7 +91,7 @@ def test_elimination_determinant_and_singularity():
 
 @pytest.mark.parametrize(
     "spec",
-    [pytest.param(name, id=name) for name in sorted(_PRESETS)]
+    [pytest.param(name, id=name) for name in ("A1", "A2", "A3")]
     + [pytest.param(str(path), id=path.name) for path in sorted(CONFIGS.glob("*.json"))],
 )
 def test_cartan_inverse_is_exact(spec):
@@ -189,6 +190,27 @@ def test_non_simply_laced_config(tmp_path):
     assert inner_product(b2, theta, theta) == 2
     assert all(isinstance(c, int) and c > 0 for c in b2.comarks)
     assert b2.dual_coxeter == 1 + sum(b2.comarks)
+
+
+def test_one_instance_per_label_and_cartan_matrix(tmp_path):
+    path = str(CONFIGS / "A2.json")
+    a2 = load_algebra(path)
+    assert load_algebra(path) is a2
+    assert preset("A2") is a2 and load_algebra("A2") is a2
+    # the key is the integer matrix, normalised as the constructor does
+    same = tmp_path / "same.json"
+    same.write_text(json.dumps({"label": "A2", "cartan": [[2.0, -1], [-1, 2]]}))
+    assert load_algebra(str(same)) is a2
+    # another label is another instance, with a memo of its own
+    relabelled = tmp_path / "relabelled.json"
+    relabelled.write_text(json.dumps({"label": "sl3", "cartan": [[2, -1], [-1, 2]]}))
+    sl3 = load_algebra(str(relabelled))
+    assert sl3 is not a2 and sl3.cartan == a2.cartan
+    assert load_algebra(str(relabelled)) is sl3
+    # the constructor stays outside the registry, with an empty memo
+    direct = AlgebraSpec("A2", a2.cartan)
+    assert direct is not a2 and direct._memo == {}
+    assert preset("A2") is a2
 
 
 def test_load_algebra_errors(tmp_path):

@@ -9,6 +9,7 @@ import pytest
 
 import affstr
 from affstr import build_fan, build_folded_fans, cli, string_table, weyl
+from affstr import fan as fan_module
 from affstr.cli import main
 from affstr.strings import module_class
 from affstr.verify import fixture_dir
@@ -122,15 +123,20 @@ def test_strings_verify_checks_every_depth(capsys, monkeypatch):
     assert "string 2 depth 8" in err
 
 
-def test_strings_verify_gates_the_fan_both_paths_read(tmp_path, capsys, drop_fan_vectors):
+def test_strings_verify_gates_the_fan_both_paths_read(
+    tmp_path, capsys, fresh_algebras, drop_fan_vectors
+):
     # Without the A2 vectors of grade >= 2 and root[0] > 2 the fold gives a
     # wrong table that the unfolded recursion, on the same fan, confirms:
-    # only the denominator identity finds the fault.  Fresh specs from a
-    # config, so no true fold is held.
+    # only the denominator identity finds the fault.  The config is the
+    # registered A2, so the test runs on an empty registry, emptied again
+    # after the true table: no true fold is held, and no wrong one is kept
+    # for later tests.
     config = tmp_path / "A2.json"
     config.write_text(json.dumps({"label": "A2", "cartan": [[2, -1], [-1, 2]]}))
     argv = ("strings", "--algebra", str(config), "--level", "2", "--mu", "1,0", "--cutoff", "10")
     _, true_table, _ = run(capsys, *argv)
+    fresh_algebras.clear()
     drop_fan_vectors(None)
     code, wrong_table, _ = run(capsys, *argv)
     assert code == 0 and wrong_table != true_table
@@ -195,6 +201,18 @@ def test_mult_reduction_beyond_the_step_budget(capsys, monkeypatch):
     code, out, err = run(capsys, *cmd, "--weight", "0,-15", "--grade", "-79")
     assert code == 3 and out == ""
     assert err.startswith("consistency failure: reduction exceeded 20 steps")
+
+
+@pytest.mark.parametrize("level", ["1000000", "99999999999999999999"])
+def test_huge_level_exits_3_at_once(capsys, level):
+    # The dominant weights of the level outnumber the node budget; the
+    # command used to walk all of them before it picked the class.
+    code, out, err = run(capsys, "strings", "--level", level, "--mu", "0,0", "--cutoff", "0")
+    assert code == 3 and out == ""
+    assert err == (
+        f"consistency failure: level {level} has more than "
+        f"{fan_module.DEFAULT_NODE_LIMIT} dominant weights\n"
+    )
 
 
 def test_mult_beyond_window_is_a_request_error(capsys):

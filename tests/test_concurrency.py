@@ -1,6 +1,9 @@
 import concurrent.futures
+import json
 import random
 import sys
+import threading
+import time
 
 import pytest
 
@@ -9,11 +12,15 @@ from affstr import (
     AlgebraSpec,
     ConsistencyError,
     RacahOracle,
+    algebra,
     build_fan,
     build_folded_fans,
     character,
+    load_algebra,
     string_table,
+    to_dominant,
     weight_multiplicity,
+    weyl,
 )
 from affstr.fan import Fan
 from affstr.strings import enumerate_class_weights
@@ -118,6 +125,37 @@ def test_first_walks_of_a_fresh_algebra_across_threads():
             assert len(spec._memo) == 1  # one kernel kept, whichever thread won
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_first_loads_of_one_config_across_threads(tmp_path, monkeypatch, fresh_algebras):
+    # Eight threads, released together, load a config that no one has
+    # loaded yet and walk it.  Each builds an instance of its own, yielding
+    # inside the constructor so that all of them miss the registry first;
+    # all must get the one stored first, and its kernel must be one object.
+    config = tmp_path / "B3.json"
+    config.write_text(json.dumps({"label": "B3", "cartan": [[2, -1, 0], [-1, 2, -1], [0, -2, 2]]}))
+
+    class Yielding(AlgebraSpec):
+        def __init__(self, label, cartan):
+            time.sleep(0.001)
+            super().__init__(label, cartan)
+
+    monkeypatch.setattr(algebra, "AlgebraSpec", Yielding)
+    for _ in range(3):
+        fresh_algebras.clear()
+        barrier = threading.Barrier(8)
+
+        def load_and_walk(_):
+            barrier.wait(timeout=60)
+            spec = load_algebra(str(config))
+            assert to_dominant(spec, spec.weight((-1, 2, -3), 1, 0)).word
+            return spec, weyl._kernel(spec)
+
+        with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
+            got = list(pool.map(load_and_walk, range(8)))
+        spec, kernel = got[0]
+        assert all(s is spec and k is kernel for s, k in got)
+        assert list(fresh_algebras.values()) == [spec]
 
 
 def test_parallel_folded_fan_builds():

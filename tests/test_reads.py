@@ -1,6 +1,7 @@
 """The multiplicity reads: `weight_multiplicity`, `RacahOracle.multiplicity`
 and the `WeylOutcome` of `to_dominant` that both read from."""
 
+import json
 import pathlib
 from functools import partial
 
@@ -126,7 +127,7 @@ def test_budget_error_stands_for_a_weight_of_the_module(a2, monkeypatch):
         oracle.multiplicity(inside)
 
 
-def test_far_read_is_priced_after_a_few_kernel_steps(kernel_steps):
+def test_far_read_is_priced_after_a_few_kernel_steps(fresh_algebras, kernel_steps):
     # `affstr mult --algebra A2 --level 1 --mu 0,0 --cutoff 4 --weight
     # 1000000,0 --grade -1`: the reduction would take over a million
     # reflections; the read prices the weight after ASK_AFTER of them.
@@ -172,7 +173,7 @@ def test_priced_reads_are_sound(modules, oracles, data):
             pass
 
 
-def test_reads_refuse_a_table_of_another_algebra(a2):
+def test_reads_refuse_a_table_of_another_algebra(a2, tmp_path):
     # A G2 read of an A2 table gave 0 for a multiplicity of 32 and listed
     # 39 pairs for a window of 27.
     table = string_table(a2, (0, 0), 2, -6)
@@ -182,9 +183,12 @@ def test_reads_refuse_a_table_of_another_algebra(a2):
         weight_multiplicity(g2, table, lam)
     with pytest.raises(ConfigurationError, match="Cartan matrices differ"):
         character(g2, table, 2)
-    # An algebra is its Cartan matrix: a JSON A2 reads the preset's table.
-    json_a2 = load_algebra(str(CONFIGS / "A2.json"))
-    assert json_a2 is not a2
-    assert weight_multiplicity(json_a2, table, lam) == 32
-    pairs = character(json_a2, table, 2)
+    # An algebra is its Cartan matrix: a relabelled A2, another instance,
+    # reads the preset's table.
+    config = tmp_path / "sl3.json"
+    config.write_text(json.dumps({"label": "sl3", "cartan": [[2, -1], [-1, 2]]}))
+    sl3 = load_algebra(str(config))
+    assert sl3 is not a2
+    assert weight_multiplicity(sl3, table, lam) == 32
+    pairs = character(sl3, table, 2)
     assert len(pairs) == 27 and pairs == character(a2, table, 2)

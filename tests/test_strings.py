@@ -1,12 +1,15 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from affstr import (
+    AlgebraSpec,
     ConfigurationError,
     ConsistencyError,
     OutOfWindowError,
+    ResourceLimitError,
     build_fan,
     build_folded_fans,
     character,
@@ -14,6 +17,7 @@ from affstr import (
     string_table,
     weight_multiplicity,
 )
+from affstr import fan as fan_module
 from affstr.folding import FoldedFan
 from affstr.strings import (
     assemble_system,
@@ -276,3 +280,26 @@ def test_string_table_rejects_bad_mu(a2):
         string_table(a2, (9, 9), 2, -4)
     with pytest.raises(ConfigurationError):
         string_table(a2, (-1, 0), 2, -4)
+
+
+@pytest.mark.parametrize("level", [10**6, 10**20])
+def test_huge_level_is_refused_before_enumerating(a2, level):
+    # A2 has at least C(level + 2, 2) dominant labels at a level, far past
+    # the node budget here: walking them (5 * 10**11 at level 10**6) would
+    # never end, so the bound refuses the level at once.
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match=f"^level {level} has more than"):
+        module_class(a2, (0, 0), level)
+    assert time.perf_counter() - start < 1
+
+
+def test_class_enumeration_stops_at_the_node_budget(monkeypatch):
+    # G2 (comarks 2, 1) has 9 dominant labels at level 4, above the bound
+    # C(4 // 2 + 2, 2) = 6: a budget of 8 passes the bound, so the walk
+    # itself must stop.
+    g2 = AlgebraSpec("G2", [[2, -1], [-3, 2]])
+    monkeypatch.setattr(fan_module, "DEFAULT_NODE_LIMIT", 8)
+    with pytest.raises(ResourceLimitError, match="^level 4 has more than 8 dominant weights$"):
+        enumerate_class_weights(g2, 4)
+    monkeypatch.setattr(fan_module, "DEFAULT_NODE_LIMIT", 9)
+    assert sum(len(base) for base in enumerate_class_weights(g2, 4).values()) == 9

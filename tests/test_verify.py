@@ -5,10 +5,9 @@ import pytest
 from affstr import algebra, fan, folding, oracle, strings, verify
 
 
-def test_run_all_computes_each_result_once(monkeypatch):
-    # Fresh preset specs, so the per-algebra memo starts empty and the
+def test_run_all_computes_each_result_once(monkeypatch, fresh_algebras):
+    # Fresh registered specs, so the per-algebra memo starts empty and the
     # counts are the work one run actually does.
-    monkeypatch.setattr(algebra, "_preset_cache", {})
     calls = {"build_folded_fan": 0, "solve_strings": 0, "RacahOracle": 0, "verify_denominator": 0}
 
     def counted(module, name):
@@ -84,12 +83,11 @@ def test_grade_independence_line_fails_on_a_two_path_mismatch(monkeypatch):
     assert grade.detail == "mu=[1, 1] level 4: string 1 grade -3"
 
 
-def test_two_path_lines_fail_when_their_fan_fails_the_gate(monkeypatch, drop_fan_vectors):
+def test_two_path_lines_fail_when_their_fan_fails_the_gate(fresh_algebras, drop_fan_vectors):
     # The level-1 modules are folded from the cutoff-20 fan, and the oracle
     # reads that fan too, so both paths agree on a wrong fan: only its
-    # denominator gate can fail their two-path lines.  Fresh presets, so no
-    # true fold of that fan is held.
-    monkeypatch.setattr(algebra, "_preset_cache", {})
+    # denominator gate can fail their two-path lines.  Fresh registered
+    # algebras, so no true fold of that fan is held and no wrong one is kept.
     drop_fan_vectors({20})
     results = verify.check_oracle_equivalence(verify.load_fixtures())
     report = fan.verify_denominator(verify.build_fan(algebra.preset("A2"), 20))

@@ -366,7 +366,9 @@ def _compiles(monkeypatch):
     return compiled
 
 
-def test_kernel_compiles_on_the_first_walk_once_per_algebra(tmp_path, monkeypatch):
+def test_kernel_compiles_on_the_first_walk_once_per_algebra(
+    tmp_path, monkeypatch, fresh_algebras
+):
     compiled = _compiles(monkeypatch)
     path = tmp_path / "D4.json"
     path.write_text(json.dumps(CONFIGS["D4"]))
@@ -379,10 +381,12 @@ def test_kernel_compiles_on_the_first_walk_once_per_algebra(tmp_path, monkeypatc
     assert apply_word(spec, [2, 0, 1], spec.weight((0, 1, 0, 0), 2, 0))
     assert to_dominant(spec, spec.weight((-1, 0, 1, 0), 1, 0)).word
     assert len(compiled) == 1
-    # an equal algebra loaded again is another instance with its own kernel
-    other = load_algebra(str(path))
-    assert to_dominant(other, other.weight((-1, 0, 1, 0), 1, 0)).word
-    assert compiled[1:] == compiled[:1]
+    # an equal config loaded again is the same instance: nothing compiles
+    other = tmp_path / "D4 again.json"
+    other.write_text(json.dumps(CONFIGS["D4"]))
+    assert load_algebra(str(other)) is spec
+    assert to_dominant(spec, spec.weight((0, 1, -1, 0), 1, 0)).word
+    assert len(compiled) == 1
 
 
 def test_import_and_load_compile_no_kernel():
@@ -411,7 +415,9 @@ KERNEL_NAMES = {
 }
 
 
-def test_kernel_source_holds_only_integers_and_its_own_names(tmp_path, monkeypatch):
+def test_kernel_source_holds_only_integers_and_its_own_names(
+    tmp_path, monkeypatch, fresh_algebras
+):
     # A config is outside input: whatever its label, the source compiled
     # is made of keywords, operators, integer literals and the kernel's
     # own names.
