@@ -1,24 +1,25 @@
 """Cartan data and exact affine weight arithmetic.
 
 An algebra is its classical Cartan matrix A_ij = <alpha_i^vee, alpha_j>
-(Kac's convention); `AlgebraSpec` derives the symmetrizer from it.
+(Kac's convention).  `AlgebraSpec` eliminates A once: A is of irreducible
+finite type exactly when A^-1 exists with every entry positive (Kac, Cor.
+4.3), and the symmetrizer, det A and the inverse are read off that one
+elimination.
 
 A weight is stored as (classical Dynkin labels; level; grade), each
 component an exact rational: an `int` when integral, a `Fraction`
 otherwise.  `AffineWeight` normalises them once, at construction, and
 only those that are not already ints.  The zeroth label is never stored:
 it is recovered from the level as lambda_0 = level - sum(comark_i *
-label_i).  Simple-root coordinates exist only for display and for the
-order of a congruence class; they are an exact application of the
-inverse Cartan matrix.
+label_i).  Simple-root coordinates (`to_root_basis`, the inverse Cartan
+matrix applied exactly) exist only for display.
 
 No floating point is used anywhere.  `_gauss_jordan` is the package's one
-exact elimination: it gives the inverse Cartan matrix, the leading minors
-of the positive-definiteness test, the Cartan determinant of the
-congruence classifier, and the per-depth solve of the string functions.
-The invariant form is kept in integers too: `form_gram`, the Gram matrix
-of the fundamental weights scaled by `form_scale`, gives the norms that
-folds and far reads are priced with.
+exact elimination, without row exchanges: it gives the inverse and the
+determinant of the Cartan matrix, and the per-depth solve of the string
+functions.  The invariant form is kept in integers too: `form_gram`, the
+Gram matrix of the fundamental weights scaled by `form_scale`, gives the
+norms that folds and far reads are priced with.
 
 Everything derived from an algebra (kernel, classifier, congruence
 classes, fans, folded fans, string tables) is memoised per instance by
@@ -35,7 +36,7 @@ import math
 from fractions import Fraction
 from operator import mul
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, ResourceLimitError
 
 __all__ = [
     "AffineWeight",
@@ -154,11 +155,13 @@ class AlgebraSpec:
 
     The Cartan matrix is the whole input.  Its convention is Kac's,
     A_ij = <alpha_i^vee, alpha_j>, and the invariant form is
-    (alpha_i|alpha_j) = d_i A_ij.  The symmetrizer d is derived from A:
-    an irreducible Cartan matrix fixes it up to one scale, which is chosen
-    so that the highest root has |theta|^2 = 2 (d_i = 1 on long roots).
-    Derived data (symmetrizer, positive roots, highest root, marks,
-    comarks, the inverse Cartan matrix) is computed once at construction;
+    (alpha_i|alpha_j) = d_i A_ij.  A matrix is accepted when it is of
+    irreducible finite type, that is when A^-1 exists and has only
+    positive entries.  The symmetrizer d is read off A^-1, up to the one
+    scale that gives the highest root |theta|^2 = 2 (d_i = 1 on long
+    roots).  Derived data (the inverse Cartan matrix and its determinant
+    `cartan_det`, symmetrizer, positive roots, highest root, marks,
+    comarks) is computed once at construction;
     instances are immutable afterwards and safe to share between threads.
     The only mutable part is the memo of `algebra_memo`, which fills on use.
     `preset` and `load_algebra` return the registered instance; calling the
@@ -171,19 +174,25 @@ class AlgebraSpec:
         self.cartan = tuple(tuple(_integer_entry(x) for x in row) for row in cartan)
         self.rank = len(self.cartan)
         self._validate_cartan()
-        self.symmetrizer = self._derive_symmetrizer()
-        self._check_positive_definite()
+        # Kac, Cor. 4.3: a GCM is of irreducible finite type exactly when A^-1
+        # exists and every entry of it is positive.
         identity = [[int(i == j) for j in range(self.rank)] for i in range(self.rank)]
-        self.cartan_inverse = tuple(zip(*_gauss_jordan(self.cartan, identity)[1]))
+        det, inverse_columns = _gauss_jordan(self.cartan, identity)
+        if inverse_columns is None or any(x <= 0 for c in inverse_columns for x in c):
+            raise ConfigurationError(
+                "Cartan matrix is not of irreducible finite type: A^-1 must exist with "
+                "every entry positive (D A positive definite and A indecomposable)"
+            )
+        self.cartan_det = int(det)
+        self.cartan_inverse = inverse = tuple(zip(*inverse_columns))
+        # D A is symmetric exactly when A^-1 D^-1 is, so d_j is (A^-1)_0j /
+        # (A^-1)_j0 up to scale.  |alpha_i|^2 = 2 d_i, and theta is a long
+        # root: dividing by the largest d_i gives |theta|^2 = 2.
+        ratios = [inverse[0][j] / inverse[j][0] for j in range(self.rank)]
+        longest = max(ratios)
+        self.symmetrizer = tuple(x / longest for x in ratios)
         self.positive_roots = self._close_roots()
-        self.highest_root = max(self.positive_roots, key=lambda c: sum(c))
-        tops = [c for c in self.positive_roots if sum(c) == sum(self.highest_root)]
-        if len(tops) != 1:
-            raise ConfigurationError("Cartan matrix is not of irreducible finite type")
-        # Rescale the symmetrizer so the highest root has squared length 2;
-        # the affine formulas below assume this normalization.
-        norm2 = self._root_norm2(self.highest_root)
-        self.symmetrizer = tuple(d * 2 / norm2 for d in self.symmetrizer)
+        self.highest_root = self.positive_roots[-1]
         self.marks = tuple(int(c) for c in self.highest_root)
         comarks = tuple(a * d for a, d in zip(self.marks, self.symmetrizer))
         if any(c.denominator != 1 or c <= 0 for c in comarks):
@@ -236,36 +245,6 @@ class AlgebraSpec:
                     if (a[i][j] == 0) != (a[j][i] == 0):
                         raise ConfigurationError("Cartan zero pattern must be symmetric")
 
-    def _derive_symmetrizer(self):
-        # Propagate d_i A_ij = d_j A_ji along the Dynkin graph.  The zero
-        # pattern is symmetric and off-diagonal entries are <= 0, so every
-        # ratio is positive and so is every d_i.
-        d = [None] * self.rank
-        for start in range(self.rank):
-            if d[start] is not None:
-                continue
-            d[start] = Fraction(1)
-            stack = [start]
-            while stack:
-                i = stack.pop()
-                for j in range(self.rank):
-                    if i == j or self.cartan[i][j] == 0:
-                        continue
-                    val = d[i] * self.cartan[i][j] / self.cartan[j][i]
-                    if d[j] is None:
-                        d[j] = val
-                        stack.append(j)
-                    elif d[j] != val:
-                        raise ConfigurationError("Cartan matrix is not symmetrizable")
-        return d
-
-    def _check_positive_definite(self):
-        # With D the positive diagonal symmetrizer, the leading minors of D A
-        # are those of A times positive products of D, so A's signs decide.
-        for k in range(1, self.rank + 1):
-            if _gauss_jordan([row[:k] for row in self.cartan[:k]])[0] <= 0:
-                raise ConfigurationError("symmetrized Cartan matrix is not positive definite")
-
     def _close_roots(self) -> tuple[tuple[int, ...], ...]:
         """All positive roots in simple-root coordinates, via reflection closure."""
         rank = self.rank
@@ -284,18 +263,14 @@ class AlgebraSpec:
                         seen.add(image)
                         nxt.append(image)
             if len(seen) > _ROOT_CLOSURE_LIMIT:
-                raise ConfigurationError("root system is not finite")
+                raise ResourceLimitError(
+                    f"root closure reached {len(seen)} roots, past its limit of "
+                    f"{_ROOT_CLOSURE_LIMIT}"
+                )
             frontier = nxt
         pos = [c for c in seen if all(x >= 0 for x in c)]
         pos.sort(key=lambda c: (sum(c), c))
         return tuple(pos)
-
-    def _root_norm2(self, coords) -> Fraction:
-        return sum(
-            Fraction(coords[i]) * coords[j] * self.symmetrizer[i] * self.cartan[i][j]
-            for i in range(self.rank)
-            for j in range(self.rank)
-        )
 
     # -- affine labels ---------------------------------------------------
 
@@ -360,40 +335,36 @@ def algebra_memo(fn):
 def to_root_basis(spec: AlgebraSpec, w: AffineWeight) -> tuple[Fraction, ...]:
     """Classical part in simple-root coordinates (display basis)."""
     spec.check_rank(w)
-    return _apply(spec.cartan_inverse, w.labels)
+    return tuple(sum(map(mul, row, w.labels)) for row in spec.cartan_inverse)
 
 
 # -- exact linear algebra on small matrices ------------------------------
 
 
 def _gauss_jordan(matrix, columns=()):
-    """Exact Gauss-Jordan elimination of a square matrix A.
+    """Exact Gauss-Jordan elimination of a square matrix A, without row exchanges.
 
     Returns (det A, the columns A^-1 c for each column c of `columns`),
-    or (0, None) when A is singular.  Entries may be ints or Fractions.
+    or (0, None) when a pivot is zero.  Entries may be ints or Fractions.
+    Both callers' matrices, a finite-type Cartan matrix and the solve's
+    grade-0 block, have no vanishing leading minor, so for them a zero
+    pivot means A is singular.
     """
     n = len(matrix)
     m = [[Fraction(x) for x in row] + [c[i] for c in columns] for i, row in enumerate(matrix)]
     det = Fraction(1)
     for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
+        pivot = m[col][col]
+        if not pivot:
             return Fraction(0), None
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = Fraction(1) / m[col][col]
+        det *= pivot
+        inv = 1 / pivot
         m[col] = [x * inv for x in m[col]]
         for r in range(n):
             if r != col and m[r][col]:
                 factor = m[r][col]
                 m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
     return det, tuple(tuple(m[i][n + k] for i in range(n)) for k in range(len(columns)))
-
-
-def _apply(matrix, vec) -> tuple[Fraction, ...]:
-    return tuple(sum(row[j] * vec[j] for j in range(len(vec))) for row in matrix)
 
 
 # -- presets and config files --------------------------------------------

@@ -117,10 +117,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grade", type=int, required=True, help="grade of the weight (<= 0)")
     p.set_defaults(handler=cmd_mult)
 
-    p = sub.add_parser("character", help="weights and multiplicities by grade")
+    p = sub.add_parser("character", help="weights and multiplicities at grades 0..-cutoff")
     common(p)
-    p.add_argument("--depth", type=int, default=None,
-                   help="list grades 0..-depth (defaults to the cutoff)")
     p.set_defaults(handler=cmd_character)
 
     p = sub.add_parser("verify", help="run the golden-fixture verification suite")
@@ -259,8 +257,7 @@ def cmd_mult(args) -> str:
 def cmd_character(args) -> str:
     spec, mu = _class_data(args)
     table = string_table(spec, mu, args.level, -args.cutoff)
-    depth = args.cutoff if args.depth is None else args.depth
-    pairs = character(spec, table, depth)
+    pairs = character(spec, table, args.cutoff)
     if args.format == "json":
         return _dumps(
             [
@@ -280,7 +277,8 @@ def cmd_character(args) -> str:
         totals[w.grade] = totals.get(w.grade, 0) + m
     # Many weights share a classical part: convert each one once.
     classical: dict = {}
-    lines = [f"character of L^{list(mu)}, {spec.label} level {args.level}, grades 0..-{depth}"]
+    lines = [f"character of L^{list(mu)}, {spec.label} level {args.level}, "
+             f"grades 0..-{args.cutoff}"]
     current = None
     for w, m in pairs:
         if w.grade != current:

@@ -3,10 +3,11 @@
 The dominant level-k grade-0 weights split into congruence classes
 (classical parts modulo the classical root lattice); fan shifts never
 leave a class.  A class is named by the residue of adj(A) times the
-labels modulo det(A), A the Cartan matrix.  `module_class` is the one
-check that labels give a highest weight of the level and the one lookup
-of its class.  Only the oracle classifies weights itself, so that it
-shares no class enumeration with the folded path it checks.
+labels modulo det(A), A the Cartan matrix, and ordered by that integer
+vector itself.  `module_class` is the one check that labels give a
+highest weight of the level and the one lookup of its class.  Only the
+oracle classifies weights itself, so that it shares no class enumeration
+with the folded path it checks.
 
 For one class the multiplicity recursion, written for all strings
 simultaneously down to a cutoff grade u, becomes a square block system
@@ -28,12 +29,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
+from operator import mul
 from typing import NamedTuple
 
 from . import fan
 from .algebra import (
     _INT, AffineWeight, AlgebraSpec, _gauss_jordan, _integer_entry, algebra_memo,
-    to_root_basis,
 )
 from .errors import (
     ConfigurationError,
@@ -75,20 +76,26 @@ class CongruenceClassifier:
     Labels v lie in the root lattice exactly when A^-1 v is integral, that
     is when adj(A) v vanishes modulo det(A), adj(A) = det(A) A^-1 being an
     integer matrix.  The residue of adj(A) v modulo det(A) names the class.
+    det(A) and A^-1 are read off the algebra (`cartan_det`,
+    `cartan_inverse`); the classifier eliminates nothing itself.  Since
+    det(A) > 0, adj(A) v orders labels as their simple-root coordinates
+    A^-1 v do, in integers.
     """
 
     def __init__(self, spec: AlgebraSpec):
         self.spec = spec
-        self._det = int(_gauss_jordan(spec.cartan)[0])
+        self._det = spec.cartan_det
         self._adj = tuple(tuple(int(self._det * x) for x in row) for row in spec.cartan_inverse)
 
     def id_of(self, labels) -> CongruenceClassId:
         labels = tuple(_integer_entry(x, "Dynkin label") for x in labels)
         if len(labels) != self.spec.rank:
             raise ConfigurationError("label length does not match rank")
-        return CongruenceClassId(
-            tuple(sum(a * x for a, x in zip(row, labels)) % self._det for row in self._adj)
-        )
+        return CongruenceClassId(tuple(x % self._det for x in self._scaled_roots(labels)))
+
+    def _scaled_roots(self, labels) -> tuple[int, ...]:
+        """adj(A) v: det(A) times the simple-root coordinates of int labels v."""
+        return tuple(sum(map(mul, row, labels)) for row in self._adj)
 
 
 @algebra_memo
@@ -122,7 +129,7 @@ def enumerate_class_weights(spec: AlgebraSpec, level: int, /) -> dict:
         buckets.setdefault(classify.id_of(labels), []).append(w)
     out = {}
     for cid in sorted(buckets, key=lambda c: c.residue):
-        weights = sorted(buckets[cid], key=lambda w: to_root_basis(spec, w))
+        weights = sorted(buckets[cid], key=lambda w: classify._scaled_roots(w.labels))
         out[cid] = BaseWeightSet(spec, level, tuple(weights), cid)
     return out
 
@@ -148,9 +155,6 @@ class BlockSystem(NamedTuple):
     mu_index: int
     depth: int  # |u|
     folded: tuple[FoldedFan, ...]
-
-    def eta(self, j: int, s: int, n: int) -> int:
-        return self.folded[j].eta(s, n)
 
     def grade_matrix(self, n: int):
         p = len(self.base)

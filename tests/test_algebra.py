@@ -5,16 +5,18 @@ import pickle
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from affstr import (
     AffineWeight,
     AlgebraSpec,
     ConfigurationError,
+    ResourceLimitError,
     load_algebra,
     preset,
     to_root_basis,
 )
+from affstr import algebra, strings
 from affstr.algebra import _gauss_jordan
 from weyl_reference import from_root_basis, inner_product, weyl_vector
 
@@ -79,14 +81,159 @@ def test_non_simply_laced_and_d4_are_accepted(cartan, symmetrizer, comarks):
 
 def test_elimination_determinant_and_singularity():
     assert _gauss_jordan([[1, 2], [3, 4]]) == (-2, ())
-    # a row swap flips the sign, also when the elimination itself must swap
     assert _gauss_jordan([[3, 4], [1, 2]])[0] == 2
-    assert _gauss_jordan([[0, 1], [1, 0]])[0] == -1
-    assert _gauss_jordan([[0, 1, 0], [0, 0, 1], [1, 0, 0]])[0] == 1
+    # no row exchanges: a zero leading pivot reads as singular
+    assert _gauss_jordan([[0, 1], [1, 0]], [[1, 0]]) == (0, None)
+    assert _gauss_jordan([[0, 1, 0], [0, 0, 1], [1, 0, 0]]) == (0, None)
+    # the solve's grade-0 block: upper triangular, -1 on the diagonal
+    det, (x,) = _gauss_jordan([[-1, 2, 1], [0, -1, 3], [0, 0, -1]], [[1, 2, 3]])
+    assert det == -1 and x == (-26, -11, -3)
     assert _gauss_jordan([[1, 2], [2, 4]]) == (0, None)
     assert _gauss_jordan([[0, 0], [0, 1]], [[1, 1]]) == (0, None)
     det, (x,) = _gauss_jordan([[2, 1], [1, 3]], [[3, 5]])
     assert det == 5 and x == (F(4, 5), F(7, 5))
+
+
+# -- the finite-type criterion: A^-1 exists and is positive --------------
+
+
+def _reference_finite_type(cartan) -> bool:
+    """A connected Dynkin graph whose simple roots have a finite reflection
+    closure (Kac, Prop. 4.9), independent of AlgebraSpec."""
+    r = len(cartan)
+    reached, stack = {0}, [0]
+    while stack:
+        i = stack.pop()
+        for j in range(r):
+            if cartan[i][j] and j not in reached:
+                reached.add(j)
+                stack.append(j)
+    if len(reached) != r:
+        return False
+    roots = {tuple(int(i == j) for j in range(r)) for i in range(r)}
+    frontier = list(roots)
+    while frontier:
+        c = frontier.pop()
+        for i in range(r):
+            pairing = sum(a * x for a, x in zip(cartan[i], c))
+            image = tuple(x - pairing * (j == i) for j, x in enumerate(c))
+            if image not in roots:
+                roots.add(image)
+                frontier.append(image)
+        if len(roots) > 200:  # F4 has 48 roots, the most of any rank <= 4
+            return False
+    return True
+
+
+@st.composite
+def small_gcms(draw):
+    r = draw(st.integers(1, 4))
+    pair = st.sampled_from([(0, 0)] + [(a, b) for a in (-1, -2, -3) for b in (-1, -2, -3)])
+    m = [[2 * (i == j) for j in range(r)] for i in range(r)]
+    for i in range(r):
+        for j in range(i + 1, r):
+            m[i][j], m[j][i] = draw(pair)
+    return m
+
+
+@given(small_gcms())
+@settings(max_examples=300, deadline=None)
+def test_finite_type_criterion_matches_reflection_closure(cartan):
+    try:
+        spec = AlgebraSpec("X", cartan)
+    except ConfigurationError:
+        assert not _reference_finite_type(cartan)
+        return
+    assert _reference_finite_type(cartan)
+    r, d = spec.rank, spec.symmetrizer
+    assert all(d[i] * cartan[i][j] == d[j] * cartan[j][i] for i in range(r) for j in range(r))
+    assert all(type(c) is int and c > 0 for c in spec.comarks)
+    theta = spec.highest_root
+    assert sum(theta[i] * theta[j] * d[i] * cartan[i][j] for i in range(r) for j in range(r)) == 2
+
+
+def test_criterion_named_cases():
+    # decomposable A1 x A2: A^-1 has zero entries
+    with pytest.raises(ConfigurationError, match="irreducible finite type"):
+        AlgebraSpec("A1xA2", [[2, 0, 0], [0, 2, -1], [0, -1, 2]])
+    # a 3-cycle that no diagonal D symmetrizes
+    with pytest.raises(ConfigurationError, match="irreducible finite type"):
+        AlgebraSpec("cycle", [[2, -1, -1], [-2, 2, -1], [-1, -1, 2]])
+    # a one-way 3-cycle is no GCM, though its inverse is positive
+    one_way = [[2, -1, 0], [0, 2, -1], [-1, 0, 2]]
+    det, inverse = _gauss_jordan(one_way, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    assert det == 7 and all(x > 0 for column in inverse for x in column)
+    with pytest.raises(ConfigurationError, match="zero pattern"):
+        AlgebraSpec("one-way", one_way)
+
+
+def _chain(r, edges=(), double=None):
+    # A_r's chain, extra edges as (i, j), and one entry (i, j) set to -2
+    m = [[2 * (i == j) - (abs(i - j) == 1) for j in range(r)] for i in range(r)]
+    for i, j in edges:
+        m[i][j] = m[j][i] = -1
+    if double:
+        m[double[0]][double[1]] = -2
+    return m
+
+
+def _e(r):
+    # Bourbaki's E_r: the chain 1-3-4-...-r with node 2 on node 4
+    order = [0, 2] + list(range(3, r))
+    m = [[2 * (i == j) for j in range(r)] for i in range(r)]
+    for i, j in list(zip(order, order[1:])) + [(1, 3)]:
+        m[i][j] = m[j][i] = -1
+    return m
+
+
+@pytest.mark.parametrize(
+    "cartan,det,dual_coxeter,positive_roots,comarks",
+    [
+        pytest.param(_chain(5, double=(4, 3)), 2, 9, 25, (1, 2, 2, 2, 1), id="B5"),
+        pytest.param(_chain(5, double=(3, 4)), 2, 6, 25, (1, 1, 1, 1, 1), id="C5"),
+        pytest.param(
+            [[2, -1, 0, 0, 0], [-1, 2, -1, 0, 0], [0, -1, 2, -1, -1],
+             [0, 0, -1, 2, 0], [0, 0, -1, 0, 2]],
+            4, 8, 20, (1, 2, 2, 1, 1), id="D5",
+        ),
+        pytest.param(_e(6), 3, 12, 36, (1, 2, 2, 3, 2, 1), id="E6"),
+        pytest.param(_e(7), 2, 18, 63, (2, 2, 3, 4, 3, 2, 1), id="E7"),
+        pytest.param(_e(8), 1, 30, 120, (2, 3, 4, 6, 5, 4, 3, 2), id="E8"),
+        pytest.param(_chain(4, double=(2, 1)), 1, 9, 24, (2, 3, 2, 1), id="F4"),
+    ],
+)
+def test_exceptional_and_rank5_data_match_kac_table_aff1(
+    cartan, det, dual_coxeter, positive_roots, comarks
+):
+    spec = AlgebraSpec("X", cartan)
+    assert spec.cartan_det == det and type(spec.cartan_det) is int
+    assert spec.dual_coxeter == dual_coxeter
+    assert len(spec.positive_roots) == positive_roots
+    assert spec.comarks == comarks
+
+
+def test_one_elimination_per_algebra_and_none_per_classifier(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return _gauss_jordan(*args)
+
+    monkeypatch.setattr(algebra, "_gauss_jordan", counting)
+    monkeypatch.setattr(strings, "_gauss_jordan", counting)
+    spec = AlgebraSpec("B3", [[2, -1, 0], [-1, 2, -1], [0, -2, 2]])
+    assert len(calls) == 1
+    classify = strings.classifier_for(spec)
+    classify.id_of((1, 0, 1))
+    strings.enumerate_class_weights(spec, 2)
+    assert len(calls) == 1
+    assert classify._det == spec.cartan_det == 2
+
+
+def test_root_closure_limit_is_a_resource_limit(monkeypatch):
+    monkeypatch.setattr(algebra, "_ROOT_CLOSURE_LIMIT", 10)
+    with pytest.raises(ResourceLimitError, match="reached 11 roots, past its limit of 10"):
+        AlgebraSpec("A4", _chain(4))
 
 
 @pytest.mark.parametrize(

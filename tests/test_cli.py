@@ -247,19 +247,10 @@ def test_mult_rejects_malformed_weight_before_solving(capsys, monkeypatch):
     assert len(calls) == 1
 
 
-def test_character_beyond_window_is_a_request_error(capsys):
-    code, out, err = run(
-        capsys, "character", "--level", "1", "--mu", "0,0", "--cutoff", "6",
-        "--depth", "9",
-    )
-    assert code == 2 and out == ""
-    assert err.startswith("error:") and "cutoff -6" in err
-
-
 def test_character_command(capsys):
     code, out, _ = run(
-        capsys, "character", "--level", "1", "--mu", "0,0", "--cutoff", "3",
-        "--depth", "1", "--format", "json",
+        capsys, "character", "--level", "1", "--mu", "0,0", "--cutoff", "1",
+        "--format", "json",
     )
     assert code == 0
     data = json.loads(out)
@@ -270,7 +261,7 @@ def test_character_command(capsys):
 
 def test_character_text_output(capsys):
     code, out, _ = run(
-        capsys, "character", "--level", "2", "--mu", "1,0", "--cutoff", "2", "--depth", "1",
+        capsys, "character", "--level", "2", "--mu", "1,0", "--cutoff", "1",
     )
     assert code == 0
     assert out.splitlines() == [

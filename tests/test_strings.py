@@ -77,7 +77,7 @@ def test_assemble_level1_block(a2):
     folded, _ = build_folded_fans(a2, base, 5)
     system = assemble_system(base, folded, 0, -5)
     # the single Toeplitz block is read off the folded shifts by grade
-    assert [system.eta(0, 0, n) for n in range(6)] == folded[0].eta_row(0)
+    assert [system.grade_matrix(n)[0][0] for n in range(6)] == folded[0].eta_row(0)
     assert system.grade_matrix(0) == [[-1]]
     assert system.depth == 5 and system.mu_index == 0
 
