@@ -105,6 +105,7 @@ class AffineWeight:
         return w
 
     def __add__(self, other: "AffineWeight") -> "AffineWeight":
+        _check_same_rank(self, other)
         return AffineWeight(
             tuple(a + b for a, b in zip(self.labels, other.labels)),
             self.level + other.level,
@@ -112,6 +113,7 @@ class AffineWeight:
         )
 
     def __sub__(self, other: "AffineWeight") -> "AffineWeight":
+        _check_same_rank(self, other)
         return AffineWeight(
             tuple(a - b for a, b in zip(self.labels, other.labels)),
             self.level - other.level,
@@ -148,6 +150,14 @@ _set_labels = AffineWeight.labels.__set__
 _set_level = AffineWeight.level.__set__
 _set_grade = AffineWeight.grade.__set__
 _new = object.__new__
+
+
+def _check_same_rank(a: AffineWeight, b: AffineWeight):
+    # zip would drop the labels past the shorter tuple and give a wrong weight.
+    if len(a.labels) != len(b.labels):
+        raise ConfigurationError(
+            f"cannot combine weights of {len(a.labels)} and {len(b.labels)} labels"
+        )
 
 
 class AlgebraSpec:
@@ -246,31 +256,34 @@ class AlgebraSpec:
                         raise ConfigurationError("Cartan zero pattern must be symmetric")
 
     def _close_roots(self) -> tuple[tuple[int, ...], ...]:
-        """All positive roots in simple-root coordinates, via reflection closure."""
+        """All positive roots in simple-root coordinates, walked up from the simple roots.
+
+        A positive root beta with p = <beta, alpha_i^vee> < 0 is not alpha_i,
+        so s_i beta = beta - p alpha_i is a positive root -p higher; and every
+        positive root above height 1 is such an image (it has a reflection
+        that lowers it to a positive root).  Each root carries its pairings
+        <beta, alpha_k^vee>, and the image's are p_k - p A_ki, read off
+        column i of A.
+        """
         rank = self.rank
-        seen: set[tuple[int, ...]] = set()
-        frontier = [tuple(1 if j == i else 0 for j in range(rank)) for i in range(rank)]
-        seen.update(frontier)
-        while frontier:
-            nxt = []
-            for c in frontier:
-                for i in range(rank):
-                    pairing = sum(self.cartan[i][j] * c[j] for j in range(rank))
-                    image = tuple(
-                        c[j] - (pairing if j == i else 0) for j in range(rank)
+        columns = tuple(zip(*self.cartan))
+        queue = [(tuple(int(j == i) for j in range(rank)), columns[i]) for i in range(rank)]
+        seen = {root for root, _ in queue}
+        for root, pairings in queue:
+            for i, p in enumerate(pairings):
+                if p >= 0:
+                    continue
+                image = root[:i] + (root[i] - p,) + root[i + 1:]
+                if image in seen:
+                    continue
+                seen.add(image)
+                if len(seen) > _ROOT_CLOSURE_LIMIT:
+                    raise ResourceLimitError(
+                        f"root closure reached {len(seen)} roots, past its limit of "
+                        f"{_ROOT_CLOSURE_LIMIT}"
                     )
-                    if image not in seen:
-                        seen.add(image)
-                        nxt.append(image)
-            if len(seen) > _ROOT_CLOSURE_LIMIT:
-                raise ResourceLimitError(
-                    f"root closure reached {len(seen)} roots, past its limit of "
-                    f"{_ROOT_CLOSURE_LIMIT}"
-                )
-            frontier = nxt
-        pos = [c for c in seen if all(x >= 0 for x in c)]
-        pos.sort(key=lambda c: (sum(c), c))
-        return tuple(pos)
+                queue.append((image, tuple(q - p * a for q, a in zip(pairings, columns[i]))))
+        return tuple(sorted(seen, key=lambda c: (sum(c), c)))
 
     # -- affine labels ---------------------------------------------------
 

@@ -19,13 +19,16 @@ child in an orbit walk is one tuple display.  There is no other reflection
 loop in the package.  The source holds only integer literals, each written
 with `%d` from the int Cartan data, and its own local names; nothing of a
 config file (not even the algebra's label) enters it, and it runs with no
-builtins but `min` and `range`.
+builtin but `range`.
 
 Reduction (`reduce_labels`, `to_dominant`) applies the reflection at the
 most negative label, the lowest index on ties, until all labels are
-non-negative.  Any strategy yields the same dominant representative; this
-one gives the same word every time, whose length the oracle's sign and the
-benchmark's reflection counts read.  It only ever raises the grade.
+non-negative.  Each step finds that label by comparison alone: a chain of
+`if l_j < low` tests gives the lowest value, the step returns when it is
+non-negative, and otherwise reflects at the first label equal to it.  Any
+strategy yields the same dominant representative; this one gives the same
+word every time, whose length the oracle's sign and the benchmark's
+reflection counts read.  It only ever raises the grade.
 Termination needs positive level, so each reduction runs under a budget of
 DEFAULT_STEP_LIMIT reflections, read at each call, and raises
 NonterminationError past it.  A caller that can price a long reduction
@@ -124,12 +127,15 @@ def orbit(labels, grade, floor):
         ({names}), grade = parent
 {children}"""
 
-# Reflect at the most negative label, the lowest index on ties.
+# Reflect at the most negative label, the lowest index on ties: one
+# comparison chain finds the lowest label, and the `l{i} == low` chain
+# reflects at the first label that holds it.
 _LOOP = """\
     for _ in range(limit):
-        if {nonnegative}:
+        low = l0
+{lowest}
+        if low >= 0:
             return ({names}), grade
-        low = min({names})
 {steps}
     return ({names}), grade
 """
@@ -203,7 +209,9 @@ def _kernel_source(columns, comarks) -> str:
         label0="level" + label0,
         loop=_LOOP.format(
             names=names,
-            nonnegative=" and ".join("l%d >= 0" % j for j in range(n)),
+            lowest="\n".join(
+                "        if l%d < low:\n            low = l%d" % (j, j) for j in range(1, n)
+            ),
             steps=_chain(columns, "l{i} == low", "low", "", "word.append({i})"),
         ),
         replay=_chain(columns, "i == {i}", "x", "x = l{i}", ""),
@@ -215,7 +223,7 @@ def _kernel_source(columns, comarks) -> str:
 def _kernel(spec: AlgebraSpec, /) -> _Kernel:
     """The algebra's kernel, compiled on its first walk."""
     source = _kernel_source(spec.affine_columns, spec.comarks)
-    namespace = {"__builtins__": {}, "min": min, "range": range}
+    namespace = {"__builtins__": {}, "range": range}
     exec(compile(source, "<affstr.weyl kernel of rank %d>" % spec.rank, "exec"), namespace)
     kernel = _Kernel()
     for name in _Kernel.__slots__:

@@ -108,8 +108,14 @@ def _reference_finite_type(cartan) -> bool:
             if cartan[i][j] and j not in reached:
                 reached.add(j)
                 stack.append(j)
-    if len(reached) != r:
-        return False
+    # F4 has 48 roots, the most of any rank <= 4
+    return len(reached) == r and _reflection_closure(cartan, 200) is not None
+
+
+def _reflection_closure(cartan, limit):
+    """Every root in simple-root coordinates, both signs, by applying every
+    simple reflection to every root found; None past `limit` roots."""
+    r = len(cartan)
     roots = {tuple(int(i == j) for j in range(r)) for i in range(r)}
     frontier = list(roots)
     while frontier:
@@ -120,9 +126,9 @@ def _reference_finite_type(cartan) -> bool:
             if image not in roots:
                 roots.add(image)
                 frontier.append(image)
-        if len(roots) > 200:  # F4 has 48 roots, the most of any rank <= 4
-            return False
-    return True
+        if len(roots) > limit:
+            return None
+    return roots
 
 
 @st.composite
@@ -186,22 +192,22 @@ def _e(r):
     return m
 
 
-@pytest.mark.parametrize(
-    "cartan,det,dual_coxeter,positive_roots,comarks",
-    [
-        pytest.param(_chain(5, double=(4, 3)), 2, 9, 25, (1, 2, 2, 2, 1), id="B5"),
-        pytest.param(_chain(5, double=(3, 4)), 2, 6, 25, (1, 1, 1, 1, 1), id="C5"),
-        pytest.param(
-            [[2, -1, 0, 0, 0], [-1, 2, -1, 0, 0], [0, -1, 2, -1, -1],
-             [0, 0, -1, 2, 0], [0, 0, -1, 0, 2]],
-            4, 8, 20, (1, 2, 2, 1, 1), id="D5",
-        ),
-        pytest.param(_e(6), 3, 12, 36, (1, 2, 2, 3, 2, 1), id="E6"),
-        pytest.param(_e(7), 2, 18, 63, (2, 2, 3, 4, 3, 2, 1), id="E7"),
-        pytest.param(_e(8), 1, 30, 120, (2, 3, 4, 6, 5, 4, 3, 2), id="E8"),
-        pytest.param(_chain(4, double=(2, 1)), 1, 9, 24, (2, 3, 2, 1), id="F4"),
-    ],
-)
+KAC_TABLE_AFF1 = [
+    pytest.param(_chain(5, double=(4, 3)), 2, 9, 25, (1, 2, 2, 2, 1), id="B5"),
+    pytest.param(_chain(5, double=(3, 4)), 2, 6, 25, (1, 1, 1, 1, 1), id="C5"),
+    pytest.param(
+        [[2, -1, 0, 0, 0], [-1, 2, -1, 0, 0], [0, -1, 2, -1, -1],
+         [0, 0, -1, 2, 0], [0, 0, -1, 0, 2]],
+        4, 8, 20, (1, 2, 2, 1, 1), id="D5",
+    ),
+    pytest.param(_e(6), 3, 12, 36, (1, 2, 2, 3, 2, 1), id="E6"),
+    pytest.param(_e(7), 2, 18, 63, (2, 2, 3, 4, 3, 2, 1), id="E7"),
+    pytest.param(_e(8), 1, 30, 120, (2, 3, 4, 6, 5, 4, 3, 2), id="E8"),
+    pytest.param(_chain(4, double=(2, 1)), 1, 9, 24, (2, 3, 2, 1), id="F4"),
+]
+
+
+@pytest.mark.parametrize("cartan,det,dual_coxeter,positive_roots,comarks", KAC_TABLE_AFF1)
 def test_exceptional_and_rank5_data_match_kac_table_aff1(
     cartan, det, dual_coxeter, positive_roots, comarks
 ):
@@ -210,6 +216,21 @@ def test_exceptional_and_rank5_data_match_kac_table_aff1(
     assert spec.dual_coxeter == dual_coxeter
     assert len(spec.positive_roots) == positive_roots
     assert spec.comarks == comarks
+
+
+@pytest.mark.parametrize(
+    "cartan",
+    [pytest.param(case.values[0], id=case.id) for case in KAC_TABLE_AFF1]
+    + [pytest.param([[2, -1], [-3, 2]], id="G2"), pytest.param([[2, -3], [-1, 2]], id="G2-dual")],
+)
+def test_positive_roots_match_a_brute_force_reflection_closure(cartan):
+    # AlgebraSpec walks up from the simple roots only where a pairing is
+    # negative; the closure here reflects every root, negative ones too.
+    roots = _reflection_closure(cartan, 1000)  # E8 has 240
+    positive = [c for c in roots if all(x >= 0 for x in c)]
+    assert len(roots) == 2 * len(positive)
+    expected = tuple(sorted(positive, key=lambda c: (sum(c), c)))
+    assert AlgebraSpec("X", cartan).positive_roots == expected
 
 
 def test_one_elimination_per_algebra_and_none_per_classifier(monkeypatch):
@@ -231,9 +252,12 @@ def test_one_elimination_per_algebra_and_none_per_classifier(monkeypatch):
 
 
 def test_root_closure_limit_is_a_resource_limit(monkeypatch):
-    monkeypatch.setattr(algebra, "_ROOT_CLOSURE_LIMIT", 10)
-    with pytest.raises(ResourceLimitError, match="reached 11 roots, past its limit of 10"):
+    # the closure counts positive roots only: A4 has 10
+    monkeypatch.setattr(algebra, "_ROOT_CLOSURE_LIMIT", 9)
+    with pytest.raises(ResourceLimitError, match="reached 10 roots, past its limit of 9"):
         AlgebraSpec("A4", _chain(4))
+    monkeypatch.setattr(algebra, "_ROOT_CLOSURE_LIMIT", 10)
+    assert len(AlgebraSpec("A4", _chain(4)).positive_roots) == 10
 
 
 @pytest.mark.parametrize(
@@ -393,6 +417,15 @@ def test_weight_arithmetic(a2):
     assert (a + b).level == 2
     assert (a - b).grade == 2
     assert a.shift_grade(-3).grade == -3
+
+
+@pytest.mark.parametrize("combine", [lambda a, b: a + b, lambda a, b: a - b], ids=["add", "sub"])
+def test_weight_arithmetic_refuses_a_rank_mismatch(combine):
+    # zipping the labels would silently drop the second label of the A2 weight
+    a2_weight, a1_weight = AffineWeight((1, 0), 1, 0), AffineWeight((1,), 1, 0)
+    for a, b in ((a2_weight, a1_weight), (a1_weight, a2_weight)):
+        with pytest.raises(ConfigurationError, match="weights of [12] and [12] labels"):
+            combine(a, b)
 
 
 def test_shift_grade_keeps_ints_and_exact_fractions(a2):

@@ -246,6 +246,59 @@ def test_kernel_matches_reference_reduction(kernel_specs, data):
     assert (out.dominant, out.word) == reference.to_dominant(spec, w)
 
 
+@pytest.mark.parametrize(
+    "name,labels,level",
+    [
+        # all three classical labels lowest; lambda_0 = 10
+        ("A3", (-3, -3, -3), 1),
+        # lambda_1 and lambda_3 lowest; lambda_0 = 4
+        ("D4", (-2, 0, -2, 1), 1),
+        # lambda_0 = lambda_1 = -2: s_0 first
+        ("A2", (-2, 5), 1),
+        ("A4", (-1, -1, -1, -1), 1),
+        # lambda_0 = lambda_2 = -5 on a non-symmetric affine matrix
+        ("G2", (6, -5), 2),
+        ("B3", (-4, 1, -4), 3),
+        ("C3", (-6, 2, -6), 2),
+    ],
+    ids=["A3-all", "D4", "A2-with-label0", "A4-all", "G2-with-label0", "B3", "C3"],
+)
+def test_kernel_ties_take_the_lowest_index(kernel_specs, name, labels, level):
+    # Two or more labels share the lowest value: the kernel reflects at the
+    # first of them, as the reference does.
+    spec = kernel_specs[name] if name in kernel_specs else load_algebra(name)
+    w = spec.weight(labels, level, 0)
+    affine = spec.affine_labels(w)
+    assert affine.count(min(affine)) >= 2
+    out = to_dominant(spec, w)
+    dominant, word = reference.to_dominant(spec, w)
+    assert len(word) >= 2
+    assert (out.dominant, out.word) == (dominant, word)
+    reduced = weyl.reduce_labels(spec, affine, 0)
+    assert reduced == (spec.affine_labels(dominant), dominant.grade, list(word))
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_kernel_matches_reference_on_far_weights(kernel_specs, data):
+    # Labels up to 200 from the wall: most words pass ASK_AFTER, and a
+    # give_up that answers False lets the kernel finish the reduction.
+    spec = kernel_specs[data.draw(st.sampled_from(sorted(kernel_specs)))]
+    labels = data.draw(st.tuples(*[st.integers(-200, 200)] * spec.rank))
+    w = AffineWeight(labels, data.draw(st.integers(1, 5)), data.draw(st.integers(-6, 2)))
+    asked = []
+
+    def give_up(spec, w):
+        asked.append(w)
+        return False
+
+    out = to_dominant(spec, w, give_up=give_up)
+    dominant, word = reference.to_dominant(spec, w)
+    assert (out.labels, out.grade, out.word) == (spec.affine_labels(dominant), dominant.grade, word)
+    assert asked == [w] * (len(word) >= weyl.ASK_AFTER)
+    assert to_dominant(spec, w) == out
+
+
 @given(st.data())
 @settings(max_examples=100)
 def test_kernel_reflections_match_reference(kernel_specs, data):
@@ -411,7 +464,7 @@ def test_import_and_load_compile_no_kernel():
 KERNEL_NAMES = {
     "dominant", "reduce", "replay", "orbit", "labels", "level", "grade", "word", "limit",
     "low", "x", "i", "_", "g", "floor", "start", "seen", "queue", "parent", "node",
-    "min", "range", "add", "append",
+    "range", "add", "append",
 }
 
 
@@ -428,6 +481,10 @@ def test_kernel_source_holds_only_integers_and_its_own_names(
         path.write_text(json.dumps(config))
         spec = load_algebra(str(path))
         assert to_dominant(spec, spec.weight((-1,) * spec.rank, 1, 0)).word
+        # the compiled walks see `range` and no other global or builtin
+        namespace = weyl._kernel(spec).reduce.__globals__
+        assert namespace.keys() == {"__builtins__", "range", *weyl._Kernel.__slots__}
+        assert namespace["__builtins__"] == {} and namespace["range"] is range
     assert len(compiled) == len(configs)
     for source in compiled:
         for token in tokenize.generate_tokens(io.StringIO(source).readline):
