@@ -7,9 +7,10 @@ finite type exactly when A^-1 exists with every entry positive (Kac, Cor.
 elimination.
 
 A weight is stored as (classical Dynkin labels; level; grade), each
-component an exact rational: an `int` when integral, a `Fraction`
-otherwise.  `AffineWeight` normalises them once, at construction, and
-only those that are not already ints.  The zeroth label is never stored:
+component an `int`: every weight of an integrable module lies in the
+integral weight lattice.  `AffineWeight` converts a component that is not
+already an int once, at construction, and refuses one that is not
+integral.  The zeroth label is never stored:
 it is recovered from the level as lambda_0 = level - sum(comark_i *
 label_i).  Simple-root coordinates (`to_root_basis`, the inverse Cartan
 matrix applied exactly) exist only for display.
@@ -50,17 +51,6 @@ __all__ = [
 _ROOT_CLOSURE_LIMIT = 100_000
 
 
-def _norm(value):
-    # Integral values are kept as machine ints: they hash and compare the
-    # same as the equal Fraction but arithmetic on them is much faster.
-    # A bool becomes a plain int, so every stored component has type int
-    # or Fraction and a type test tells integral from not.
-    if type(value) is int:
-        return value
-    f = Fraction(value)
-    return f.numerator if f.denominator == 1 else f
-
-
 def _integer_entry(x, what: str = "Cartan entry") -> int:
     # int() alone would truncate -1.5 to -1 and compute with another value.
     try:
@@ -77,9 +67,11 @@ _INT = frozenset((int,))
 class AffineWeight:
     """A weight (classical part; level; grade) in the Dynkin-label basis.
 
-    Components are exact rationals, stored as int when integral.  Labels
-    that are all ints already, the common case, are kept as they are.
-    Instances are immutable and compare and hash by (labels, level, grade).
+    Components are stored as ints.  Labels that are all ints already, the
+    common case, are kept as they are; any other component goes through
+    `_integer_entry`, so an integral `Fraction`, float or bool becomes an
+    int and a non-integral one raises `ConfigurationError`.  Instances are
+    immutable and compare and hash by (labels, level, grade).
     """
 
     __slots__ = ("labels", "level", "grade")
@@ -87,10 +79,10 @@ class AffineWeight:
     def __init__(self, labels, level, grade):
         labels = tuple(labels)
         if not _INT.issuperset(map(type, labels)):
-            labels = tuple(map(_norm, labels))
+            labels = tuple(_integer_entry(x, "Dynkin label") for x in labels)
         _set_labels(self, labels)
-        _set_level(self, level if type(level) is int else _norm(level))
-        _set_grade(self, grade if type(grade) is int else _norm(grade))
+        _set_level(self, level if type(level) is int else _integer_entry(level, "level"))
+        _set_grade(self, grade if type(grade) is int else _integer_entry(grade, "grade"))
 
     @classmethod
     def _of_ints(cls, labels: tuple, level: int, grade: int) -> "AffineWeight":
@@ -121,7 +113,7 @@ class AffineWeight:
         )
 
     def shift_grade(self, dn) -> "AffineWeight":
-        return AffineWeight(self.labels, self.level, self.grade + _norm(dn))
+        return AffineWeight(self.labels, self.level, self.grade + _integer_entry(dn, "grade"))
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -293,13 +285,13 @@ class AlgebraSpec:
                 f"weight has {len(w.labels)} labels but algebra {self.label} has rank {self.rank}"
             )
 
-    def label0(self, w: AffineWeight) -> int | Fraction:
-        """lambda_0 = level - sum(comark_i * label_i): an int for an integral weight."""
+    def label0(self, w: AffineWeight) -> int:
+        """lambda_0 = level - sum(comark_i * label_i)."""
         self.check_rank(w)
         return w.level - sum(map(mul, self.comarks, w.labels))
 
-    def affine_labels(self, w: AffineWeight) -> tuple[int | Fraction, ...]:
-        """(lambda_0, lambda_1, ..., lambda_r): ints for an integral weight."""
+    def affine_labels(self, w: AffineWeight) -> tuple[int, ...]:
+        """(lambda_0, lambda_1, ..., lambda_r)."""
         return (self.label0(w),) + w.labels
 
     def form_norm(self, labels) -> int:

@@ -100,7 +100,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("folded-fan", help="folded fans for a congruence class")
     common(p)
-    p.add_argument("--base", type=int, default=None, help="only this base index (0-based)")
     p.set_defaults(handler=cmd_folded_fan)
 
     p = sub.add_parser("strings", help="string function table for a module")
@@ -170,26 +169,22 @@ def cmd_folded_fan(args) -> str:
     spec, mu = _class_data(args)
     base, _ = module_class(spec, mu, args.level)
     folded, _ = build_folded_fans(spec, base, args.cutoff)
-    indices = range(len(base)) if args.base is None else [args.base]
-    if args.base is not None and not 0 <= args.base < len(base):
-        raise ConfigurationError(f"base index {args.base} out of range 0..{len(base)-1}")
     if args.format == "json":
-        return _dumps([folded[j].to_json() for j in indices])
+        return _dumps([f.to_json() for f in folded])
     if args.format == "csv":
         rows = [
             [j, s, n, eta]
-            for j in indices
-            for (s, n), eta in sorted(folded[j].entries.items())
+            for j, f in enumerate(folded)
+            for (s, n), eta in sorted(f.entries.items())
         ]
         return _csv(["base", "target", "grade", "eta"], rows)
     lines = [
         f"folded fans, {spec.label} level {args.level}, "
         f"class of mu={list(mu)}, offsets 0..{args.cutoff}"
     ]
-    for j in indices:
-        xi = base.weights[j]
+    for j, (xi, f) in enumerate(zip(base.weights, folded)):
         lines.append(f"base {j}: xi = {_wfmt(spec, xi)}")
-        for (s, n), eta in sorted(folded[j].entries.items()):
+        for (s, n), eta in sorted(f.entries.items()):
             lines.append(f"  -> target {s} offset {n}: {eta:+d}")
     return "\n".join(lines) + "\n"
 

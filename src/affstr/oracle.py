@@ -49,7 +49,7 @@ from bisect import bisect_right
 from operator import add, itemgetter, mul
 from typing import NamedTuple
 
-from .algebra import _INT, AffineWeight, AlgebraSpec, algebra_memo
+from .algebra import AffineWeight, AlgebraSpec, algebra_memo
 from .errors import ConfigurationError, ConsistencyError, NonterminationError, OutOfWindowError
 from .fan import DenominatorReport, Fan, _euler_power, verify_denominator
 from .folding import build_folded_fans
@@ -174,9 +174,6 @@ class RacahOracle:
         spec.check_rank(lam)
         if lam.level != self.mu.level:
             raise ConfigurationError("weight level does not match the module level")
-        # Every weight of the module has integral labels and grade.
-        if type(lam.grade) is not int or not _INT.issuperset(map(type, lam.labels)):
-            return 0
         try:
             outcome = to_dominant(spec, lam, give_up=self._priced_above_grade0)
         except NonterminationError:

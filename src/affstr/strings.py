@@ -33,9 +33,7 @@ from operator import mul
 from typing import NamedTuple
 
 from . import fan
-from .algebra import (
-    _INT, AffineWeight, AlgebraSpec, _gauss_jordan, _integer_entry, algebra_memo,
-)
+from .algebra import AffineWeight, AlgebraSpec, _gauss_jordan, _integer_entry, algebra_memo
 from .errors import (
     ConfigurationError,
     ConsistencyError,
@@ -337,9 +335,6 @@ def weight_multiplicity(spec: AlgebraSpec, table: StringTable, lam: AffineWeight
         raise ConfigurationError(
             f"weight level {lam.level} does not match module level {base.level}"
         )
-    # Every weight of the module has integral labels and grade.
-    if type(lam.grade) is not int or not _INT.issuperset(map(type, lam.labels)):
-        return 0
     try:
         outcome = to_dominant(spec, lam, give_up=_priced_above_grade0)
     except NonterminationError:

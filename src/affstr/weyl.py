@@ -68,10 +68,9 @@ class WeylOutcome(namedtuple("WeylOutcome", "labels level grade word")):
     """Result of a dominant-chamber reduction, as a tuple.
 
     `labels` are the affine Dynkin labels (lambda_0, ..., lambda_r) of the
-    dominant representative, ints for an integral weight; `level` and
-    `grade` are its level and grade, `word` the tuple of reflection
-    indices applied.  `dominant` builds the representative as an
-    `AffineWeight` on each access.
+    dominant representative, all ints; `level` and `grade` are its level
+    and grade, `word` the tuple of reflection indices applied.  `dominant`
+    builds the representative as an `AffineWeight` on each access.
     """
 
     __slots__ = ()

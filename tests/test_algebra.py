@@ -325,11 +325,8 @@ def test_root_basis_display(a2):
     assert to_root_basis(a2, a2.weight((0, 0), 0, 0)) == (0, 0)
 
 
-rationals = st.fractions(min_value=-9, max_value=9, max_denominator=12)
-
-
 @given(
-    st.tuples(rationals, rationals),
+    st.tuples(st.integers(-9, 9), st.integers(-9, 9)),
     st.integers(0, 4),
     st.integers(-6, 0),
 )
@@ -428,22 +425,58 @@ def test_weight_arithmetic_refuses_a_rank_mismatch(combine):
             combine(a, b)
 
 
-def test_shift_grade_keeps_ints_and_exact_fractions(a2):
-    # an int shift of an int grade stays an int; a Fraction shift is exact
+def test_shift_grade_keeps_ints_and_converts_integral_fractions(a2):
+    # an int shift of an int grade stays an int; so does an integral Fraction's
     shifted = a2.weight((1, 0), 1, -2).shift_grade(-3)
     assert shifted.grade == -5 and type(shifted.grade) is int
-    half = a2.weight((1, 0), 1, -2).shift_grade(Fraction(1, 2))
-    assert half.grade == Fraction(-3, 2) and type(half.grade) is Fraction
-    whole = a2.weight((1, 0), 1, Fraction(1, 3)).shift_grade(Fraction(2, 3))
-    assert whole.grade == 1 and type(whole.grade) is int
+    whole = a2.weight((1, 0), 1, -2).shift_grade(Fraction(-6, 3))
+    assert whole.grade == -4 and type(whole.grade) is int
+
+
+def _build(how, a2, component, value):
+    """A weight with `value` as its component, the others ints."""
+    labels, level, grade = (1, 0), 2, -1
+    if how == "shift_grade":
+        return AffineWeight(labels, level, 0).shift_grade(value)
+    if component == "Dynkin label":
+        labels = (value, 0)
+    elif component == "level":
+        level = value
+    else:
+        grade = value
+    if how == "spec.weight":
+        return a2.weight(labels, level, grade)
+    return AffineWeight(labels, level, grade)
+
+
+CONTRACT = [
+    (how, component)
+    for how in ("AffineWeight", "spec.weight")
+    for component in ("Dynkin label", "level", "grade")
+] + [("shift_grade", "grade")]
+
+
+@pytest.mark.parametrize("how, component", CONTRACT, ids=[f"{h}-{c}" for h, c in CONTRACT])
+def test_weight_components_are_integers(a2, how, component):
+    # every weight of an integrable module lies in the integral weight
+    # lattice: a non-integral component is refused by name, never stored
+    for value in (Fraction(1, 2), 1.5, float("nan"), float("inf")):
+        with pytest.raises(ConfigurationError, match=f"^{component} "):
+            _build(how, a2, component, value)
+    # an integral Fraction, float or bool is stored as the int it equals
+    for value in (Fraction(4, 2), -2.0, True):
+        w = _build(how, a2, component, value)
+        assert all(type(x) is int for x in (*w.labels, w.level, w.grade))
+        ints = _build(how, a2, component, int(value))
+        assert w == ints and hash(w) == hash(ints)
 
 
 def test_affine_weight_is_built_once_and_frozen():
-    # integral components are stored as ints, the others as exact Fractions
-    w = AffineWeight([Fraction(4, 2), Fraction(1, 2)], Fraction(6, 3), -2.0)
+    # components that are not ints already are stored as the ints they equal
+    w = AffineWeight([Fraction(4, 2), Fraction(-3, 3)], Fraction(6, 3), -2.0)
     assert type(w.labels) is tuple
-    assert [type(x) for x in w.labels] == [int, Fraction]
-    assert w.labels == (2, Fraction(1, 2))
+    assert [type(x) for x in w.labels] == [int, int]
+    assert w.labels == (2, -1)
     assert type(w.level) is int and type(w.grade) is int
     ints = AffineWeight((3, -1), 2, -4)
     fracs = AffineWeight((Fraction(6, 2), Fraction(-3, 3)), Fraction(2), Fraction(-8, 2))
@@ -453,8 +486,8 @@ def test_affine_weight_is_built_once_and_frozen():
         w.grade = 0
     with pytest.raises(AttributeError):
         del w.labels
-    assert (w.labels, w.level, w.grade) == ((2, Fraction(1, 2)), 2, -2)
+    assert (w.labels, w.level, w.grade) == ((2, -1), 2, -2)
     assert not hasattr(w, "__dict__")
     for twin in (pickle.loads(pickle.dumps(w)), copy.deepcopy(w)):
         assert twin == w and hash(twin) == hash(w)
-        assert [type(x) for x in twin.labels] == [int, Fraction]
+        assert [type(x) for x in twin.labels] == [int, int]

@@ -92,7 +92,7 @@ def test_equal_base_weight_sets_share_one_fold():
 
 def test_record_hashes_and_reprs_are_unchanged(a2):
     # set and dict orders, and every printed record, stay as they were
-    for w in (AffineWeight((1, 0), 1, -2), AffineWeight((Fraction(1, 2), 3), 2, 0)):
+    for w in (AffineWeight((1, 0), 1, -2), AffineWeight((Fraction(2, 2), 3), 2, 0)):
         assert hash(w) == hash((w.labels, w.level, w.grade))
     report = verify_denominator(build_fan(a2, 3))
     assert repr(report) == "DenominatorReport(ok=True, mismatch=None, checked_terms=23)"

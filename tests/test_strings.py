@@ -156,26 +156,12 @@ def test_weight_multiplicity_guards(a2):
     assert weight_multiplicity(a2, table, a2.weight((1, 0), 1, 0)) == 0
 
 
-def test_weight_multiplicity_off_lattice_is_zero(a2):
-    # fractional grades or labels are no weights of the module; a truncated
-    # grade once read the string at the wrong depth
-    from fractions import Fraction
-
-    from affstr import RacahOracle
-
-    table = string_table(a2, (0, 0), 2, -4)
-    oracle = RacahOracle(a2, table.mu, build_fan(a2, 4))
-    off_lattice = [
-        a2.weight((0, 0), 2, Fraction(-1, 2)),
-        a2.weight((0, 0), 2, Fraction(-3, 2)),
-        a2.weight((1, 1), 2, Fraction(-7, 2)),
-        a2.weight((Fraction(1, 2), 0), 2, -1),
-        a2.weight((Fraction(2, 3), Fraction(-2, 3)), 2, -2),
-    ]
-    for lam in off_lattice:
-        assert weight_multiplicity(a2, table, lam) == oracle.multiplicity(lam) == 0
-    # beyond the window too: nothing to read, so no OutOfWindowError
-    assert weight_multiplicity(a2, table, a2.weight((0, 0), 2, Fraction(-11, 2))) == 0
+def test_off_lattice_grade_is_refused_not_truncated(a2):
+    # a fractional grade is no weight of any module; a truncated grade once
+    # read the string at the wrong depth, so it is refused when built
+    for grade in (Fraction(-1, 2), Fraction(-11, 2)):
+        with pytest.raises(ConfigurationError, match="^grade "):
+            a2.weight((0, 0), 2, grade)
 
 
 def test_character_grade0(a2):

@@ -389,15 +389,6 @@ def test_give_up_is_asked_once_after_the_first_reflections(a2, monkeypatch):
     assert len(asked) == 2
 
 
-def test_fraction_labels_reduce_in_the_kernel(a2):
-    from fractions import Fraction
-
-    lam = a2.weight((Fraction(-7, 3), Fraction(2, 3)), 2, Fraction(1, 2))
-    out = to_dominant(a2, lam)
-    assert (out.dominant, out.word) == reference.to_dominant(a2, lam)
-    assert Fraction in {type(x) for x in out.labels}
-
-
 def test_to_dominant_checks_the_rank_of_a_weight_that_does_not_fit(a2):
     for labels, level in (((1, 0, 0), 1), ((1,), 1), ((1, 0, 0), 0)):
         with pytest.raises(ConfigurationError, match="rank 2"):
