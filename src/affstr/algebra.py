@@ -1,10 +1,11 @@
-"""Cartan data and exact affine weight arithmetic.
+"""Cartan data and exact affine weights.
 
 An algebra is its classical Cartan matrix A_ij = <alpha_i^vee, alpha_j>
-(Kac's convention).  `AlgebraSpec` eliminates A once: A is of irreducible
-finite type exactly when A^-1 exists with every entry positive (Kac, Cor.
-4.3), and the symmetrizer, det A and the inverse are read off that one
-elimination.
+(Kac's convention).  `AlgebraSpec` eliminates A once, in integers, to
+det A and adj A = det A * A^-1: A is of irreducible finite type exactly
+when A^-1 exists with every entry positive (Kac, Cor. 4.3), that is when
+det A != 0 and every entry of adj A has its sign, and the symmetrizer
+and the integer invariant form are read off that one elimination.
 
 A weight is stored as (classical Dynkin labels; level; grade), each
 component an `int`: every weight of an integrable module lies in the
@@ -12,15 +13,16 @@ integral weight lattice.  `AffineWeight` converts a component that is not
 already an int once, at construction, and refuses one that is not
 integral.  The zeroth label is never stored:
 it is recovered from the level as lambda_0 = level - sum(comark_i *
-label_i).  Simple-root coordinates (`to_root_basis`, the inverse Cartan
-matrix applied exactly) exist only for display.
+label_i).  Simple-root coordinates (`to_root_basis`, adj A / det A
+applied exactly, in `Fraction`s) exist only for display.
 
-No floating point is used anywhere.  `_gauss_jordan` is the package's one
-exact elimination, without row exchanges: it gives the inverse and the
-determinant of the Cartan matrix, and the per-depth solve of the string
-functions.  The invariant form is kept in integers too: `form_gram`, the
-Gram matrix of the fundamental weights scaled by `form_scale`, gives the
-norms that folds and far reads are priced with.
+No floating point is used anywhere.  `_adjugate` is the package's one
+exact elimination: fraction-free (Bareiss), without row exchanges, it
+gives det A and adj A of the Cartan matrix and, once per solve, of the
+string functions' grade-0 block.  The invariant form is kept in integers
+too: `form_gram`, the Gram matrix of the fundamental weights scaled by
+`form_scale`, gives the norms that folds and far reads are priced with.
+`Fraction` is left only in the public `symmetrizer` and `to_root_basis`.
 
 Everything derived from an algebra (kernel, classifier, congruence
 classes, fans, folded fans, string tables) is memoised per instance by
@@ -96,22 +98,6 @@ class AffineWeight:
         _set_grade(w, grade)
         return w
 
-    def __add__(self, other: "AffineWeight") -> "AffineWeight":
-        _check_same_rank(self, other)
-        return AffineWeight(
-            tuple(a + b for a, b in zip(self.labels, other.labels)),
-            self.level + other.level,
-            self.grade + other.grade,
-        )
-
-    def __sub__(self, other: "AffineWeight") -> "AffineWeight":
-        _check_same_rank(self, other)
-        return AffineWeight(
-            tuple(a - b for a, b in zip(self.labels, other.labels)),
-            self.level - other.level,
-            self.grade - other.grade,
-        )
-
     def shift_grade(self, dn) -> "AffineWeight":
         return AffineWeight(self.labels, self.level, self.grade + _integer_entry(dn, "grade"))
 
@@ -144,14 +130,6 @@ _set_grade = AffineWeight.grade.__set__
 _new = object.__new__
 
 
-def _check_same_rank(a: AffineWeight, b: AffineWeight):
-    # zip would drop the labels past the shorter tuple and give a wrong weight.
-    if len(a.labels) != len(b.labels):
-        raise ConfigurationError(
-            f"cannot combine weights of {len(a.labels)} and {len(b.labels)} labels"
-        )
-
-
 class AlgebraSpec:
     """Classical Cartan data with its untwisted affine extension.
 
@@ -159,11 +137,12 @@ class AlgebraSpec:
     A_ij = <alpha_i^vee, alpha_j>, and the invariant form is
     (alpha_i|alpha_j) = d_i A_ij.  A matrix is accepted when it is of
     irreducible finite type, that is when A^-1 exists and has only
-    positive entries.  The symmetrizer d is read off A^-1, up to the one
+    positive entries.  The symmetrizer d is read off adj A, up to the one
     scale that gives the highest root |theta|^2 = 2 (d_i = 1 on long
-    roots).  Derived data (the inverse Cartan matrix and its determinant
-    `cartan_det`, symmetrizer, positive roots, highest root, marks,
-    comarks) is computed once at construction;
+    roots), as `Fraction`s.  Derived data (the determinant `cartan_det`
+    and the adjugate `cartan_adjugate`, a tuple of int rows with A^-1 =
+    adj A / det A; symmetrizer, integer invariant form, positive roots,
+    highest root, marks, comarks) is computed once at construction;
     instances are immutable afterwards and safe to share between threads.
     The only mutable part is the memo of `algebra_memo`, which fills on use.
     `preset` and `load_algebra` return the registered instance; calling the
@@ -177,29 +156,30 @@ class AlgebraSpec:
         self.rank = len(self.cartan)
         self._validate_cartan()
         # Kac, Cor. 4.3: a GCM is of irreducible finite type exactly when A^-1
-        # exists and every entry of it is positive.
-        identity = [[int(i == j) for j in range(self.rank)] for i in range(self.rank)]
-        det, inverse_columns = _gauss_jordan(self.cartan, identity)
-        if inverse_columns is None or any(x <= 0 for c in inverse_columns for x in c):
+        # exists and every entry of it is positive, that is when det A != 0
+        # and every entry of adj A = det A * A^-1 has the sign of det A.
+        det, adj = _adjugate(self.cartan)
+        if adj is None or any(x * det <= 0 for row in adj for x in row):
             raise ConfigurationError(
                 "Cartan matrix is not of irreducible finite type: A^-1 must exist with "
                 "every entry positive (D A positive definite and A indecomposable)"
             )
-        self.cartan_det = int(det)
-        self.cartan_inverse = inverse = tuple(zip(*inverse_columns))
-        # D A is symmetric exactly when A^-1 D^-1 is, so d_j is (A^-1)_0j /
-        # (A^-1)_j0 up to scale.  |alpha_i|^2 = 2 d_i, and theta is a long
-        # root: dividing by the largest d_i gives |theta|^2 = 2.
-        ratios = [inverse[0][j] / inverse[j][0] for j in range(self.rank)]
+        self.cartan_det = det
+        self.cartan_adjugate = adj
+        # D A is symmetric exactly when A^-1 D^-1 is, so d_j is adj_0j / adj_j0
+        # up to scale: over the common denominator of those ratios, the ints
+        # r_j.  |alpha_i|^2 = 2 d_i, and theta is a long root: dividing by the
+        # largest r_j gives |theta|^2 = 2.
+        common = math.lcm(*(row[0] for row in adj))
+        ratios = [adj[0][j] * (common // adj[j][0]) for j in range(self.rank)]
         longest = max(ratios)
-        self.symmetrizer = tuple(x / longest for x in ratios)
+        self.symmetrizer = tuple(Fraction(r, longest) for r in ratios)
         self.positive_roots = self._close_roots()
         self.highest_root = self.positive_roots[-1]
         self.marks = tuple(int(c) for c in self.highest_root)
-        comarks = tuple(a * d for a, d in zip(self.marks, self.symmetrizer))
-        if any(c.denominator != 1 or c <= 0 for c in comarks):
+        if any(a * r % longest for a, r in zip(self.marks, ratios)):
             raise ConfigurationError("comarks are not positive integers")
-        self.comarks = tuple(int(c) for c in comarks)
+        self.comarks = tuple(a * r // longest for a, r in zip(self.marks, ratios))
         self.dual_coxeter = 1 + sum(self.comarks)
         # Dynkin labels of the highest root, exact integers.
         self.theta_labels = tuple(
@@ -217,19 +197,14 @@ class AlgebraSpec:
         )
         # The invariant form in integers: form_scale * (lambda|mu) is integral
         # on the weight lattice (the least common denominator of the Gram
-        # matrix (Lambda_i|Lambda_j) = d_i (A^-1)_ij of the fundamental
-        # weights), and (Lambda_m|alpha_n) is d_m when m == n and 0
-        # otherwise, so form_scale * d_m is integral too.
-        gram = [[d * x for x in row] for d, row in zip(self.symmetrizer, self.cartan_inverse)]
-        self.form_scale = math.lcm(*(g.denominator for row in gram for g in row))
-        self.form_gram = tuple(tuple(int(self.form_scale * g) for g in row) for row in gram)
-        self.form_symmetrizer = tuple(int(self.form_scale * d) for d in self.symmetrizer)
-        # form_scale * |lambda|^2 of any dominant level-1 weight is at most
-        # this: the dominant level-1 weights fill the simplex spanned by 0 and
-        # the Lambda_i / a_i^vee, and a convex function peaks at a vertex.
-        self.level1_norm_bound = max(
-            Fraction(g[i], c * c) for i, (g, c) in enumerate(zip(self.form_gram, self.comarks))
-        )
+        # matrix (Lambda_i|Lambda_j) = d_i adj_ij / det A = r_i adj_ij /
+        # (longest det A) of the fundamental weights), and (Lambda_m|alpha_n)
+        # is d_m when m == n and 0 otherwise, so form_scale * d_m is integral too.
+        gram = [[r * x for x in row] for r, row in zip(ratios, adj)]
+        divisor = math.gcd(longest * det, *(g for row in gram for g in row))
+        self.form_scale = longest * det // divisor
+        self.form_gram = tuple(tuple(g // divisor for g in row) for row in gram)
+        self.form_symmetrizer = tuple(det * r // divisor for r in ratios)
 
     def _validate_cartan(self):
         a = self.cartan
@@ -298,6 +273,16 @@ class AlgebraSpec:
         """form_scale * |lambda-bar|^2 of integer Dynkin labels, an int."""
         return sum(x * sum(map(mul, row, labels)) for x, row in zip(labels, self.form_gram))
 
+    def norm_bound(self, level: int) -> int:
+        """An int bound on form_scale * |lambda|^2 of every dominant level-k weight.
+
+        The dominant level-k weights fill the simplex spanned by 0 and the
+        k Lambda_i / a_i^vee, and a convex function peaks at a vertex.  The
+        bound is floored: an integer exceeds the bound iff it exceeds its floor.
+        """
+        square, gram = level * level, self.form_gram
+        return max(square * gram[i][i] // (c * c) for i, c in enumerate(self.comarks))
+
     def is_dominant(self, w: AffineWeight) -> bool:
         return all(x >= 0 for x in self.affine_labels(w))
 
@@ -340,36 +325,40 @@ def algebra_memo(fn):
 def to_root_basis(spec: AlgebraSpec, w: AffineWeight) -> tuple[Fraction, ...]:
     """Classical part in simple-root coordinates (display basis)."""
     spec.check_rank(w)
-    return tuple(sum(map(mul, row, w.labels)) for row in spec.cartan_inverse)
+    det = spec.cartan_det
+    return tuple(Fraction(sum(map(mul, row, w.labels)), det) for row in spec.cartan_adjugate)
 
 
 # -- exact linear algebra on small matrices ------------------------------
 
 
-def _gauss_jordan(matrix, columns=()):
-    """Exact Gauss-Jordan elimination of a square matrix A, without row exchanges.
+def _adjugate(matrix):
+    """Fraction-free Gauss-Jordan elimination of a square integer matrix A.
 
-    Returns (det A, the columns A^-1 c for each column c of `columns`),
-    or (0, None) when a pivot is zero.  Entries may be ints or Fractions.
-    Both callers' matrices, a finite-type Cartan matrix and the solve's
-    grade-0 block, have no vanishing leading minor, so for them a zero
-    pivot means A is singular.
+    Returns (det A, adj A), adj A = det A * A^-1 as a tuple of integer rows,
+    or (0, None) when a pivot is zero.  Bareiss's elimination (Math. Comp.
+    22, 1968) on [A | I], without row exchanges: every entry it forms is a
+    minor of [A | I], so each division by the previous pivot is exact, and
+    at the end the left half is det A * I and the right half adj A.  Both
+    callers' matrices, a finite-type Cartan matrix and the solve's grade-0
+    block, have no vanishing leading minor, so for them a zero pivot means
+    A is singular.
     """
     n = len(matrix)
-    m = [[Fraction(x) for x in row] + [c[i] for c in columns] for i, row in enumerate(matrix)]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = m[col][col]
+    m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(matrix)]
+    previous = 1
+    for k in range(n):
+        pivot_row = m[k]
+        pivot = pivot_row[k]
         if not pivot:
-            return Fraction(0), None
-        det *= pivot
-        inv = 1 / pivot
-        m[col] = [x * inv for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col]:
-                factor = m[r][col]
-                m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
-    return det, tuple(tuple(m[i][n + k] for i in range(n)) for k in range(len(columns)))
+            return 0, None
+        for i in range(n):
+            if i != k:
+                row = m[i]
+                f = row[k]
+                m[i] = [(pivot * a - f * b) // previous for a, b in zip(row, pivot_row)]
+        previous = pivot
+    return previous, tuple(tuple(row[n:]) for row in m)
 
 
 # -- presets and config files --------------------------------------------

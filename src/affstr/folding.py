@@ -173,7 +173,7 @@ def build_folded_fan(
     # 2 (xi|gamma) = sum_m gamma_m * 2 xi_m d_m for gamma in root coordinates.
     two_k = 2 * xi.level * spec.form_scale
     xi_norm = base.norms[base_index]
-    top = int(xi.level * xi.level * spec.level1_norm_bound)
+    top = spec.norm_bound(xi.level)
     pairing = [2 * x * d for x, d in zip(xi.labels, spec.form_symmetrizer)]
     entries = {(base_index, 0): -1}
     for root, grade, mult, gamma_labels, gamma_norm in fan.vectors:

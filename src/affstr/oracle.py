@@ -80,10 +80,17 @@ class _Recursion:
 
     def __init__(self, spec: AlgebraSpec, fan: Fan, level: int):
         # The invariant form on Dynkin labels, scaled to integers: the Gram
-        # matrix (Lambda_i|Lambda_j) = d_i (A^-1)_ij over its common denominator.
-        gram = [[d * x for x in row] for d, row in zip(spec.symmetrizer, spec.cartan_inverse)]
-        scale = math.lcm(*(g.denominator for row in gram for g in row))
-        self.gram = tuple(tuple(int(scale * g) for g in row) for row in gram)
+        # matrix (Lambda_i|Lambda_j) = d_i adj_ij / det A over its common
+        # denominator, with d_i = n_i / m_i taken over the lcm m of the m_i.
+        m = math.lcm(*(d.denominator for d in spec.symmetrizer))
+        gram = [
+            [d.numerator * (m // d.denominator) * x for x in row]
+            for d, row in zip(spec.symmetrizer, spec.cartan_adjugate)
+        ]
+        denominator = m * spec.cartan_det
+        common = math.gcd(denominator, *(g for row in gram for g in row))
+        scale = denominator // common
+        self.gram = tuple(tuple(g // common for g in row) for row in gram)
         self.two_k = 2 * level * scale
         # A bound on the scaled norm of any dominant level-k weight, floored:
         # an integer exceeds the bound iff it exceeds its floor.

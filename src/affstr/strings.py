@@ -12,13 +12,15 @@ with the folded path it checks.
 For one class the multiplicity recursion, written for all strings
 simultaneously down to a cutoff grade u, becomes a square block system
 with Toeplitz upper-triangular blocks built from the folded fan
-multiplicities.  It is solved exactly grade by grade: at each depth the
-grade-zero block is eliminated against the shallower coefficients by
-algebra._gauss_jordan, the package's one exact elimination.  In base
-order that block has -1 on the diagonal and zeros below it, which the
-`verify` harness checks on the folded fans.  Every solution component
-must come out a non-negative integer; anything else signals an upstream
-bug and aborts.
+multiplicities.  It is solved exactly grade by grade.  The grade-zero
+block is the same at every depth, so algebra._adjugate, the package's
+one exact elimination, reduces it once to its determinant and adjugate
+in integers; each depth's coefficients are then the adjugate applied to
+a right-hand side of shallower coefficients, divided by the determinant.
+In base order that block has -1 on the diagonal and zeros below it,
+which the `verify` harness checks on the folded fans.  Every solution
+component must come out a non-negative integer; anything else signals an
+upstream bug and aborts.
 
 The classifier, the classes of a level and the table of a module are
 memoised per algebra instance (algebra.algebra_memo), as are the folded
@@ -33,7 +35,7 @@ from operator import mul
 from typing import NamedTuple
 
 from . import fan
-from .algebra import AffineWeight, AlgebraSpec, _gauss_jordan, _integer_entry, algebra_memo
+from .algebra import AffineWeight, AlgebraSpec, _adjugate, _integer_entry, algebra_memo
 from .errors import (
     ConfigurationError,
     ConsistencyError,
@@ -74,8 +76,8 @@ class CongruenceClassifier:
     Labels v lie in the root lattice exactly when A^-1 v is integral, that
     is when adj(A) v vanishes modulo det(A), adj(A) = det(A) A^-1 being an
     integer matrix.  The residue of adj(A) v modulo det(A) names the class.
-    det(A) and A^-1 are read off the algebra (`cartan_det`,
-    `cartan_inverse`); the classifier eliminates nothing itself.  Since
+    det(A) and adj(A) are read off the algebra (`cartan_det`,
+    `cartan_adjugate`); the classifier eliminates nothing itself.  Since
     det(A) > 0, adj(A) v orders labels as their simple-root coordinates
     A^-1 v do, in integers.
     """
@@ -83,7 +85,7 @@ class CongruenceClassifier:
     def __init__(self, spec: AlgebraSpec):
         self.spec = spec
         self._det = spec.cartan_det
-        self._adj = tuple(tuple(int(self._det * x) for x in row) for row in spec.cartan_inverse)
+        self._adj = spec.cartan_adjugate
 
     def id_of(self, labels) -> CongruenceClassId:
         labels = tuple(_integer_entry(x, "Dynkin label") for x in labels)
@@ -218,13 +220,19 @@ class StringTable(NamedTuple):
 def solve_strings(system: BlockSystem) -> StringTable:
     """Exact forward substitution through the grades.
 
-    At each depth d the grade-zero block is solved against the
-    already-known shallower coefficients.  Integrality and
-    non-negativity of every component are asserted.
+    The grade-zero block E_0 is the same at every depth, so it is
+    eliminated once, to det E_0 and adj E_0 in integers; at each depth d
+    the column is adj E_0 times the right-hand side made of the
+    already-known shallower coefficients, divided by det E_0.  Integrality
+    and non-negativity of every component are asserted.
     """
     p = len(system.base)
     depth = system.depth
-    e0 = system.grade_matrix(0)
+    det, adj = _adjugate(system.grade_matrix(0))
+    if adj is None:
+        raise ConsistencyError("grade-zero block is singular; the folded fan is inconsistent")
+    # Only the nonzero entries of each row of adj E_0, as (column, entry).
+    adj = [[(s, a) for s, a in enumerate(row) if a] for row in adj]
     columns: list[tuple[Fraction, ...]] = []
     for d in range(depth + 1):
         rhs = [Fraction(0)] * p
@@ -239,12 +247,7 @@ def solve_strings(system: BlockSystem) -> StringTable:
                     if en[j][s]:
                         acc -= en[j][s] * prev[s]
                 rhs[j] = acc
-        _, solved = _gauss_jordan(e0, [rhs])
-        if solved is None:
-            raise ConsistencyError(
-                "grade-zero block is singular; the folded fan is inconsistent"
-            )
-        columns.append(solved[0])
+        columns.append(tuple(sum(a * rhs[s] for s, a in row) / det for row in adj))
     coeffs = []
     for s in range(p):
         row = []
@@ -364,15 +367,15 @@ def _priced_above_grade0(spec: AlgebraSpec, lam: AffineWeight) -> bool:
     """Whether the invariant form puts the dominant point of `lam` above grade 0.
 
     Reduction keeps |lambda-bar|^2 + 2k grade, and no dominant level-k
-    weight is longer than k^2 times the level-1 bound, so the dominant
-    grade is at least grade + (|lambda-bar|^2 - k^2 bound) / 2k.  All of
-    it is integers scaled by form_scale, the bound floored, which keeps the
-    strict comparison exact.  Only a reduction that has run
+    weight is longer than `spec.norm_bound(k)`, so the dominant grade is
+    at least grade + (|lambda-bar|^2 - bound) / 2k.  All of it is integers
+    scaled by form_scale, the bound floored, which keeps the strict
+    comparison exact.  Only a reduction that has run
     `weyl.ASK_AFTER` reflections, or outran the step budget, is priced.
     """
     level = lam.level
-    top = int(level * level * spec.level1_norm_bound)
-    return 2 * level * spec.form_scale * lam.grade + spec.form_norm(lam.labels) > top
+    norm = 2 * level * spec.form_scale * lam.grade + spec.form_norm(lam.labels)
+    return norm > spec.norm_bound(level)
 
 
 def character(spec: AlgebraSpec, table: StringTable, window) -> list:

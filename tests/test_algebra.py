@@ -17,8 +17,8 @@ from affstr import (
     to_root_basis,
 )
 from affstr import algebra, strings
-from affstr.algebra import _gauss_jordan
-from weyl_reference import from_root_basis, inner_product, weyl_vector
+from affstr.algebra import _adjugate
+from weyl_reference import add, from_root_basis, inner_product, sub, weyl_vector
 
 CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "configs"
 
@@ -79,19 +79,65 @@ def test_non_simply_laced_and_d4_are_accepted(cartan, symmetrizer, comarks):
     assert spec.comarks == comarks
 
 
+def _product(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def _scalar(n, c):
+    return [[c * (i == j) for j in range(n)] for i in range(n)]
+
+
+def _cofactor_det(m):
+    """det by cofactor expansion along the first row, independent of _adjugate."""
+    if not m:
+        return 1
+    return sum(
+        (-1) ** j * x * _cofactor_det([row[:j] + row[j + 1:] for row in m[1:]])
+        for j, x in enumerate(m[0])
+        if x
+    )
+
+
 def test_elimination_determinant_and_singularity():
-    assert _gauss_jordan([[1, 2], [3, 4]]) == (-2, ())
-    assert _gauss_jordan([[3, 4], [1, 2]])[0] == 2
+    for m in ([[1, 2], [3, 4]], [[3, 4], [1, 2]], [[2, 1], [1, 3]], [[2, -1], [-3, 2]]):
+        det, adj = _adjugate(m)
+        assert det == _cofactor_det(m)
+        assert _product(m, adj) == _product(adj, m) == _scalar(len(m), det)
+    assert _adjugate([[1, 2], [3, 4]]) == (-2, ((4, -2), (-3, 1)))
+    assert _adjugate([[2, 1], [1, 3]]) == (5, ((3, -1), (-1, 2)))
     # no row exchanges: a zero leading pivot reads as singular
-    assert _gauss_jordan([[0, 1], [1, 0]], [[1, 0]]) == (0, None)
-    assert _gauss_jordan([[0, 1, 0], [0, 0, 1], [1, 0, 0]]) == (0, None)
-    # the solve's grade-0 block: upper triangular, -1 on the diagonal
-    det, (x,) = _gauss_jordan([[-1, 2, 1], [0, -1, 3], [0, 0, -1]], [[1, 2, 3]])
-    assert det == -1 and x == (-26, -11, -3)
-    assert _gauss_jordan([[1, 2], [2, 4]]) == (0, None)
-    assert _gauss_jordan([[0, 0], [0, 1]], [[1, 1]]) == (0, None)
-    det, (x,) = _gauss_jordan([[2, 1], [1, 3]], [[3, 5]])
-    assert det == 5 and x == (F(4, 5), F(7, 5))
+    assert _adjugate([[0, 1], [1, 0]]) == (0, None)
+    assert _adjugate([[0, 1, 0], [0, 0, 1], [1, 0, 0]]) == (0, None)
+    assert _adjugate([[1, 2], [2, 4]]) == (0, None)
+    assert _adjugate([[0, 0], [0, 1]]) == (0, None)
+    # the solve's grade-0 block: upper triangular, -1 on the diagonal, so
+    # det is (-1)^p and adj is upper triangular too
+    block = [[-1, 2, 1], [0, -1, 3], [0, 0, -1]]
+    det, adj = _adjugate(block)
+    assert det == -1 and adj == ((1, 2, 7), (0, 1, 3), (0, 0, 1))
+    x = [sum(a * c for a, c in zip(row, (1, 2, 3))) // det for row in adj]
+    assert x == [-26, -11, -3] and _product(block, [[v] for v in x]) == [[1], [2], [3]]
+
+
+@given(
+    st.integers(1, 5).flatmap(
+        lambda n: st.lists(
+            st.lists(st.integers(-6, 6), min_size=n, max_size=n), min_size=n, max_size=n
+        )
+    )
+)
+@settings(max_examples=300, deadline=None)
+def test_adjugate_matches_cofactor_expansion(m):
+    det, adj = _adjugate(m)
+    n = len(m)
+    if adj is None:
+        # a zero pivot: some leading minor vanishes
+        assert det == 0
+        assert any(_cofactor_det([row[:k] for row in m[:k]]) == 0 for k in range(1, n + 1))
+        return
+    assert det == _cofactor_det(m)
+    assert all(type(x) is int for row in adj for x in row)
+    assert _product(m, adj) == _product(adj, m) == _scalar(n, det)
 
 
 # -- the finite-type criterion: A^-1 exists and is positive --------------
@@ -167,8 +213,8 @@ def test_criterion_named_cases():
         AlgebraSpec("cycle", [[2, -1, -1], [-2, 2, -1], [-1, -1, 2]])
     # a one-way 3-cycle is no GCM, though its inverse is positive
     one_way = [[2, -1, 0], [0, 2, -1], [-1, 0, 2]]
-    det, inverse = _gauss_jordan(one_way, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-    assert det == 7 and all(x > 0 for column in inverse for x in column)
+    det, adj = _adjugate(one_way)
+    assert det == 7 and all(x > 0 for row in adj for x in row)
     with pytest.raises(ConfigurationError, match="zero pattern"):
         AlgebraSpec("one-way", one_way)
 
@@ -238,10 +284,10 @@ def test_one_elimination_per_algebra_and_none_per_classifier(monkeypatch):
 
     def counting(*args):
         calls.append(args)
-        return _gauss_jordan(*args)
+        return _adjugate(*args)
 
-    monkeypatch.setattr(algebra, "_gauss_jordan", counting)
-    monkeypatch.setattr(strings, "_gauss_jordan", counting)
+    monkeypatch.setattr(algebra, "_adjugate", counting)
+    monkeypatch.setattr(strings, "_adjugate", counting)
     spec = AlgebraSpec("B3", [[2, -1, 0], [-1, 2, -1], [0, -2, 2]])
     assert len(calls) == 1
     classify = strings.classifier_for(spec)
@@ -249,6 +295,37 @@ def test_one_elimination_per_algebra_and_none_per_classifier(monkeypatch):
     strings.enumerate_class_weights(spec, 2)
     assert len(calls) == 1
     assert classify._det == spec.cartan_det == 2
+    assert classify._adj is spec.cartan_adjugate
+
+
+@pytest.mark.parametrize("depth", [0, 1, 12])
+def test_one_elimination_per_solve_whatever_the_depth(monkeypatch, depth):
+    # the grade-0 block is the same at every depth: it is eliminated once
+    spec = AlgebraSpec("A2", [[2, -1], [-1, 2]])
+    calls = []
+
+    def counting(matrix):
+        calls.append(matrix)
+        return _adjugate(matrix)
+
+    monkeypatch.setattr(strings, "_adjugate", counting)
+    table = strings.string_table(spec, (1, 1), 3, -depth)
+    assert len(calls) == 1 and len(calls[0]) == len(table.base) == 4
+    assert table.coefficients == strings.string_table(preset("A2"), (1, 1), 3, -depth).coefficients
+
+
+@pytest.mark.parametrize(
+    "cartan",
+    [[[2, -1], [-1]], [[2], [-1, 2]], [[2, -1, 0], [-1, 2]]],
+    ids=["short-last-row", "short-first-row", "long-first-row"],
+)
+def test_a_ragged_cartan_matrix_is_refused_before_elimination(monkeypatch, cartan):
+    def forbidden(matrix):
+        raise AssertionError(f"_adjugate saw the ragged matrix {matrix}")
+
+    monkeypatch.setattr(algebra, "_adjugate", forbidden)
+    with pytest.raises(ConfigurationError, match="must be square"):
+        AlgebraSpec("ragged", cartan)
 
 
 def test_root_closure_limit_is_a_resource_limit(monkeypatch):
@@ -266,12 +343,11 @@ def test_root_closure_limit_is_a_resource_limit(monkeypatch):
     + [pytest.param(str(path), id=path.name) for path in sorted(CONFIGS.glob("*.json"))],
 )
 def test_cartan_inverse_is_exact(spec):
+    # adj A / det A is the inverse: A adj A = adj A A = det A I, in integers
     spec = load_algebra(spec)
-    rank = spec.rank
-    for i in range(rank):
-        for j in range(rank):
-            entry = sum(spec.cartan[i][k] * spec.cartan_inverse[k][j] for k in range(rank))
-            assert entry == (i == j)
+    adj, det = spec.cartan_adjugate, spec.cartan_det
+    assert det > 0 and all(type(x) is int and x > 0 for row in adj for x in row)
+    assert _product(spec.cartan, adj) == _product(adj, spec.cartan) == _scalar(spec.rank, det)
 
 
 def test_simple_root_norms(a2):
@@ -410,13 +486,13 @@ def test_load_algebra_errors(tmp_path):
 def test_weight_arithmetic(a2):
     a = a2.weight((1, 0), 1, 0)
     b = a2.weight((0, 1), 1, -2)
-    assert (a + b).labels == (1, 1)
-    assert (a + b).level == 2
-    assert (a - b).grade == 2
+    assert add(a, b).labels == (1, 1)
+    assert add(a, b).level == 2
+    assert sub(a, b).grade == 2
     assert a.shift_grade(-3).grade == -3
 
 
-@pytest.mark.parametrize("combine", [lambda a, b: a + b, lambda a, b: a - b], ids=["add", "sub"])
+@pytest.mark.parametrize("combine", [add, sub], ids=["add", "sub"])
 def test_weight_arithmetic_refuses_a_rank_mismatch(combine):
     # zipping the labels would silently drop the second label of the A2 weight
     a2_weight, a1_weight = AffineWeight((1, 0), 1, 0), AffineWeight((1,), 1, 0)

@@ -1,18 +1,28 @@
 import json
 import random
 
-from affstr import build_fan, RacahOracle, string_table, verify_denominator, weight_multiplicity
+import pytest
+
+from affstr import (
+    ConfigurationError,
+    RacahOracle,
+    build_fan,
+    string_table,
+    verify_denominator,
+    weight_multiplicity,
+)
 from affstr.algebra import AlgebraSpec, load_algebra
 from affstr.strings import classifier_for, enumerate_class_weights
 
 
 def lattice_member(spec, vector):
-    # v is in the column lattice of the Cartan matrix iff A^{-1} v is integral
+    # v is in the column lattice of the Cartan matrix iff A^{-1} v is
+    # integral, that is iff det A divides adj(A) v
     coords = [
-        sum(spec.cartan_inverse[i][j] * vector[j] for j in range(spec.rank))
+        sum(spec.cartan_adjugate[i][j] * vector[j] for j in range(spec.rank))
         for i in range(spec.rank)
     ]
-    return all(c.denominator == 1 for c in coords)
+    return all(c % spec.cartan_det == 0 for c in coords)
 
 
 CLASSIFIER_CONFIGS = {
@@ -92,3 +102,10 @@ def test_a2_level3_two_path(a2):
         for d in range(7):
             lam = xi.shift_grade(-d)
             assert weight_multiplicity(a2, table, lam) == oracle.multiplicity(lam)
+
+
+@pytest.mark.parametrize("labels", [(), (1,), (1, 0, 0)], ids=["none", "short", "long"])
+def test_classifier_refuses_labels_of_another_rank(labels):
+    # zip over a short vector would classify a prefix of the labels
+    with pytest.raises(ConfigurationError, match="label length does not match rank"):
+        classifier_for(load_algebra("A2")).id_of(labels)

@@ -15,7 +15,7 @@ from affstr import fan as fan_module
 from affstr import weyl
 from affstr.fan import Fan, _denominator_series, _euler_power
 from fan_reference import fan_vector
-from weyl_reference import weyl_vector
+from weyl_reference import add, sub, weyl_vector
 
 
 GRADE0_A2 = {((0, 1), 0): 1, ((1, 0), 0): 1, ((2, 1), 0): -1, ((1, 2), 0): -1, ((2, 2), 0): 1}
@@ -162,8 +162,8 @@ def test_orbit_exactness(a2):
     rho = weyl_vector(a2)
     for v in build_fan(a2, 6):
         undone = from_root_basis(a2, tuple(-c for c in v.root), 0, -v.grade)
-        out = to_dominant(a2, undone + rho)
-        assert out.dominant - rho == AffineWeight((0, 0), 0, 0)
+        out = to_dominant(a2, add(undone, rho))
+        assert sub(out.dominant, rho) == AffineWeight((0, 0), 0, 0)
         assert (-1) ** len(out.word) == -v.mult
 
 
@@ -187,8 +187,8 @@ def test_random_shifted_orbit_points_are_in_fan(a2):
     for _ in range(200):
         word = [rng.randint(0, 2) for _ in range(rng.randint(1, 12))]
         image = apply_word(a2, word, rho)
-        shift = rho - image
-        if shift.grade > 9 or shift == rho - rho:
+        shift = sub(rho, image)
+        if shift.grade > 9 or shift == sub(rho, rho):
             continue
         key = (tuple(int(c) for c in to_root_basis(a2, shift)), int(shift.grade))
         assert key in table
@@ -244,3 +244,13 @@ def test_integral_fan_cutoff_is_an_int():
 def test_layers(a2):
     fan = build_fan(a2, 2)
     assert [sum(v.grade == g for v in fan) for g in range(3)] == [5, 6, 12]
+
+
+@pytest.mark.parametrize("change_mult", [False, True], ids=["same-mult", "other-mult"])
+def test_a_fan_refuses_two_vectors_of_one_root_and_grade(a2, change_mult):
+    # a second record at a root and grade, whatever its multiplicity, would
+    # count that shift twice in every fold and every oracle expansion
+    vectors = build_fan(a2, 2).vectors
+    twin = vectors[3]._replace(mult=-vectors[3].mult) if change_mult else vectors[3]
+    with pytest.raises(ConfigurationError, match="duplicate fan vectors"):
+        Fan(a2, 2, vectors + (twin,))

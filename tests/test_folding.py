@@ -136,7 +136,7 @@ def test_folded_grade_formula(a2):
     # correction: n - (k/2)|b|^2 - (v(phi), b), with b read off the word
     from fractions import Fraction
 
-    from weyl_reference import from_root_basis
+    from weyl_reference import add, from_root_basis
     from affstr.weyl import apply_word, to_dominant
     from weyl_reference import translate, translation_datum
 
@@ -144,7 +144,7 @@ def test_folded_grade_formula(a2):
     fan = build_fan(a2, 8)
     for xi in base.weights:
         for gamma in fan:
-            shifted = xi + from_root_basis(a2, gamma.root, 0, gamma.grade)
+            shifted = add(xi, from_root_basis(a2, gamma.root, 0, gamma.grade))
             reduction = to_dominant(a2, shifted)
             datum = translation_datum(a2, reduction)
             # classical part of the reducing element, applied to the shift
@@ -196,6 +196,10 @@ def test_priced_fold_matches_reference_fold(name):
                 assert ff.entries == folded_entries(spec, base, j, fan, cutoff)
 
 
+def _unit_vectors(rank):
+    return [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
+
+
 @pytest.mark.parametrize("name", REFERENCE_CASES)
 def test_integer_norms_match_the_rational_form(name):
     # the integer Gram matrix gives the norms the fold and the far reads are
@@ -209,7 +213,12 @@ def test_integer_norms_match_the_rational_form(name):
         assert type(norm) is int and norm == scale * classical_inner(spec, labels, labels)
         # the two grades either side of the bound, where the pricing flips
         level = rng.randint(1, 4)
-        bound = level * level * spec.level1_norm_bound
+        # the vertices k Lambda_i / a_i^vee of the dominant level-k simplex
+        bound = max(
+            level * level * scale * classical_inner(spec, e, e) / (c * c)
+            for e, c in zip(_unit_vectors(spec.rank), spec.comarks)
+        )
+        assert spec.norm_bound(level) == math.floor(bound)
         below = math.floor((bound - norm) / (2 * level * scale))
         for grade in (below, below + 1):
             rational = 2 * level * scale * grade + norm > bound
@@ -252,3 +261,20 @@ def test_fold_off_the_norm_identity_raises_convention_error(a2, monkeypatch):
     base = class_of(a2, (0, 0), 2)
     with pytest.raises(ConventionError, match="invariant form"):
         build_folded_fan(a2, base, 0, build_fan(a2, 4), 4)
+
+
+@pytest.mark.parametrize(
+    "weights, match",
+    [
+        ((), "base weight set is empty"),
+        ((((1, 1), 3, 0),), "grade 0 of the level plane"),
+        ((((1, 1), 2, -1),), "grade 0 of the level plane"),
+        ((((3, 0), 2, 0),), r"base weight \(3,0;2;0\) is not dominant"),
+        ((((1, 1), 2, 0), ((1, 1), 2, 0)), "base weights must be distinct"),
+    ],
+    ids=["empty", "other-level", "other-grade", "not-dominant", "repeated"],
+)
+def test_base_weight_set_refusals(a2, weights, match):
+    weights = tuple(a2.weight(*w) for w in weights)
+    with pytest.raises(ConfigurationError, match=match):
+        BaseWeightSet(a2, 2, weights)

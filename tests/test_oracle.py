@@ -5,6 +5,7 @@ import pytest
 
 import oracle_reference
 from affstr import (
+    ConfigurationError,
     ConsistencyError,
     OutOfWindowError,
     RacahOracle,
@@ -299,3 +300,35 @@ def test_each_recursion_and_fan_and_level_expands_on_its_own(monkeypatch):
     assert alone[0][1] == alone[1][1]
     # the same triple again reduces nothing
     assert reductions(spec, *runs(spec)[0]) == (0, alone[0][1])
+
+
+def _oracle_at_grade(a2, fan):
+    return RacahOracle(a2, a2.weight((1, 0), 2, -1), fan)
+
+
+def _oracle_off_the_chamber(a2, fan):
+    return RacahOracle(a2, a2.weight((3, 0), 2, 0), fan)
+
+
+def _oracle_on_a_foreign_fan(a2, fan):
+    # an equal Cartan matrix is another instance with a fan of its own
+    return RacahOracle(a2, a2.weight((1, 0), 2, 0), build_fan(AlgebraSpec("A2", a2.cartan), 2))
+
+
+def _query_at_another_level(a2, fan):
+    return RacahOracle(a2, a2.weight((1, 0), 2, 0), fan).multiplicity(a2.weight((1, 0), 1, 0))
+
+
+@pytest.mark.parametrize(
+    "refused, match",
+    [
+        (_oracle_at_grade, "highest weight must be dominant at grade 0"),
+        (_oracle_off_the_chamber, "highest weight must be dominant at grade 0"),
+        (_oracle_on_a_foreign_fan, "fan belongs to a different algebra"),
+        (_query_at_another_level, "weight level does not match the module level"),
+    ],
+    ids=["grade", "not-dominant", "foreign-fan", "query-level"],
+)
+def test_oracle_refusals(a2, refused, match):
+    with pytest.raises(ConfigurationError, match=match):
+        refused(a2, build_fan(a2, 2))

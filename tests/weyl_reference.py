@@ -10,7 +10,9 @@ The translation helpers decompose a reducing element as t . s, and
 `from_root_basis` builds a weight from simple-root coordinates.
 `classical_inner` and `inner_product` are the invariant form in
 `Fraction`s, the reference for the package's integer `form_gram`, and
-`weyl_vector` is rho.
+`weyl_vector` is rho.  `add` and `sub` are the componentwise sum and
+difference of two weights of one rank; the package itself never combines
+weights.
 """
 
 from __future__ import annotations
@@ -18,8 +20,30 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from affstr import AffineWeight, NonterminationError
+from affstr import AffineWeight, ConfigurationError, NonterminationError
 from affstr.algebra import to_root_basis
+
+
+def _check_same_rank(a, b):
+    # zip would drop the labels past the shorter tuple and give a wrong weight.
+    if len(a.labels) != len(b.labels):
+        raise ConfigurationError(
+            f"cannot combine weights of {len(a.labels)} and {len(b.labels)} labels"
+        )
+
+
+def add(a, b):
+    """a + b, componentwise: labels, level and grade."""
+    _check_same_rank(a, b)
+    labels = tuple(x + y for x, y in zip(a.labels, b.labels))
+    return AffineWeight(labels, a.level + b.level, a.grade + b.grade)
+
+
+def sub(a, b):
+    """a - b, componentwise: labels, level and grade."""
+    _check_same_rank(a, b)
+    labels = tuple(x - y for x, y in zip(a.labels, b.labels))
+    return AffineWeight(labels, a.level - b.level, a.grade - b.grade)
 
 
 def weyl_vector(spec):
@@ -40,11 +64,14 @@ def inner_product(spec, a, b):
 
 
 def classical_inner(spec, la, lb):
-    """(la|lb) = sum_i la_i d_i (A^-1 lb)_i on classical Dynkin labels."""
+    """(la|lb) = sum_i la_i d_i (A^-1 lb)_i on classical Dynkin labels.
+
+    A^-1 is adj A / det A, read off the spec's integer adjugate.
+    """
     return sum(
         l * d * sum(x * y for x, y in zip(row, lb))
-        for l, d, row in zip(la, spec.symmetrizer, spec.cartan_inverse)
-    )
+        for l, d, row in zip(la, spec.symmetrizer, spec.cartan_adjugate)
+    ) / spec.cartan_det
 
 
 def from_root_basis(spec, coords, level=0, grade=0):
@@ -114,7 +141,7 @@ def to_dominant(spec, w, max_steps=1_000_000):
 def shifted_reflect(spec, i, w):
     """The rho-shifted (dot) action of s_i."""
     rho = weyl_vector(spec)
-    return reflect(spec, i, w + rho) - rho
+    return sub(reflect(spec, i, add(w, rho)), rho)
 
 
 @dataclass(frozen=True)
