@@ -86,18 +86,6 @@ class AffineWeight:
         _set_level(self, level if type(level) is int else _integer_entry(level, "level"))
         _set_grade(self, grade if type(grade) is int else _integer_entry(grade, "grade"))
 
-    @classmethod
-    def _of_ints(cls, labels: tuple, level: int, grade: int) -> "AffineWeight":
-        """A weight from a tuple of int labels and an int level and grade.
-
-        Skips the normalising of `__init__`; the caller guarantees the types.
-        """
-        w = _new(cls)
-        _set_labels(w, labels)
-        _set_level(w, level)
-        _set_grade(w, grade)
-        return w
-
     def shift_grade(self, dn) -> "AffineWeight":
         return AffineWeight(self.labels, self.level, self.grade + _integer_entry(dn, "grade"))
 

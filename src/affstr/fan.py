@@ -3,12 +3,14 @@
 Each fan vector gamma = rho - w(rho), for a non-identity affine Weyl
 element w, is one immutable FanVector record, made only by build_fan:
 integer simple-root coordinates, a non-negative grade, the multiplicity
--det(w), gamma's affine labels and its norm.  Enumeration is a
-breadth-first walk over the orbit of rho, kept as integer affine labels,
-along strictly descending reflections (weyl.descending_orbit).  Each step
-s_i with label l adds l to the i-th root coordinate of the shift, or for
-s_0 subtracts l times the marks and adds l to the grade, so no basis
-change is needed.  The labels of gamma are rho's (all 1) minus those of
+-det(w), gamma's affine labels and its norm.  Enumeration walks a
+spanning tree of the orbit of rho, kept as integer affine labels, along
+strictly descending reflections (weyl.descending_orbit): each orbit point
+comes once, from its parent, the reflection at its lowest negative label,
+so each vector is made once, from its parent's record.  Each step s_i
+with label l adds l to the i-th root coordinate of the shift, or for s_0
+subtracts l times the marks and adds l to the grade, so no basis change
+is needed.  The labels of gamma are rho's (all 1) minus those of
 the orbit point w(rho).  Its norm needs no matrix product: w(rho) has the
 norm of rho, so |gamma|^2 = 2 (rho|gamma) = 2 sum_m gamma_m d_m +
 2 h^vee grade.  Descent never raises the grade, so pruning below the

@@ -30,12 +30,14 @@ fans they are solved from: the modules of one class share a single fold.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import islice
 from math import comb
-from operator import mul
+from operator import itemgetter, mul
 from typing import NamedTuple
 
 from . import fan
 from .algebra import AffineWeight, AlgebraSpec, _adjugate, _integer_entry, algebra_memo
+from .algebra import _new, _set_grade, _set_labels, _set_level
 from .errors import (
     ConfigurationError,
     ConsistencyError,
@@ -384,15 +386,18 @@ def character(spec: AlgebraSpec, table: StringTable, window) -> list:
     `window` is either an int depth d >= 0 (grades 0..-d) or a pair of
     integer grades <= 0 in either order; anything else raises
     `ConfigurationError`.  Weights are found by walking the ordinary orbit
-    of each base weight once down to the window floor and placing every
+    of each base weight once down to the window floor, each orbit point
+    once, from its one parent (`descending_orbit`), and placing every
     orbit point at each depth of its string; each weight reduces to
-    exactly one string point, so nothing is double counted.  A string
-    whose first non-zero depth lies below the window is not walked.  The
-    walk keeps integer labels, each orbit point's classical labels sliced
-    once; one `AffineWeight` is built per weight returned, straight from
-    those int labels, with no normalising.  Pairs come by grade
-    descending, then by classical labels ascending.  A table of an algebra
-    with another Cartan matrix raises `ConfigurationError`.
+    exactly one string point, so no weight comes twice.  A string whose
+    first non-zero depth lies below the window is not walked.  The walked
+    points, more than fan.DEFAULT_NODE_LIMIT of which raise
+    ResourceLimitError, are sorted once by classical labels and dealt
+    into one list per grade, so each grade comes out sorted.  Each weight
+    is built once, straight from the walk's int labels, with no
+    normalising.  Pairs come by grade descending, then by classical
+    labels ascending.  A table of an algebra with another Cartan matrix
+    raises `ConfigurationError`.
     """
     if spec is not table.algebra:
         _check_table_algebra(spec, table)
@@ -402,9 +407,8 @@ def character(spec: AlgebraSpec, table: StringTable, window) -> list:
             f"window floor {bottom} is beyond the computed cutoff {table.cutoff}"
         )
     level = table.level
-    # One dict per grade of the window, top grade first, keyed by classical
-    # labels: sorting each dict's keys gives the order of the result.
-    rows: list[dict] = [{} for _ in range(top - bottom + 1)]
+    limit = fan.DEFAULT_NODE_LIMIT
+    points = []
     for xi, coeffs in zip(table.base.weights, table.coefficients):
         # The orbit of (xi, -d) is the orbit of (xi, 0) moved down by d, and
         # the string vanishes above its first non-zero depth `head`.
@@ -412,17 +416,25 @@ def character(spec: AlgebraSpec, table: StringTable, window) -> list:
         floor = bottom + head
         if floor > 0:
             continue  # the whole string lies below the window
-        for _, _, (labels, grade) in descending_orbit(spec, spec.affine_labels(xi), 0, floor):
-            classical = labels[1:]
-            for d in range(max(0, grade - top), grade - bottom + 1):
-                if coeffs[d]:
-                    rows[top - grade + d][classical] = coeffs[d]
-    weight = AffineWeight._of_ints
-    return [
-        (weight(labels, level, top - i), row[labels])
-        for i, row in enumerate(rows)
-        for labels in sorted(row)
-    ]
+        walk = descending_orbit(spec, spec.affine_labels(xi), 0, floor)
+        for _, _, (labels, grade) in islice(walk, limit + 1 - len(points)):
+            points.append((labels[1:], grade, coeffs))
+        if len(points) > limit:
+            raise ResourceLimitError(f"character orbit walk exceeded {limit} points")
+    points.sort(key=itemgetter(0))
+    # One list per grade of the window, top grade first.  A grade holds
+    # each classical label at most once, so the stable sort orders it.
+    rows: list[list] = [[] for _ in range(top - bottom + 1)]
+    for classical, grade, coeffs in points:
+        for d in range(max(0, grade - top), grade - bottom + 1):
+            mult = coeffs[d]
+            if mult:
+                w = _new(AffineWeight)
+                _set_labels(w, classical)
+                _set_level(w, level)
+                _set_grade(w, grade - d)
+                rows[top - grade + d].append((w, mult))
+    return [pair for row in rows for pair in row]
 
 
 def _normalize_window(window):

@@ -36,7 +36,13 @@ passes `give_up` to `to_dominant`: it is asked once, after ASK_AFTER
 reflections, so a short reduction never pays for it.
 
 The reverse walk, `descending_orbit`, visits the orbit of a dominant point
-along reflections at positive labels, which only ever lower the grade.
+along reflections at positive labels, which only ever lower the grade.  It
+is a reverse search (Avis and Fukuda, 1996) over a spanning tree of the
+orbit: the parent of a point is its reflection at its lowest negative
+label, so a point p has the child s_i(p) when p_i > 0 and every label of
+s_i(p) below index i is non-negative.  Each point comes once, from its
+one parent, and nothing is stored to tell a point already seen.  A parent
+never lies below its child's grade, so a grade floor prunes exactly.
 `apply_word` replays a recorded word on one weight.  `to_dominant`
 computes lambda_0 from a weight's stored labels inside the kernel and
 returns the reduced labels themselves; its `WeylOutcome` builds the
@@ -119,7 +125,6 @@ def orbit(labels, grade, floor):
     if grade < floor:
         return
     start = (labels, grade)
-    seen = {{start}}
     queue = [start]
     yield None, None, start
     for parent in queue:
@@ -140,24 +145,22 @@ _LOOP = """\
 """
 
 # The orbit walk's child s_i(parent), for i > 0 and for i = 0: only s_0
-# lowers the grade, so a child below the floor is never built.
+# lowers the grade, so a child below the floor is never built.  {lower}
+# asks that the child's labels below i be non-negative: then i is the
+# child's lowest negative label, and the child comes only from this parent.
 _CHILD = """\
-        if l{i} > 0:
+        if l{i} > 0{lower}:
             node = (({labels}), grade)
-            if node not in seen:
-                seen.add(node)
-                queue.append(node)
-                yield parent, {i}, node
+            queue.append(node)
+            yield parent, {i}, node
 """
 _CHILD0 = """\
         if l0 > 0:
             g = grade - l0
             if g >= floor:
                 node = (({labels}), g)
-                if node not in seen:
-                    seen.add(node)
-                    queue.append(node)
-                    yield parent, 0, node
+                queue.append(node)
+                yield parent, 0, node
 """
 
 
@@ -197,8 +200,9 @@ def _kernel_source(columns, comarks) -> str:
     children = ""
     for i, column in enumerate(columns):
         entries = dict(column)
-        labels = ", ".join(_term(i, j, entries.get(j, 0), "l%d" % i) for j in range(n))
-        children += (_CHILD if i else _CHILD0).format(i=i, labels=labels)
+        labels = [_term(i, j, entries.get(j, 0), "l%d" % i) for j in range(n)]
+        lower = "".join(" and %s >= 0" % x for x in labels[:i])
+        children += (_CHILD if i else _CHILD0).format(i=i, labels=", ".join(labels), lower=lower)
     label0 = "".join(
         " - l%d" % j if c == 1 else " - %d * l%d" % (c, j) for j, c in enumerate(comarks, 1)
     )
@@ -249,16 +253,22 @@ def reduce_labels(spec: AlgebraSpec, labels, grade):
 
 
 def descending_orbit(spec: AlgebraSpec, labels, grade, floor):
-    """Breadth-first walk of the orbit of a dominant point down to a grade floor.
+    """Walk the orbit of a dominant point down to a grade floor, one visit per point.
 
     Yields (parent, i, node) once per orbit point with grade >= floor,
     nodes being (affine labels tuple, grade) and node = s_i(parent), every
-    parent before its children.  The starting point comes first, with
+    parent before its children.  The parent of a node is its reflection
+    at its lowest negative label.  The starting point comes first, with
     parent and i None; a start below the floor yields nothing, since every
     step lowers the grade or keeps it.  Only s_0 changes the grade, so a
-    child below the floor is dropped before it is built.
+    child below the floor is dropped before it is built.  A start with a
+    negative label raises `ConfigurationError`: the walk reaches the whole
+    orbit only from its dominant point.
     """
-    return _kernel(spec).orbit(tuple(labels), grade, floor)
+    labels = tuple(labels)
+    if min(labels) < 0:
+        raise ConfigurationError(f"orbit walk needs a dominant start, got labels {labels}")
+    return _kernel(spec).orbit(labels, grade, floor)
 
 
 def apply_word(spec: AlgebraSpec, word, w: AffineWeight) -> AffineWeight:

@@ -215,6 +215,16 @@ def test_huge_level_exits_3_at_once(capsys, level):
     )
 
 
+def test_character_past_the_node_budget_exits_3(capsys, monkeypatch):
+    args = ("character", "--level", "2", "--mu", "0,0", "--cutoff", "3")
+    code, out, _ = run(capsys, *args)
+    assert code == 0 and out
+    monkeypatch.setattr(fan_module, "DEFAULT_NODE_LIMIT", 5)
+    code, out, err = run(capsys, *args)
+    assert code == 3 and out == ""
+    assert err == "consistency failure: character orbit walk exceeded 5 points\n"
+
+
 def test_mult_beyond_window_is_a_request_error(capsys):
     code, out, err = run(
         capsys, "mult", "--level", "1", "--mu", "0,0", "--cutoff", "6",

@@ -26,7 +26,7 @@ from affstr.strings import (
     module_class,
     solve_strings,
 )
-from affstr.weyl import apply_word
+from affstr.weyl import apply_word, descending_orbit
 from weyl_reference import from_root_basis
 
 
@@ -200,6 +200,26 @@ def test_character_window_forms(a2):
         character(a2, table, 9)
     # integral grades of any exact type name the same window
     assert character(a2, table, (Fraction(-6, 2), -2.0)) == window
+
+
+def test_character_stops_at_the_node_budget(a2, monkeypatch):
+    # The level-2 vacuum class holds (0,0) and (1,1): the budget counts the
+    # points of both walks together, each down to its string's first depth.
+    table = string_table(a2, (0, 0), 2, -3)
+    heads = [next(d for d, mult in enumerate(c) if mult) for c in table.coefficients]
+    assert heads == [0, 1]
+    walks = [
+        len(list(descending_orbit(a2, a2.affine_labels(xi), 0, head - 3)))
+        for xi, head in zip(table.base.weights, heads)
+    ]
+    assert len(walks) == 2 and min(walks) > 1
+    whole = character(a2, table, 3)
+    monkeypatch.setattr(fan_module, "DEFAULT_NODE_LIMIT", sum(walks))
+    assert character(a2, table, 3) == whole
+    for limit in (sum(walks) - 1, walks[0] - 1):
+        monkeypatch.setattr(fan_module, "DEFAULT_NODE_LIMIT", limit)
+        with pytest.raises(ResourceLimitError, match=f"^character orbit walk exceeded {limit} "):
+            character(a2, table, 3)
 
 
 @pytest.mark.parametrize(

@@ -454,10 +454,11 @@ def test_import_and_load_compile_no_kernel():
     assert proc.stdout.splitlines() == ["[0, 0, 0]", "True 1"]
 
 
+# No `seen` or `add`: the orbit walk keeps no set of visited points.
 KERNEL_NAMES = {
     "dominant", "reduce", "replay", "orbit", "labels", "level", "grade", "word", "limit",
-    "low", "x", "i", "_", "g", "floor", "start", "seen", "queue", "parent", "node",
-    "range", "add", "append",
+    "low", "x", "i", "_", "g", "floor", "start", "queue", "parent", "node", "range",
+    "append",
 }
 
 
@@ -519,20 +520,58 @@ def test_kernel_source_holds_only_integers_and_its_own_names(
 )
 def test_descending_orbit_matches_brute_force(kernel_specs, name, labels, level, grade, floor):
     spec = kernel_specs[name]
-    start = spec.weight(labels, level, grade)
-    walk = list(weyl.descending_orbit(spec, spec.affine_labels(start), grade, floor))
-    assert bool(walk) == (grade >= floor)
+    _assert_walk(spec, spec.weight(labels, level, grade), floor)
+
+
+def _assert_walk(spec, start, floor):
+    """The walk from a dominant start is its orbit above the floor, each point once."""
+    walk = list(weyl.descending_orbit(spec, spec.affine_labels(start), start.grade, floor))
+    assert bool(walk) == (start.grade >= floor)
     found = {}
     for parent, i, node in walk:
-        w = AffineWeight(node[0][1:], level, node[1])
+        w = AffineWeight(node[0][1:], start.level, node[1])
         assert spec.affine_labels(w) == node[0] and node not in found
         if parent is None:
             assert (i, found, w) == (None, {}, start)
         else:
             # a KeyError here is a child yielded before its parent
             assert reference.reflect(spec, i, found[parent]) == w
+            # the parent rule: i is the node's lowest negative label
+            assert i == next(j for j, x in enumerate(node[0]) if x < 0)
         found[node] = w
     assert set(found.values()) == reference.orbit(spec, start, floor)
+
+
+def _draw_dominant_labels(data, spec, level):
+    labels = []
+    room = level
+    for comark in spec.comarks:
+        labels.append(data.draw(st.integers(0, room // comark)))
+        room -= comark * labels[-1]
+    return labels
+
+
+@given(st.data())
+@settings(max_examples=120, deadline=None)
+def test_descending_orbit_visits_each_point_once(kernel_specs, data):
+    spec = kernel_specs[data.draw(st.sampled_from(sorted(kernel_specs)))]
+    level = data.draw(st.integers(1, 3))
+    labels = _draw_dominant_labels(data, spec, level)
+    grade = data.draw(st.integers(-2, 1))
+    floor = data.draw(st.integers(grade - 3, grade + 1))
+    _assert_walk(spec, spec.weight(labels, level, grade), floor)
+
+
+@pytest.mark.parametrize(
+    "labels,level", [((-1, 1), 2), ((2, -1), 2), ((1, 1), 1)], ids=["l1", "l2", "l0"]
+)
+def test_descending_orbit_refuses_a_start_off_the_dominant_chamber(a2, labels, level):
+    # The tree reaches the whole orbit only from its dominant point: from
+    # (2; -1, 1) the walk used to visit 8 points of some partial set.
+    affine = a2.affine_labels(a2.weight(labels, level, 0))
+    assert min(affine) < 0
+    with pytest.raises(ConfigurationError, match="dominant start"):
+        weyl.descending_orbit(a2, affine, 0, -2)
 
 
 CHARACTER_CASES = pytest.mark.parametrize(
@@ -552,22 +591,45 @@ CHARACTER_CASES = pytest.mark.parametrize(
 @CHARACTER_CASES
 def test_character_orbits_match_brute_force(kernel_specs, name, mu, level, depth, window):
     spec = kernel_specs[name]
-    table = string_table(spec, mu, level, -depth)
-    top, bottom = (0, -window) if isinstance(window, int) else window
+    got = _assert_character(spec, string_table(spec, mu, level, -depth), window)
+    assert len(got) > 50
+
+
+def _assert_character(spec, table, window):
+    """character's window is the brute-force one, each weight once, in (-grade, labels) order."""
+    top, bottom = (0, -window) if isinstance(window, int) else sorted(window, reverse=True)
     want = {}
     for s, xi in enumerate(table.base.weights):
-        for d in range(depth + 1):
-            mult = table.coefficients[s][d]
+        for d, mult in enumerate(table.coefficients[s]):
             if mult and -d >= bottom:
                 for w in reference.orbit(spec, xi.shift_grade(-d), bottom):
                     if w.grade <= top:
                         want[w] = mult
     got = character(spec, table, window)
-    assert len(got) == len(want) > 50
+    assert len(got) == len(want)
     assert dict(got) == want
     # the CLI's text, JSON and CSV listings inherit this order
     keys = [(-w.grade, w.labels) for w, _ in got]
-    assert keys == sorted(keys)
+    assert keys == sorted(keys) and len(set(keys)) == len(keys)
+    return got
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_character_windows_match_brute_force(kernel_specs, data):
+    # small tables of every kernel algebra: the classes of a level split
+    # the modules, so several strings share each window
+    spec = kernel_specs[data.draw(st.sampled_from(sorted(kernel_specs)))]
+    level = data.draw(st.integers(1, 2))
+    mu = _draw_dominant_labels(data, spec, level)
+    depth = data.draw(st.integers(0, 3))
+    table = string_table(spec, mu, level, -depth)
+    lowest = st.integers(0, depth)
+    if data.draw(st.booleans()):
+        window = data.draw(lowest)
+    else:
+        window = (-data.draw(lowest), -data.draw(lowest))
+    _assert_character(spec, table, window)
 
 
 @CHARACTER_CASES
