@@ -18,9 +18,11 @@ one exact elimination, reduces it once to its determinant and adjugate
 in integers; each depth's coefficients are then the adjugate applied to
 a right-hand side of shallower coefficients, divided by the determinant.
 In base order that block has -1 on the diagonal and zeros below it,
-which the `verify` harness checks on the folded fans.  Every solution
-component must come out a non-negative integer; anything else signals an
-upstream bug and aborts.
+which the `verify` harness checks on the folded fans.  The deeper blocks
+E_n are read once per table from the folded entries, as sparse rows of
+their nonzero multiplicities, and never built as dense matrices.  Every
+solution component must come out a non-negative integer; anything else
+signals an upstream bug and aborts.
 
 The classifier, the classes of a level and the table of a module are
 memoised per algebra instance (algebra.algebra_memo), as are the folded
@@ -164,10 +166,17 @@ class BlockSystem(NamedTuple):
 
 
 def assemble_system(base: BaseWeightSet, folded, mu_index: int, u: int) -> BlockSystem:
-    """Collect folded fans into the block system for one highest weight."""
+    """Collect folded fans into the block system for one highest weight.
+
+    A cutoff or `mu_index` that is not an integer raises
+    `ConfigurationError`, as in `string_table`; integral values of any
+    type are taken as ints.
+    """
+    u = _integer_entry(u, "cutoff")
+    mu_index = _integer_entry(mu_index, "mu_index")
     if u > 0:
         raise ConfigurationError("cutoff grade u must be <= 0")
-    depth = -int(u)
+    depth = -u
     folded = tuple(folded)
     if len(folded) != len(base):
         raise ConfigurationError("need one folded fan per base weight")
@@ -225,8 +234,11 @@ def solve_strings(system: BlockSystem) -> StringTable:
     The grade-zero block E_0 is the same at every depth, so it is
     eliminated once, to det E_0 and adj E_0 in integers; at each depth d
     the column is adj E_0 times the right-hand side made of the
-    already-known shallower coefficients, divided by det E_0.  Integrality
-    and non-negativity of every component are asserted.
+    already-known shallower coefficients, divided by det E_0.  The blocks
+    E_n, n >= 1, are read once per table from the folded entries into
+    sparse rows of (column, eta) pairs, and each depth subtracts only
+    those products; no E_n is built as a dense matrix.  Integrality and
+    non-negativity of every component are asserted.
     """
     p = len(system.base)
     depth = system.depth
@@ -235,20 +247,24 @@ def solve_strings(system: BlockSystem) -> StringTable:
         raise ConsistencyError("grade-zero block is singular; the folded fan is inconsistent")
     # Only the nonzero entries of each row of adj E_0, as (column, entry).
     adj = [[(s, a) for s, a in enumerate(row) if a] for row in adj]
+    # rows[n][j]: the nonzero entries of row j of E_n, as (column, eta), for
+    # 1 <= n <= depth; a fold built to a larger cutoff reaches further, and
+    # those offsets are dropped.
+    rows = [[[] for _ in range(p)] for _ in range(depth + 1)]
+    for j, ff in enumerate(system.folded):
+        for (s, n), eta in ff.entries.items():
+            if 1 <= n <= depth and eta:
+                rows[n][j].append((s, eta))
     columns: list[tuple[Fraction, ...]] = []
     for d in range(depth + 1):
         rhs = [Fraction(0)] * p
         if d == 0:
             rhs[system.mu_index] = Fraction(-1)
         for n in range(1, d + 1):
-            en = system.grade_matrix(n)
             prev = columns[d - n]
-            for j in range(p):
-                acc = rhs[j]
-                for s in range(p):
-                    if en[j][s]:
-                        acc -= en[j][s] * prev[s]
-                rhs[j] = acc
+            for j, pairs in enumerate(rows[n]):
+                if pairs:
+                    rhs[j] -= sum(eta * prev[s] for s, eta in pairs)
         columns.append(tuple(sum(a * rhs[s] for s, a in row) / det for row in adj))
     coeffs = []
     for s in range(p):

@@ -20,6 +20,7 @@ from affstr import (
 from affstr import fan as fan_module
 from affstr.folding import FoldedFan
 from affstr.strings import (
+    BlockSystem,
     assemble_system,
     classifier_for,
     enumerate_class_weights,
@@ -90,6 +91,120 @@ def test_assemble_depth_zero(a2):
     assert system.grade_matrix(0) == [[-1, 2], [0, -1]]
     table = solve_strings(system)
     assert table.coefficients == ((1,), (0,))
+
+
+def test_one_dense_block_per_solve(a2, monkeypatch):
+    # only the grade-0 block, which is eliminated, is built as a matrix;
+    # the deeper blocks are read once from the folds as sparse rows
+    base, mu_index = module_class(a2, (1, 1), 3)
+    folded, _ = build_folded_fans(a2, base, 12)
+    system = assemble_system(base, folded, mu_index, -12)
+    calls = []
+    grade_matrix = BlockSystem.grade_matrix
+
+    def counting(self, n):
+        calls.append(n)
+        return grade_matrix(self, n)
+
+    monkeypatch.setattr(BlockSystem, "grade_matrix", counting)
+    table = solve_strings(system)
+    assert calls == [0]
+    assert table.coefficients == string_table(a2, (1, 1), 3, -12).coefficients
+
+
+@pytest.mark.parametrize(
+    "label, cartan, mu, level, depth",
+    [
+        ("A1", [[2]], (3,), 8, 30),
+        ("A2", [[2, -1], [-1, 2]], (1, 1), 4, 10),
+        ("G2", [[2, -1], [-3, 2]], (1, 0), 3, 10),
+    ],
+    ids=["A1-L8", "A2-L4", "G2-L3"],
+)
+def test_folds_built_past_the_depth_solve_to_the_same_table(label, cartan, mu, level, depth):
+    # a fold built to a larger cutoff holds offsets past the system's depth,
+    # which the solve must drop rather than read
+    spec = AlgebraSpec(label, cartan)
+    base, mu_index = module_class(spec, mu, level)
+    exact, _ = build_folded_fans(spec, base, depth)
+    deeper, _ = build_folded_fans(spec, base, depth + 5)
+    assert any(n > depth for ff in deeper for (_, n), eta in ff.entries.items() if eta)
+    want = solve_strings(assemble_system(base, exact, mu_index, -depth))
+    got = solve_strings(assemble_system(base, deeper, mu_index, -depth))
+    assert got.coefficients == want.coefficients
+    assert got.cutoff == -depth and all(len(c) == depth + 1 for c in got.coefficients)
+
+
+def _vacuum_level2_folds(a2, cutoff):
+    base, _ = module_class(a2, (0, 0), 2)
+    folded, _ = build_folded_fans(a2, base, cutoff)
+    return base, folded
+
+
+@pytest.mark.parametrize(
+    "case, error, match",
+    [
+        pytest.param(
+            lambda base, folded: (base, folded, 0, 1),
+            ConfigurationError, "^cutoff grade u must be <= 0$", id="positive-cutoff",
+        ),
+        pytest.param(
+            lambda base, folded: (base, folded[:1], 0, -3),
+            ConfigurationError, "^need one folded fan per base weight$", id="fan-count",
+        ),
+        pytest.param(
+            lambda base, folded: (base, folded[::-1], 0, -3),
+            ConfigurationError, "^folded fans must be ordered by base index$", id="fan-order",
+        ),
+        pytest.param(
+            lambda base, folded: (base, folded, 0, -5),
+            OutOfWindowError, "^folded fan 0 reaches offset 4 < requested depth 5$",
+            id="fold-too-shallow",
+        ),
+        pytest.param(
+            lambda base, folded: (base, folded, 2, -3),
+            ConfigurationError, "^mu_index out of range$", id="mu-index-range",
+        ),
+        pytest.param(
+            lambda base, folded: (base, folded, -1, -3),
+            ConfigurationError, "^mu_index out of range$", id="mu-index-negative",
+        ),
+    ],
+)
+def test_assemble_system_refusals(a2, case, error, match):
+    base, folded = _vacuum_level2_folds(a2, 4)
+    assert len(base) == 2
+    with pytest.raises(error, match=match):
+        assemble_system(*case(base, folded))
+
+
+@pytest.mark.parametrize(
+    "mu_index, u, what",
+    [
+        pytest.param(0, -2.5, "cutoff", id="float-cutoff"),
+        pytest.param(0, Fraction(-7, 2), "cutoff", id="fraction-cutoff"),
+        pytest.param(0, "-3", "cutoff", id="str-cutoff"),
+        pytest.param(0, None, "cutoff", id="None-cutoff"),
+        pytest.param(0.5, -3, "mu_index", id="float-mu-index"),
+        pytest.param("0", -3, "mu_index", id="str-mu-index"),
+        pytest.param(None, -3, "mu_index", id="None-mu-index"),
+    ],
+)
+def test_assemble_system_refuses_non_integers(a2, mu_index, u, what):
+    # a fractional cutoff was truncated to another depth, and the others
+    # raised a bare TypeError, some of them only inside the solve
+    base, folded = _vacuum_level2_folds(a2, 4)
+    with pytest.raises(ConfigurationError, match=f"^{what} .* is not an integer$"):
+        assemble_system(base, folded, mu_index, u)
+
+
+def test_assemble_system_takes_integral_values_as_ints(a2):
+    # as string_table does: an integral float or Fraction names the same system
+    base, folded = _vacuum_level2_folds(a2, 4)
+    system = assemble_system(base, folded, 0.0, Fraction(-6, 2))
+    assert type(system.mu_index) is int and type(system.depth) is int
+    assert system == assemble_system(base, folded, 0, -3)
+    assert solve_strings(system).coefficients == string_table(a2, (0, 0), 2, -3).coefficients
 
 
 def test_level1_strings(a2):
