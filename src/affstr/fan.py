@@ -13,10 +13,12 @@ subtracts l times the marks and adds l to the grade, so no basis change
 is needed.  The labels of gamma are rho's (all 1) minus those of
 the orbit point w(rho).  Its norm needs no matrix product: w(rho) has the
 norm of rho, so |gamma|^2 = 2 (rho|gamma) = 2 sum_m gamma_m d_m +
-2 h^vee grade.  Descent never raises the grade, so pruning below the
-cutoff loses nothing within the window.  build_fan is memoised per
-algebra instance and cutoff (algebra.algebra_memo); a cutoff is served by
-its own fan, never as a prefix of a longer one.
+2 h^vee grade, which is linear in gamma, and each record takes its
+parent's norm plus l times the norm one unit of s_i adds.  Descent
+never raises the grade, so pruning below the cutoff loses nothing
+within the window.  build_fan is memoised per algebra instance and
+cutoff (algebra.algebra_memo); a cutoff is served by its own fan, never
+as a prefix of a longer one.
 
 verify_denominator is the independent completeness gate: it expands the
 truncated product over the positive affine roots and compares it term by
@@ -32,7 +34,7 @@ addition; the keys are unpacked once, at the end.
 from __future__ import annotations
 
 from math import isqrt
-from operator import mul
+from operator import itemgetter, mul, sub
 from typing import NamedTuple
 
 from .algebra import AlgebraSpec, _integer_entry, algebra_memo
@@ -65,8 +67,8 @@ class Fan:
     def __init__(self, algebra: AlgebraSpec, cutoff: int, vectors):
         self.algebra = algebra
         self.cutoff = cutoff
-        self.vectors = tuple(sorted(vectors, key=lambda v: (v.grade, v.root)))
-        if len({(v.root, v.grade) for v in self.vectors}) != len(self.vectors):
+        self.vectors = tuple(sorted(vectors, key=itemgetter(1, 0)))
+        if len(set(map(itemgetter(0, 1), self.vectors))) != len(self.vectors):
             raise ConfigurationError("duplicate fan vectors")
 
     def __iter__(self):
@@ -96,31 +98,36 @@ def build_fan(spec: AlgebraSpec, cutoff: int, /) -> Fan:
     if cutoff < 0:
         raise ConfigurationError("fan cutoff must be non-negative")
     # form_scale * |gamma|^2 = 2 sum_m root_m form_symmetrizer_m + grade_norm * grade
+    # is linear in the shift, so s_i at label l adds l * step[i] to it: s_i
+    # adds l to root coordinate i, and s_0 subtracts l times the marks from
+    # the root and adds l to the grade.
     symmetrizer = spec.form_symmetrizer
     grade_norm = 2 * spec.dual_coxeter * spec.form_scale
-    # orbit point of rho -> (root coordinates of the shift, -det(w))
+    step = (grade_norm - 2 * sum(map(mul, spec.marks, symmetrizer)),)
+    step += tuple(2 * d for d in symmetrizer)
+    rho = (1,) * (spec.rank + 1)
+    record = FanVector._make
+    # orbit point of rho -> (root coordinates of the shift, -det(w), norm)
     shifts = {}
     vectors = []
-    for parent, i, node in descending_orbit(spec, (1,) * (spec.rank + 1), 0, -cutoff):
+    for parent, i, node in descending_orbit(spec, rho, 0, -cutoff):
         if parent is None:
-            shifts[node] = ((0,) * spec.rank, -1)
+            shifts[node] = ((0,) * spec.rank, -1, 0)
             continue
-        root, mult = shifts[parent]
+        root, mult, norm = shifts[parent]
         mult = -mult  # one more letter flips det(w)
         li = parent[0][i]
         if i:
             root = root[: i - 1] + (root[i - 1] + li,) + root[i:]
         else:
             root = tuple(c - li * m for c, m in zip(root, spec.marks))
-        shifts[node] = (root, mult)
+        norm += li * step[i]
+        shifts[node] = (root, mult, norm)
         if len(shifts) > DEFAULT_NODE_LIMIT:
             raise ResourceLimitError(
                 f"fan orbit exceeded {DEFAULT_NODE_LIMIT} nodes at cutoff {cutoff}"
             )
-        grade = -node[1]
-        labels = tuple(1 - x for x in node[0])
-        norm = 2 * sum(map(mul, root, symmetrizer)) + grade_norm * grade
-        vectors.append(FanVector(root, grade, mult, labels, norm))
+        vectors.append(record((root, -node[1], mult, tuple(map(sub, rho, node[0])), norm)))
     return Fan(spec, cutoff, vectors)
 
 

@@ -8,8 +8,9 @@ multiplicities accumulate there.  The zero shift is seeded with
 multiplicity -1, which turns the multiplicity recursion into a solvable
 triangular system (see strings.py).
 
-The affine labels of xi are taken once and added as integers to those
-each fan record carries; the reduction kernel in weyl.py does the rest.
+The pair loop is the `fold` of the algebra's generated kernel in
+weyl.py: it adds the affine labels of xi, as integers, to those each fan
+record carries and reduces them with the kernel's reduction steps.
 Reduction only ever raises the grade, so a folded offset is never below
 the grade of its fan vector: the fan built exactly to the cutoff holds
 every contributor.
@@ -36,23 +37,24 @@ lambda - n delta is that of lambda moved down by n, with the same word.
 Nothing here re-checks that at other grades; the `verify` harness
 compares the folded solve with the unfolded recursion at every depth.
 
-build_folded_fan checks every fold it reduces three ways and raises on a
-failure: the offset is at least the grade of the fan vector
-(ConventionError), the target lies in the class (CongruenceError), and
-the offset is the one the invariant form gives (ConventionError).
+The kernel checks every fold it reduces three ways and stops at the
+first failure, which build_folded_fan raises: the offset is at least the
+grade of the fan vector (ConventionError), the target lies in the class
+(CongruenceError), and the offset is the one the invariant form gives
+(ConventionError).  Each pair's reduction runs under
+weyl.DEFAULT_STEP_LIMIT reflections (NonterminationError past it).
 build_folded_fans is memoised per algebra instance (algebra.algebra_memo),
 so a class is folded once however many of its modules are solved.
 """
 
 from __future__ import annotations
 
-from operator import add, mul
 from typing import NamedTuple
 
-from .algebra import AffineWeight, AlgebraSpec, algebra_memo
-from .errors import CongruenceError, ConfigurationError, ConventionError
+from . import weyl
+from .algebra import AffineWeight, AlgebraSpec, _integer_entry, algebra_memo
+from .errors import CongruenceError, ConfigurationError, ConventionError, NonterminationError
 from .fan import Fan, build_fan
-from .weyl import reduce_labels
 
 __all__ = [
     "BaseWeightSet",
@@ -161,56 +163,51 @@ def build_folded_fan(
     The fan must reach at least the requested cutoff; offsets beyond the
     cutoff are discarded, and a fold the invariant form prices beyond the
     cutoff is not reduced at all.  Every reduced target must lie in `base`.
+    The index and the cutoff are integers, 0 <= base_index < len(base) and
+    cutoff >= 0; anything else raises ConfigurationError.
     """
+    base_index = _integer_entry(base_index, "base index")
+    if not 0 <= base_index < len(base):
+        raise ConfigurationError(f"base index {base_index} out of range 0..{len(base) - 1}")
+    cutoff = _integer_entry(cutoff, "folded cutoff")
+    if cutoff < 0:
+        raise ConfigurationError(f"folded cutoff {cutoff} is negative")
     if fan.cutoff < cutoff:
         raise ConfigurationError(
             f"fan cutoff {fan.cutoff} is below the folded cutoff {cutoff}"
         )
     xi = base.weights[base_index]
-    xi_labels = spec.affine_labels(xi)
     # Everything scaled by form_scale: 2k, |xi|^2, a bound on the norm of
     # any dominant level-k weight, whether in `base` or not, and
     # 2 (xi|gamma) = sum_m gamma_m * 2 xi_m d_m for gamma in root coordinates.
     two_k = 2 * xi.level * spec.form_scale
-    xi_norm = base.norms[base_index]
     top = spec.norm_bound(xi.level)
     pairing = [2 * x * d for x, d in zip(xi.labels, spec.form_symmetrizer)]
     entries = {(base_index, 0): -1}
-    for root, grade, mult, gamma_labels, gamma_norm in fan.vectors:
-        norm = xi_norm + sum(map(mul, pairing, root)) + gamma_norm
-        # 2k (offset - grade) = |xi + gamma|^2 - |target|^2 >= norm - top
-        if norm - top > two_k * (cutoff - grade):
-            continue
-        # xi sits at grade 0, so the reduced grade is the offset.  Walls are
-        # kept: ordinary weight multiplicities are Weyl-invariant, so wall
-        # targets accumulate like any other.
-        labels, offset, _ = reduce_labels(spec, map(add, xi_labels, gamma_labels), grade)
-        if offset < 0 or offset < grade:
-            raise ConventionError(
-                f"folded offset {offset} is below the grade of shift {root} at "
-                f"grade {grade} or negative"
-            )
-        try:
-            s = base.index_of(labels[1:])
-        except CongruenceError:
-            raise CongruenceError(
-                f"folded target {labels[1:]} at offset {offset} of base {xi} "
-                "is outside its congruence class"
-            ) from None
-        if two_k * (offset - grade) != norm - base.norms[s]:
-            raise ConventionError(
-                f"fold of shift {root} at grade {grade} onto base {xi} reaches target "
-                f"{s} at offset {offset}, which the invariant form does not give"
-            )
-        if offset > cutoff:
-            continue
-        key = (s, offset)
-        value = entries.get(key, 0) + mult
-        if value:
-            entries[key] = value
-        else:
-            entries.pop(key, None)
-    return FoldedFan(base_index, cutoff, entries)
+    limit = weyl.DEFAULT_STEP_LIMIT
+    failure = weyl._kernel(spec).fold(
+        spec.affine_labels(xi), pairing, base.norms[base_index], top, two_k, cutoff,
+        fan.vectors, base.positions, base.norms, limit, entries,
+    )
+    if failure is None:
+        return FoldedFan(base_index, cutoff, entries)
+    kind, root, grade, labels, offset = failure
+    if kind == 0:
+        raise NonterminationError(f"reduction exceeded {limit} steps")
+    if kind == 1:
+        raise ConventionError(
+            f"folded offset {offset} is below the grade of shift {root} at "
+            f"grade {grade} or negative"
+        )
+    if kind == 2:
+        raise CongruenceError(
+            f"folded target {labels} at offset {offset} of base {xi} "
+            "is outside its congruence class"
+        )
+    raise ConventionError(
+        f"fold of shift {root} at grade {grade} onto base {xi} reaches target "
+        f"{base.positions[labels]} at offset {offset}, which the invariant form does not give"
+    )
 
 
 @algebra_memo

@@ -15,8 +15,13 @@ Python, the way `collections.namedtuple` writes its classes, and compiled
 on the first walk of that algebra instance (`algebra_memo`), never at
 import or when the algebra is loaded.  The labels become the locals
 `l0 ... lr`; a reflection is one assignment per nonzero column entry and a
-child in an orbit walk is one tuple display.  There is no other reflection
-loop in the package.  The source holds only integer literals, each written
+child in an orbit walk is one tuple display.  The kernel also holds the
+fold's pair loop, `fold`, which `folding.build_folded_fan` calls once
+per base weight: for each fan vector it prices the pair, reduces it
+with the same steps as `reduce` (keeping no word), checks it and adds it
+to the folded entries, and it returns a failure as a tuple for
+`build_folded_fan` to raise.  There is no other reflection loop in the
+package.  The source holds only integer literals, each written
 with `%d` from the int Cartan data, and its own local names; nothing of a
 config file (not even the algebra's label) enters it, and it runs with no
 builtin but `range`.
@@ -30,10 +35,11 @@ strategy yields the same dominant representative; this one gives the same
 word every time, whose length the oracle's sign and the benchmark's
 reflection counts read.  It only ever raises the grade.
 Termination needs positive level, so each reduction runs under a budget of
-DEFAULT_STEP_LIMIT reflections, read at each call, and raises
-NonterminationError past it.  A caller that can price a long reduction
-passes `give_up` to `to_dominant`: it is asked once, after ASK_AFTER
-reflections, so a short reduction never pays for it.
+DEFAULT_STEP_LIMIT reflections, read at each call (the fold reads it once
+per call and applies it to each pair), and raises NonterminationError
+past it.  A caller that can price a long reduction passes `give_up` to
+`to_dominant`: it is asked once, after ASK_AFTER reflections, so a short
+reduction never pays for it.
 
 The reverse walk, `descending_orbit`, visits the orbit of a dominant point
 along reflections at positive labels, which only ever lower the grade.  It
@@ -103,15 +109,32 @@ class _Kernel:
     classical labels and the level and computes lambda_0 itself.
     replay(l0, ..., lr, grade, word) applies a checked word;
     orbit(labels, grade, floor) is the generator of `descending_orbit`.
+    fold(xi, pairing, xi_norm, top, two_k, cutoff, vectors, positions,
+    norms, limit, entries) is the pair loop of `folding.build_folded_fan`:
+    it adds each fold of a fan vector onto the base weight xi to `entries`
+    and returns None, or returns (kind, root, grade, target labels, offset)
+    at the first fold that fails: kind 0 ran `limit` reflections, 1 lies
+    below its grade, 2 lands outside `positions`, 3 breaks the invariant
+    form.
     """
 
-    __slots__ = ("dominant", "reduce", "replay", "orbit")
+    __slots__ = ("dominant", "reduce", "replay", "orbit", "fold")
 
 
 # The kernel's source, filled in per algebra; {names} is "l0, l1, ..., lr".
+# In `fold`, xi's labels are x0..xr and its pairing p1..pr, each fan record
+# unpacks to its root r1..rr, grade g, multiplicity, labels and norm, and
+# `norm` becomes form_scale * |xi-bar + gamma-bar|^2.  The pricing test is
+# 2k (offset - g) = |xi + gamma|^2 - |target|^2 >= norm - top.  xi sits at
+# grade 0, so the reduced grade is the offset.  Walls are kept: ordinary
+# weight multiplicities are Weyl-invariant, so wall targets accumulate like
+# any other.  A sum of multiplicities that cancels to 0 drops its entry.
 _SOURCE = """\
 def reduce({names}, grade, word, limit):
-{loop}
+    for _ in range(limit):
+{reduce_step}
+    return ({names}), grade
+
 def dominant(labels, level, grade, word, limit):
     {classical}, = labels
     return reduce({label0}, {classical}, grade, word, limit)
@@ -129,20 +152,46 @@ def orbit(labels, grade, floor):
     yield None, None, start
     for parent in queue:
         ({names}), grade = parent
-{children}"""
-
-# Reflect at the most negative label, the lowest index on ties: one
-# comparison chain finds the lowest label, and the `l{i} == low` chain
-# reflects at the first label that holds it.
-_LOOP = """\
-    for _ in range(limit):
-        low = l0
-{lowest}
-        if low >= 0:
-            return ({names}), grade
-{steps}
-    return ({names}), grade
+{children}
+def fold(xi, pairing, xi_norm, top, two_k, cutoff, vectors, positions, norms, limit, entries):
+    {bases}, = xi
+    {pairs}, = pairing
+    for ({roots},), g, mult, ({names}), norm in vectors:
+        norm += xi_norm + {price}
+        if norm - top > two_k * (cutoff - g):
+            continue
+{shift}
+        grade = g
+        for _ in range(limit):
+{fold_step}
+        else:
+            return 0, ({roots},), g, ({classical},), grade
+        if grade < 0 or grade < g:
+            return 1, ({roots},), g, ({classical},), grade
+        s = positions.get(({classical},))
+        if s is None:
+            return 2, ({roots},), g, ({classical},), grade
+        if two_k * (grade - g) != norm - norms[s]:
+            return 3, ({roots},), g, ({classical},), grade
+        if grade <= cutoff:
+            key = s, grade
+            mult += entries.get(key, 0)
+            if mult:
+                entries[key] = mult
+            else:
+                del entries[key]
 """
+
+# One reduction step: reflect at the most negative label, the lowest index
+# on ties.  One comparison chain finds the lowest label, {done} leaves when
+# it is non-negative, and the `l{i} == low` chain reflects at the first
+# label that holds it.
+_STEP = """\
+low = l0
+{lowest}
+if low >= 0:
+    {done}
+{steps}"""
 
 # The orbit walk's child s_i(parent), for i > 0 and for i = 0: only s_0
 # lowers the grade, so a child below the floor is never built.  {lower}
@@ -191,7 +240,23 @@ def _chain(columns, test, x, before, after):
         body = [before.format(i=i)] + ["l%d = %s" % (j, _term(i, j, a, x)) for j, a in column]
         body += ["grade -= " + x] * (not i) + [after.format(i=i)]
         lines += ["    " + line for line in body if line]
-    return "\n".join(" " * 8 + line for line in lines)
+    return "\n".join(lines)
+
+
+def _indent(source, indent):
+    return "\n".join(" " * indent + line for line in source.split("\n"))
+
+
+def _step(columns, done, after, indent):
+    # One reduction step, indented by `indent` spaces; each reflection
+    # runs `after` (formatted with i).
+    n = len(columns)
+    step = _STEP.format(
+        lowest="\n".join("if l%d < low:\n    low = l%d" % (j, j) for j in range(1, n)),
+        done=done,
+        steps=_chain(columns, "l{i} == low", "low", "", after),
+    )
+    return _indent(step, indent)
 
 
 def _kernel_source(columns, comarks) -> str:
@@ -210,15 +275,15 @@ def _kernel_source(columns, comarks) -> str:
         names=names,
         classical=", ".join("l%d" % j for j in range(1, n)),
         label0="level" + label0,
-        loop=_LOOP.format(
-            names=names,
-            lowest="\n".join(
-                "        if l%d < low:\n            low = l%d" % (j, j) for j in range(1, n)
-            ),
-            steps=_chain(columns, "l{i} == low", "low", "", "word.append({i})"),
-        ),
-        replay=_chain(columns, "i == {i}", "x", "x = l{i}", ""),
+        reduce_step=_step(columns, "return (%s), grade" % names, "word.append({i})", 8),
+        replay=_indent(_chain(columns, "i == {i}", "x", "x = l{i}", ""), 8),
         children=children,
+        bases=", ".join("x%d" % j for j in range(n)),
+        pairs=", ".join("p%d" % j for j in range(1, n)),
+        roots=", ".join("r%d" % j for j in range(1, n)),
+        price=" + ".join("p%d * r%d" % (j, j) for j in range(1, n)),
+        shift="\n".join("        l%d += x%d" % (j, j) for j in range(n)),
+        fold_step=_step(columns, "break", "", 12),
     )
 
 

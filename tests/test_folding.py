@@ -7,12 +7,13 @@ from affstr import (
     CongruenceError,
     ConfigurationError,
     ConventionError,
+    NonterminationError,
     build_fan,
     build_folded_fan,
     build_folded_fans,
     level1_eta_series,
 )
-from affstr import folding
+from affstr import weyl
 from affstr.algebra import AlgebraSpec
 from affstr.folding import BaseWeightSet
 from affstr.fan import Fan
@@ -249,18 +250,51 @@ def test_walk_records_labels_and_norms(name, cartan, cutoff):
 
 
 def test_fold_off_the_norm_identity_raises_convention_error(a2, monkeypatch):
-    # a reduction one grade too high keeps offset >= grade and the target's
-    # class, so only the invariant-form identity can catch it
-    reduce_labels = folding.reduce_labels
-
-    def one_grade_high(spec, labels, grade):
-        labels, grade, word = reduce_labels(spec, labels, grade)
-        return labels, grade + 1, word
-
-    monkeypatch.setattr(folding, "reduce_labels", one_grade_high)
+    # a target norm off by 2k keeps offset >= grade and the target's class,
+    # so only the invariant-form identity can catch it; the base folded
+    # keeps its own norm, so every pair is priced as before
     base = class_of(a2, (0, 0), 2)
+    two_k = 2 * base.level * a2.form_scale
+    monkeypatch.setattr(base, "norms", (base.norms[0], base.norms[1] + two_k))
     with pytest.raises(ConventionError, match="invariant form"):
         build_folded_fan(a2, base, 0, build_fan(a2, 4), 4)
+
+
+def test_fold_step_budget_raises_nontermination(a2, monkeypatch):
+    # the kernel's pair loop reads the budget at each call and applies it
+    # to each pair's reduction
+    base = class_of(a2, (1, 0), 2)
+    fan = build_fan(a2, 4)
+    monkeypatch.setattr(weyl, "DEFAULT_STEP_LIMIT", 1)
+    with pytest.raises(NonterminationError, match="reduction exceeded 1 steps"):
+        build_folded_fan(a2, base, 0, fan, 4)
+
+
+@pytest.mark.parametrize(
+    "base_index, cutoff, match",
+    [
+        (99, 4, "base index 99 out of range"),
+        (-1, 4, "base index -1 out of range"),
+        (1.5, 4, "base index 1.5 is not an integer"),
+        ("0", 4, "base index '0' is not an integer"),
+        (0, 2.5, "folded cutoff 2.5 is not an integer"),
+        (0, -1, "folded cutoff -1 is negative"),
+    ],
+    ids=["index-past-end", "index-negative", "index-fraction", "index-str", "cutoff-fraction",
+         "cutoff-negative"],
+)
+def test_fold_refuses_a_bad_index_or_cutoff(a2, base_index, cutoff, match):
+    base = class_of(a2, (1, 0), 2)
+    with pytest.raises(ConfigurationError, match=match):
+        build_folded_fan(a2, base, base_index, build_fan(a2, 4), cutoff)
+
+
+def test_fold_takes_an_integral_index_and_cutoff_as_ints(a2):
+    base = class_of(a2, (1, 0), 2)
+    fan = build_fan(a2, 4)
+    folded = build_folded_fan(a2, base, 1.0, fan, 4.0)
+    assert folded == build_folded_fan(a2, base, 1, fan, 4)
+    assert type(folded.base_index) is int and type(folded.cutoff) is int
 
 
 @pytest.mark.parametrize(

@@ -454,11 +454,15 @@ def test_import_and_load_compile_no_kernel():
     assert proc.stdout.splitlines() == ["[0, 0, 0]", "True 1"]
 
 
-# No `seen` or `add`: the orbit walk keeps no set of visited points.
+# No `seen` or `add`: the orbit walk keeps no set of visited points.  The
+# fold's own names follow `append`; its indexed locals are the base
+# weight's labels x0..xr, the pairing p1..pr and the root r1..rr.
 KERNEL_NAMES = {
     "dominant", "reduce", "replay", "orbit", "labels", "level", "grade", "word", "limit",
     "low", "x", "i", "_", "g", "floor", "start", "queue", "parent", "node", "range",
     "append",
+    "fold", "xi", "pairing", "xi_norm", "top", "two_k", "cutoff", "vectors", "positions",
+    "norms", "entries", "mult", "norm", "s", "key", "get",
 }
 
 
@@ -486,7 +490,7 @@ def test_kernel_source_holds_only_integers_and_its_own_names(
                 assert (
                     keyword.iskeyword(token.string)
                     or token.string in KERNEL_NAMES
-                    or re.fullmatch(r"l[0-9]+", token.string)
+                    or re.fullmatch(r"[lxpr][0-9]+", token.string)
                 ), token
             elif token.type == tokenize.NUMBER:
                 assert re.fullmatch(r"[1-9][0-9]*|0", token.string), token
