@@ -18,11 +18,12 @@ applied exactly, in `Fraction`s) exist only for display.
 
 No floating point is used anywhere.  `_adjugate` is the package's one
 exact elimination: fraction-free (Bareiss), without row exchanges, it
-gives det A and adj A of the Cartan matrix and, once per solve, of the
-string functions' grade-0 block.  The invariant form is kept in integers
-too: `form_gram`, the Gram matrix of the fundamental weights scaled by
-`form_scale`, gives the norms that folds and far reads are priced with.
-`Fraction` is left only in the public `symmetrizer` and `to_root_basis`.
+gives det A and adj A of the Cartan matrix for its one caller,
+`AlgebraSpec`; the string solve eliminates nothing.  The invariant form
+is kept in integers too: `form_gram`, the Gram matrix of the fundamental
+weights scaled by `form_scale`, gives the norms that folds and far reads
+are priced with.  `Fraction` is left only in the public `symmetrizer` and
+`to_root_basis`.
 
 Everything derived from an algebra (kernel, classifier, congruence
 classes, fans, folded fans, string tables) is memoised per instance by
@@ -327,10 +328,9 @@ def _adjugate(matrix):
     or (0, None) when a pivot is zero.  Bareiss's elimination (Math. Comp.
     22, 1968) on [A | I], without row exchanges: every entry it forms is a
     minor of [A | I], so each division by the previous pivot is exact, and
-    at the end the left half is det A * I and the right half adj A.  Both
-    callers' matrices, a finite-type Cartan matrix and the solve's grade-0
-    block, have no vanishing leading minor, so for them a zero pivot means
-    A is singular.
+    at the end the left half is det A * I and the right half adj A.  Its
+    one caller, `AlgebraSpec`, passes a Cartan matrix: one of finite type
+    has no vanishing leading minor, so a zero pivot refuses the matrix.
     """
     n = len(matrix)
     m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(matrix)]
@@ -382,11 +382,11 @@ def load_algebra(source: str) -> AlgebraSpec:
     if source in _PRESET_NAMES:
         return preset(source)
     try:
-        with open(source) as fh:
+        with open(source, encoding="utf-8") as fh:
             data = json.load(fh)
     except OSError as exc:
         raise ConfigurationError(f"cannot read algebra config {source!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigurationError(f"invalid JSON in {source!r}: {exc}") from exc
     if not isinstance(data, dict) or "cartan" not in data:
         raise ConfigurationError(f"algebra config {source!r} must define 'cartan'")

@@ -234,15 +234,8 @@ def cmd_mult(args) -> str:
     table = string_table(spec, mu, args.level, -args.cutoff)
     value = weight_multiplicity(spec, table, lam)
     if args.format == "json":
-        return _dumps(
-            {
-                "mu": list(mu),
-                "level": args.level,
-                "weight": [int(x) for x in lam.labels],
-                "grade": args.grade,
-                "multiplicity": value,
-            }
-        )
+        return _dumps({"mu": list(mu), "level": args.level, "weight": list(labels),
+                       "grade": args.grade, "multiplicity": value})
     if args.format == "csv":
         return _csv(["weight", "grade", "multiplicity"],
                     [[" ".join(map(str, labels)), args.grade, value]])
@@ -254,18 +247,9 @@ def cmd_character(args) -> str:
     table = string_table(spec, mu, args.level, -args.cutoff)
     pairs = character(spec, table, args.cutoff)
     if args.format == "json":
-        return _dumps(
-            [
-                {
-                    "labels": [int(x) for x in w.labels],
-                    "grade": int(w.grade),
-                    "mult": m,
-                }
-                for w, m in pairs
-            ]
-        )
+        return _dumps([{"labels": list(w.labels), "grade": w.grade, "mult": m} for w, m in pairs])
     if args.format == "csv":
-        rows = [[" ".join(str(int(x)) for x in w.labels), int(w.grade), m] for w, m in pairs]
+        rows = [[" ".join(map(str, w.labels)), w.grade, m] for w, m in pairs]
         return _csv(["labels", "grade", "mult"], rows)
     totals: dict = {}
     for w, m in pairs:

@@ -12,17 +12,17 @@ with the folded path it checks.
 For one class the multiplicity recursion, written for all strings
 simultaneously down to a cutoff grade u, becomes a square block system
 with Toeplitz upper-triangular blocks built from the folded fan
-multiplicities.  It is solved exactly grade by grade.  The grade-zero
-block is the same at every depth, so algebra._adjugate, the package's
-one exact elimination, reduces it once to its determinant and adjugate
-in integers; each depth's coefficients are then the adjugate applied to
-a right-hand side of shallower coefficients, divided by the determinant.
-In base order that block has -1 on the diagonal and zeros below it,
-which the `verify` harness checks on the folded fans.  The deeper blocks
-E_n are read once per table from the folded entries, as sparse rows of
-their nonzero multiplicities, and never built as dense matrices.  Every
-solution component must come out a non-negative integer; anything else
-signals an upstream bug and aborts.
+multiplicities.  It is solved exactly grade by grade by back-substitution,
+with no elimination: in base order the grade-zero block E_0 has -1 (the
+seeded zero shift) on the diagonal and zeros below it.  Every s_0 step
+raises the grade, so a grade-0 fold applies no s_0: its target is the
+finite-Weyl dominant point of xi + gamma, gamma a nonzero sum of positive
+classical roots, strictly above xi in dominance order, which the base
+order (adj(A) times the labels, lexicographic) refines.  The solve refuses
+any other shape, and `verify` checks it on the folded fans.  Each block
+E_n is read once per table from the folded entries, as sparse rows, never
+as a dense matrix.  Every solution component must come out a
+non-negative integer; anything else signals an upstream bug and aborts.
 
 The classifier, the classes of a level and the table of a module are
 memoised per algebra instance (algebra.algebra_memo), as are the folded
@@ -38,7 +38,7 @@ from operator import itemgetter, mul
 from typing import NamedTuple
 
 from . import fan
-from .algebra import AffineWeight, AlgebraSpec, _adjugate, _integer_entry, algebra_memo
+from .algebra import AffineWeight, AlgebraSpec, _integer_entry, algebra_memo
 from .algebra import _new, _set_grade, _set_labels, _set_level
 from .errors import (
     ConfigurationError,
@@ -160,10 +160,6 @@ class BlockSystem(NamedTuple):
     depth: int  # |u|
     folded: tuple[FoldedFan, ...]
 
-    def grade_matrix(self, n: int):
-        p = len(self.base)
-        return [[ff.eta(s, n) for s in range(p)] for ff in self.folded]
-
 
 def assemble_system(base: BaseWeightSet, folded, mu_index: int, u: int) -> BlockSystem:
     """Collect folded fans into the block system for one highest weight.
@@ -214,48 +210,44 @@ class StringTable(NamedTuple):
         return -self.cutoff
 
     def to_json(self) -> dict:
-        return {
-            "mu": [int(x) for x in self.mu.labels],
-            "level": int(self.level),
-            "cutoff": int(self.cutoff),
-            "strings": [
-                {
-                    "xi": [int(x) for x in w.labels],
-                    "coeffs": list(self.coefficients[s]),
-                }
-                for s, w in enumerate(self.base.weights)
-            ],
-        }
+        strings = [
+            {"xi": list(w.labels), "coeffs": list(c)}
+            for w, c in zip(self.base.weights, self.coefficients)
+        ]
+        return {"mu": list(self.mu.labels), "level": self.level, "cutoff": self.cutoff,
+                "strings": strings}
 
 
 def solve_strings(system: BlockSystem) -> StringTable:
-    """Exact forward substitution through the grades.
+    """Exact back-substitution through the grades, with no elimination.
 
-    The grade-zero block E_0 is the same at every depth, so it is
-    eliminated once, to det E_0 and adj E_0 in integers; at each depth d
-    the column is adj E_0 times the right-hand side made of the
-    already-known shallower coefficients, divided by det E_0.  The blocks
-    E_n, n >= 1, are read once per table from the folded entries into
-    sparse rows of (column, eta) pairs, and each depth subtracts only
-    those products; no E_n is built as a dense matrix.  Integrality and
-    non-negativity of every component are asserted.
+    The blocks E_n, 0 <= n <= depth, are read once per table from the
+    folded entries into sparse rows of (column, eta) pairs.  E_0 has -1 on
+    the diagonal and 0 below it, as a grade-0 fold applies no s_0 and lands
+    strictly above its base weight in base order (see the module
+    docstring); any other row raises `ConsistencyError`.  At each depth,
+    with rhs the -e_mu of depth 0 less the E_n products of the shallower
+    columns, c_j = sum_{s>j} eta_{j,s} c_s - rhs_j for j = p-1 down to 0.
+    Integrality and non-negativity of every component are asserted.
     """
     p = len(system.base)
     depth = system.depth
-    det, adj = _adjugate(system.grade_matrix(0))
-    if adj is None:
-        raise ConsistencyError("grade-zero block is singular; the folded fan is inconsistent")
-    # Only the nonzero entries of each row of adj E_0, as (column, entry).
-    adj = [[(s, a) for s, a in enumerate(row) if a] for row in adj]
     # rows[n][j]: the nonzero entries of row j of E_n, as (column, eta), for
-    # 1 <= n <= depth; a fold built to a larger cutoff reaches further, and
+    # 0 <= n <= depth; a fold built to a larger cutoff reaches further, and
     # those offsets are dropped.
     rows = [[[] for _ in range(p)] for _ in range(depth + 1)]
     for j, ff in enumerate(system.folded):
         for (s, n), eta in ff.entries.items():
-            if 1 <= n <= depth and eta:
+            if 0 <= n <= depth and eta:
                 rows[n][j].append((s, eta))
-    columns: list[tuple[Fraction, ...]] = []
+    for j, pairs in enumerate(rows[0]):
+        if dict(pairs).get(j) != -1 or any(s < j for s, _ in pairs):
+            raise ConsistencyError(
+                f"grade-0 block row {j} has the entries (column, eta) {sorted(pairs)}, not -1 "
+                "on the diagonal and 0 below it; the folded fan is inconsistent"
+            )
+        rows[0][j] = [(s, eta) for s, eta in pairs if s > j]
+    columns: list[list[Fraction]] = []
     for d in range(depth + 1):
         rhs = [Fraction(0)] * p
         if d == 0:
@@ -265,7 +257,10 @@ def solve_strings(system: BlockSystem) -> StringTable:
             for j, pairs in enumerate(rows[n]):
                 if pairs:
                     rhs[j] -= sum(eta * prev[s] for s, eta in pairs)
-        columns.append(tuple(sum(a * rhs[s] for s, a in row) / det for row in adj))
+        # In place: the entries past j already hold the column.
+        for j in range(p - 1, -1, -1):
+            rhs[j] = sum(eta * rhs[s] for s, eta in rows[0][j]) - rhs[j]
+        columns.append(rhs)
     coeffs = []
     for s in range(p):
         row = []

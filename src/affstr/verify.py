@@ -20,7 +20,7 @@ import pathlib
 import random
 from typing import NamedTuple
 
-from .algebra import load_algebra
+from .algebra import _integer_entry, load_algebra
 from .errors import ConfigurationError
 from .fan import build_fan
 from .folding import build_folded_fans
@@ -49,36 +49,57 @@ def fixture_dir() -> pathlib.Path:
     return pathlib.Path(__file__).parent / "fixtures"
 
 
-# The top-level keys the checks of each fixture kind read.
+# The keys the checks of each fixture kind read, at the top and in each
+# object of a list (a str is keys alone): '#' marks an integer, '[]' a list.
 _FIXTURE_KEYS = {
-    "fan": "algebra cutoff entries printed_entries annotated".split(),
-    "level1": "algebra depth sigma eta eta_annotations paper_folded_fan paper_eta_list".split(),
-    "level2": "algebra level depth classes".split(),
-    "level4": "algebra level depth base eta eta_annotations modules distinct_strings".split(),
+    "fan": ("algebra cutoff# entries[] printed_entries# annotated#",
+            {"entries": "root[] grade mult"}),
+    "level1": ("algebra depth# sigma eta eta_annotations[] paper_folded_fan paper_eta_list[]",
+               {"eta_annotations": "grade"}),
+    "level2": ("algebra level# depth# classes[]", {"classes": "name mu[] base sigma eta"}),
+    "level4": ("algebra level# depth# base[] eta eta_annotations[] modules[] distinct_strings#",
+               {"eta_annotations": "row[]",
+                "modules": ("mu[] sigma annotations[]", {"annotations": "string"})}),
 }
 
 
 def load_fixtures(directory: pathlib.Path | None = None) -> list[dict]:
-    """Every fixture file of the directory; a file that is not an object, or
-    of a known kind without one of its keys, is a ConfigurationError."""
+    """Every fixture file of the directory; a file that is not UTF-8 JSON, or
+    not an object of the keys its kind's checks read, is a ConfigurationError."""
     directory = pathlib.Path(directory) if directory else fixture_dir()
     if not directory.is_dir():
-        raise ConfigurationError(f"fixture directory {directory} does not exist")
+        state = "is not a directory" if directory.exists() else "does not exist"
+        raise ConfigurationError(f"fixture directory {directory} {state}")
     fixtures = []
     for path in sorted(directory.glob("*.json")):
         try:
-            with open(path) as fh:
+            with open(path, encoding="utf-8") as fh:
                 data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(f"fixture {path} is not valid JSON: {exc}") from exc
-        if not isinstance(data, dict):
-            raise ConfigurationError(f"fixture {path} is not a JSON object")
-        for key in _FIXTURE_KEYS.get(data.get("kind"), ()):
-            if key not in data:
-                raise ConfigurationError(f"fixture {path} of kind {data['kind']!r} lacks {key!r}")
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise ConfigurationError(f"fixture {path} is not readable JSON: {exc}") from exc
+        kind = data.get("kind") if isinstance(data, dict) else None
+        schema = _FIXTURE_KEYS.get(kind, "") if isinstance(kind, str) else ""
+        _check_keys(f"fixture {path}", data, schema)
         data["_path"] = str(path)
         fixtures.append(data)
     return fixtures
+
+
+def _check_keys(where, data, schema):
+    keys, lists = (schema, {}) if isinstance(schema, str) else schema
+    if not isinstance(data, dict):
+        raise ConfigurationError(f"{where} is not a JSON object")
+    for key in keys.split():
+        name = key.rstrip("#[]")
+        if name not in data:
+            raise ConfigurationError(f"{where} lacks {name!r}")
+        if key.endswith("#"):
+            data[name] = _integer_entry(data[name], f"{where}: {name}")
+        elif key.endswith("[]") and not isinstance(data[name], list):
+            raise ConfigurationError(f"{where}: {name} is not a list")
+    for name, item_schema in lists.items():
+        for i, item in enumerate(data[name]):
+            _check_keys(f"{where}: {name}[{i}]", item, item_schema)
 
 
 def run_all(directory=None) -> list[CheckResult]:
@@ -88,16 +109,12 @@ def run_all(directory=None) -> list[CheckResult]:
     if not fixtures:
         results.append(CheckResult("fixture set", True, "warning: no fixtures found"))
         return results
+    checks = {"fan": check_fan, "level1": check_level1, "level2": check_level2,
+              "level4": check_level4}
     for fx in fixtures:
         kind = fx.get("kind")
-        if kind == "fan":
-            results.extend(check_fan(fx))
-        elif kind == "level1":
-            results.extend(check_level1(fx))
-        elif kind == "level2":
-            results.extend(check_level2(fx))
-        elif kind == "level4":
-            results.extend(check_level4(fx))
+        if isinstance(kind, str) and kind in checks:
+            results.extend(checks[kind](fx))
         else:
             results.append(
                 CheckResult(f"fixture {fx['_path']}", False, f"unknown kind {kind!r}")

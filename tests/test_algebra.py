@@ -11,6 +11,7 @@ from affstr import (
     AffineWeight,
     AlgebraSpec,
     ConfigurationError,
+    FoldedFan,
     ResourceLimitError,
     load_algebra,
     preset,
@@ -287,7 +288,6 @@ def test_one_elimination_per_algebra_and_none_per_classifier(monkeypatch):
         return _adjugate(*args)
 
     monkeypatch.setattr(algebra, "_adjugate", counting)
-    monkeypatch.setattr(strings, "_adjugate", counting)
     spec = AlgebraSpec("B3", [[2, -1, 0], [-1, 2, -1], [0, -2, 2]])
     assert len(calls) == 1
     classify = strings.classifier_for(spec)
@@ -299,18 +299,21 @@ def test_one_elimination_per_algebra_and_none_per_classifier(monkeypatch):
 
 
 @pytest.mark.parametrize("depth", [0, 1, 12])
-def test_one_elimination_per_solve_whatever_the_depth(monkeypatch, depth):
-    # the grade-0 block is the same at every depth: it is eliminated once
+def test_no_elimination_per_solve_whatever_the_depth(monkeypatch, depth):
+    # the grade-0 block is unit triangular: the solve back-substitutes
+    # through it, and reads every block as sparse rows, never through a
+    # dense eta lookup per cell
     spec = AlgebraSpec("A2", [[2, -1], [-1, 2]])
-    calls = []
 
-    def counting(matrix):
-        calls.append(matrix)
-        return _adjugate(matrix)
+    def forbidden(*args):
+        raise AssertionError(f"the solve eliminated or read a dense block: {args}")
 
-    monkeypatch.setattr(strings, "_adjugate", counting)
+    monkeypatch.setattr(algebra, "_adjugate", forbidden)
+    monkeypatch.setattr(FoldedFan, "eta", forbidden)
+    assert not hasattr(strings, "_adjugate")
     table = strings.string_table(spec, (1, 1), 3, -depth)
-    assert len(calls) == 1 and len(calls[0]) == len(table.base) == 4
+    assert len(table.base) == 4
+    monkeypatch.undo()
     assert table.coefficients == strings.string_table(preset("A2"), (1, 1), 3, -depth).coefficients
 
 

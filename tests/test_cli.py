@@ -56,6 +56,15 @@ def test_invalid_algebra_file(capsys, tmp_path):
     assert err.startswith("error:") and "-1.5" in err
 
 
+def test_non_utf8_algebra_config_exits_2(capsys, tmp_path):
+    # a UTF-16 byte-order mark is not UTF-8: one error line, no traceback
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{\x00}\x00")
+    code, out, err = run(capsys, "fan", "--algebra", str(bad), "--cutoff", "2")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "bad.json" in err and len(err.splitlines()) == 1
+
+
 def test_config_naming_a_symmetrizer_exits_2(capsys, tmp_path):
     # the symmetrizer is derived from the Cartan matrix; the key is refused,
     # never ignored
@@ -382,6 +391,75 @@ def test_verify_refuses_a_malformed_fixture(tmp_path, capsys, fixture, named):
     code, out, err = run(capsys, "verify", "--fixtures", str(tmp_path))
     assert code == 2 and out == ""
     assert err.startswith("error:") and "bad.json" in err and named in err
+
+
+def _level2_without_mu():
+    fixture = json.loads((fixture_dir() / "level2_a2.json").read_text())
+    del fixture["classes"][1]["mu"]
+    return fixture
+
+
+def _level1_with_text_depth():
+    fixture = json.loads((fixture_dir() / "level1_a2.json").read_text())
+    fixture["depth"] = "20"
+    return fixture
+
+
+def _level4_with_a_number_for_a_row():
+    fixture = json.loads((fixture_dir() / "level4_a2_classI.json").read_text())
+    fixture["eta_annotations"][0]["row"] = 3
+    return fixture
+
+
+@pytest.mark.parametrize(
+    "fixture,named",
+    [
+        (_level2_without_mu(), "classes[1] lacks 'mu'"),
+        (_level1_with_text_depth(), "depth '20' is not an integer"),
+        (_level4_with_a_number_for_a_row(), "eta_annotations[0]: row is not a list"),
+        ({"kind": "level2", "algebra": "A2", "level": 2, "depth": 4, "classes": {}},
+         "classes is not a list"),
+        ({"kind": "level2", "algebra": "A2", "level": 2, "depth": 4, "classes": [7]},
+         "classes[0] is not a JSON object"),
+    ],
+    ids=["level2-class-without-mu", "level1-text-depth", "level4-number-row",
+         "level2-classes-object", "level2-class-number"],
+)
+def test_verify_refuses_a_malformed_nested_fixture(tmp_path, capsys, fixture, named):
+    # a nested key the checks read, or an integer field, is checked when the
+    # fixture is loaded: exit 2 and one error line, not a traceback
+    (tmp_path / "bad.json").write_text(json.dumps(fixture))
+    code, out, err = run(capsys, "verify", "--fixtures", str(tmp_path))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "bad.json" in err and named in err
+    assert len(err.splitlines()) == 1
+
+
+def test_verify_refuses_a_non_utf8_fixture(tmp_path, capsys):
+    (tmp_path / "bad.json").write_bytes(b"\xff\xfe{\x00}\x00")
+    code, out, err = run(capsys, "verify", "--fixtures", str(tmp_path))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "bad.json" in err and len(err.splitlines()) == 1
+
+
+def test_verify_fixture_path_that_is_a_file(tmp_path, capsys):
+    target = tmp_path / "level2_a2.json"
+    shutil.copy(fixture_dir() / "level2_a2.json", target)
+    code, out, err = run(capsys, "verify", "--fixtures", str(target))
+    assert code == 2 and out == ""
+    assert err == f"error: fixture directory {target} is not a directory\n"
+    code, _, err = run(capsys, "verify", "--fixtures", str(tmp_path / "nope"))
+    assert code == 2 and err == f"error: fixture directory {tmp_path / 'nope'} does not exist\n"
+
+
+def test_verify_reports_a_kind_that_is_not_a_string_as_a_failed_check(tmp_path, capsys):
+    # a list cannot key a dict: the kind used to crash the loader
+    (tmp_path / "odd.json").write_text(json.dumps({"kind": ["fan"]}))
+    code, out, _ = run(capsys, "verify", "--fixtures", str(tmp_path))
+    assert code == 3
+    assert [line for line in out.splitlines() if line.startswith("FAIL")] == [
+        f"FAIL  fixture {tmp_path / 'odd.json'}  unknown kind ['fan']"
+    ]
 
 
 def test_verify_reports_an_unknown_kind_as_a_failed_check(tmp_path, capsys):

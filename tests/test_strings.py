@@ -20,7 +20,6 @@ from affstr import (
 from affstr import fan as fan_module
 from affstr.folding import FoldedFan
 from affstr.strings import (
-    BlockSystem,
     assemble_system,
     classifier_for,
     enumerate_class_weights,
@@ -35,8 +34,27 @@ def test_singular_grade_zero_block_is_refused(a1):
     # A fold with no seeded -1 leaves the grade-zero block [[0]].
     base = enumerate_class_weights(a1, 1)[classifier_for(a1).id_of((0,))]
     system = assemble_system(base, [FoldedFan(0, 4, {})], 0, -4)
-    with pytest.raises(ConsistencyError, match="singular"):
+    with pytest.raises(ConsistencyError, match=r"grade-0 block row 0 has .* \[\], not -1"):
         solve_strings(system)
+
+
+@pytest.mark.parametrize(
+    "entries, shown",
+    [
+        ({}, r"\[\]"),
+        ({(1, 0): -2}, r"\[\(1, -2\)\]"),
+        ({(0, 0): 3, (1, 0): -1}, r"\[\(0, 3\), \(1, -1\)\]"),
+    ],
+    ids=["no-diagonal", "diagonal-not-minus-1", "entry-below-diagonal"],
+)
+def test_grade_zero_block_of_the_wrong_shape_is_refused(a2, entries, shown):
+    # E_0 must have -1 on the diagonal and 0 below it; row 1 of the vacuum
+    # class at level 2 breaks that in each of three ways, and no elimination
+    # stands in for the back-substitution
+    base, _ = module_class(a2, (0, 0), 2)
+    folded = (FoldedFan(0, 3, {(0, 0): -1, (1, 0): 2}), FoldedFan(1, 3, entries))
+    with pytest.raises(ConsistencyError, match=rf"grade-0 block row 1 has the entries .* {shown}"):
+        solve_strings(assemble_system(base, folded, 0, -3))
 
 
 def test_class_counting(a2):
@@ -77,9 +95,9 @@ def test_assemble_level1_block(a2):
     base = enumerate_class_weights(a2, 1)[cid]
     folded, _ = build_folded_fans(a2, base, 5)
     system = assemble_system(base, folded, 0, -5)
-    # the single Toeplitz block is read off the folded shifts by grade
-    assert [system.grade_matrix(n)[0][0] for n in range(6)] == folded[0].eta_row(0)
-    assert system.grade_matrix(0) == [[-1]]
+    # the single Toeplitz block is the fold's row, read by grade; E_0 = [[-1]]
+    assert system.folded == tuple(folded)
+    assert {k: eta for k, eta in system.folded[0].entries.items() if k[1] == 0} == {(0, 0): -1}
     assert system.depth == 5 and system.mu_index == 0
 
 
@@ -88,28 +106,9 @@ def test_assemble_depth_zero(a2):
     base = enumerate_class_weights(a2, 2)[cid]
     folded, _ = build_folded_fans(a2, base, 0)
     system = assemble_system(base, folded, 0, 0)
-    assert system.grade_matrix(0) == [[-1, 2], [0, -1]]
+    assert [[ff.eta(s, 0) for s in range(2)] for ff in system.folded] == [[-1, 2], [0, -1]]
     table = solve_strings(system)
     assert table.coefficients == ((1,), (0,))
-
-
-def test_one_dense_block_per_solve(a2, monkeypatch):
-    # only the grade-0 block, which is eliminated, is built as a matrix;
-    # the deeper blocks are read once from the folds as sparse rows
-    base, mu_index = module_class(a2, (1, 1), 3)
-    folded, _ = build_folded_fans(a2, base, 12)
-    system = assemble_system(base, folded, mu_index, -12)
-    calls = []
-    grade_matrix = BlockSystem.grade_matrix
-
-    def counting(self, n):
-        calls.append(n)
-        return grade_matrix(self, n)
-
-    monkeypatch.setattr(BlockSystem, "grade_matrix", counting)
-    table = solve_strings(system)
-    assert calls == [0]
-    assert table.coefficients == string_table(a2, (1, 1), 3, -12).coefficients
 
 
 @pytest.mark.parametrize(
@@ -366,12 +365,14 @@ def test_solver_rejects_corrupted_folding(a2):
 
 
 def test_solver_asserts_the_highest_weight_multiplicity_is_one(a2):
-    # Grade-0 blocks [[-1, 1], [1, -2]] give the integral, non-negative
-    # head column (2, 1): only the head-is-1 check can refuse it.
+    # Grade-0 blocks [[-1, 1], [1, -2]] would give the integral, non-negative
+    # head column (2, 1).  The shape check refuses them first: with -1 on
+    # the diagonal and 0 below it the head is 1 by construction, so no
+    # hand-built system reaches the head-is-1 check any more.
     base, _ = module_class(a2, (0, 0), 2)
     assert [w.labels for w in base.weights] == [(0, 0), (1, 1)]
     folded = (FoldedFan(0, 0, {(0, 0): -1, (1, 0): 1}), FoldedFan(1, 0, {(0, 0): 1, (1, 0): -2}))
-    with pytest.raises(ConsistencyError, match="highest weight multiplicity is not 1"):
+    with pytest.raises(ConsistencyError, match=r"grade-0 block row 1 .*\[\(0, 1\), \(1, -2\)\]"):
         solve_strings(assemble_system(base, folded, 0, 0))
 
 
