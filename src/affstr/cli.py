@@ -121,8 +121,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_character)
 
     p = sub.add_parser("verify", help="run the golden-fixture verification suite")
-    p.add_argument("--fixtures", default=None,
-                   help="fixture directory (default: packaged)")
     p.add_argument("--out", help="write the report to a file instead of stdout")
     p.set_defaults(handler=cmd_verify)
     return parser
@@ -209,7 +207,7 @@ def cmd_strings(args) -> str:
         return _dumps(table.to_json())
     if args.format == "csv":
         rows = [
-            [s, " ".join(str(int(x)) for x in w.labels), n, table.coefficients[s][n]]
+            [s, " ".join(map(str, w.labels)), n, table.coefficients[s][n]]
             for s, w in enumerate(table.base.weights)
             for n in range(table.depth + 1)
         ]
@@ -274,7 +272,7 @@ def cmd_verify(args) -> str:
     # Imported here: no other command needs the fixture harness.
     from . import verify
 
-    results = verify.run_all(args.fixtures)
+    results = verify.run_all()
     lines = [r.line() for r in results]
     failed = sum(not r.ok for r in results)
     lines.append(f"{len(results) - failed} of {len(results)} checks passed")

@@ -49,7 +49,8 @@ so a class is folded once however many of its modules are solved.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
 from . import weyl
 from .algebra import AffineWeight, AlgebraSpec, _integer_entry, algebra_memo
@@ -89,9 +90,9 @@ class BaseWeightSet:
         self.level = level
         self.weights = weights
         self.class_id = class_id
-        # labels -> position in `weights`, and form_scale * |xi|^2 of each
-        # weight, the class norms folds are priced with.
-        self.positions = positions
+        # labels -> position in `weights`, read-only, and form_scale * |xi|^2
+        # of each weight, the class norms folds are priced with.
+        self.positions = MappingProxyType(positions)
         self.norms = tuple(algebra.form_norm(w.labels) for w in weights)
 
     def _key(self):
@@ -127,12 +128,18 @@ class FoldedFan(NamedTuple):
 
     `entries` maps (target index, grade offset) to the accumulated
     multiplicity; the seeded zero shift contributes -1 at
-    (base_index, 0).  Absent entries are zero.
+    (base_index, 0).  Absent entries are zero.  A built fold's entries
+    are read-only, as its memo shares them with every caller.
     """
 
     base_index: int
     cutoff: int
-    entries: dict
+    entries: Mapping
+
+    def __repr__(self):
+        # read-only entries print as the dict they wrap
+        return (f"FoldedFan(base_index={self.base_index}, cutoff={self.cutoff}, "
+                f"entries={dict(self.entries)})")
 
     def eta(self, target: int, grade: int) -> int:
         return self.entries.get((target, grade), 0)
@@ -190,7 +197,7 @@ def build_folded_fan(
         fan.vectors, base.positions, base.norms, limit, entries,
     )
     if failure is None:
-        return FoldedFan(base_index, cutoff, entries)
+        return FoldedFan(base_index, cutoff, MappingProxyType(entries))
     kind, root, grade, labels, offset = failure
     if kind == 0:
         raise NonterminationError(f"reduction exceeded {limit} steps")

@@ -166,7 +166,8 @@ def assemble_system(base: BaseWeightSet, folded, mu_index: int, u: int) -> Block
 
     A cutoff or `mu_index` that is not an integer raises
     `ConfigurationError`, as in `string_table`; integral values of any
-    type are taken as ints.
+    type are taken as ints.  So does a folded entry whose target is not a
+    base index or whose offset is negative.
     """
     u = _integer_entry(u, "cutoff")
     mu_index = _integer_entry(mu_index, "mu_index")
@@ -174,7 +175,8 @@ def assemble_system(base: BaseWeightSet, folded, mu_index: int, u: int) -> Block
         raise ConfigurationError("cutoff grade u must be <= 0")
     depth = -u
     folded = tuple(folded)
-    if len(folded) != len(base):
+    p = len(base)
+    if len(folded) != p:
         raise ConfigurationError("need one folded fan per base weight")
     for j, ff in enumerate(folded):
         if ff.base_index != j:
@@ -183,7 +185,13 @@ def assemble_system(base: BaseWeightSet, folded, mu_index: int, u: int) -> Block
             raise OutOfWindowError(
                 f"folded fan {j} reaches offset {ff.cutoff} < requested depth {depth}"
             )
-    if not 0 <= mu_index < len(base):
+        bad = next(((s, n) for s, n in ff.entries if not (0 <= s < p and n >= 0)), None)
+        if bad is not None:
+            raise ConfigurationError(
+                f"folded fan {j} has an entry at target {bad[0]}, offset {bad[1]}: "
+                f"targets run 0..{p - 1} and offsets from 0"
+            )
+    if not 0 <= mu_index < p:
         raise ConfigurationError("mu_index out of range")
     return BlockSystem(base, mu_index, depth, folded)
 

@@ -10,7 +10,7 @@ grade independence of the folds is the two-path comparison at every
 depth, and the grade-0 block is read off the folded fans.  The checks
 double as the acceptance suite: the CLI `verify` subcommand and the test
 suite both run them.  Fixture files live in the packaged `fixtures/`
-directory; `run_all` and `affstr verify --fixtures` take another.
+directory, the only one the harness reads.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import pathlib
 import random
 from typing import NamedTuple
 
-from .algebra import _integer_entry, load_algebra
+from .algebra import load_algebra
 from .errors import ConfigurationError
 from .fan import build_fan
 from .folding import build_folded_fans
@@ -49,76 +49,25 @@ def fixture_dir() -> pathlib.Path:
     return pathlib.Path(__file__).parent / "fixtures"
 
 
-# The keys the checks of each fixture kind read, at the top and in each
-# object of a list (a str is keys alone): '#' marks an integer, '[]' a list.
-_FIXTURE_KEYS = {
-    "fan": ("algebra cutoff# entries[] printed_entries# annotated#",
-            {"entries": "root[] grade mult"}),
-    "level1": ("algebra depth# sigma eta eta_annotations[] paper_folded_fan paper_eta_list[]",
-               {"eta_annotations": "grade"}),
-    "level2": ("algebra level# depth# classes[]", {"classes": "name mu[] base sigma eta"}),
-    "level4": ("algebra level# depth# base[] eta eta_annotations[] modules[] distinct_strings#",
-               {"eta_annotations": "row[]",
-                "modules": ("mu[] sigma annotations[]", {"annotations": "string"})}),
-}
-
-
-def load_fixtures(directory: pathlib.Path | None = None) -> list[dict]:
-    """Every fixture file of the directory; a file that is not UTF-8 JSON, or
-    not an object of the keys its kind's checks read, is a ConfigurationError."""
-    directory = pathlib.Path(directory) if directory else fixture_dir()
-    if not directory.is_dir():
-        state = "is not a directory" if directory.exists() else "does not exist"
-        raise ConfigurationError(f"fixture directory {directory} {state}")
+def load_fixtures() -> list[dict]:
+    """Every packaged fixture file; one that is not UTF-8 JSON is a
+    ConfigurationError, so a damaged install exits 2, not with a traceback."""
     fixtures = []
-    for path in sorted(directory.glob("*.json")):
+    for path in sorted(fixture_dir().glob("*.json")):
         try:
             with open(path, encoding="utf-8") as fh:
-                data = json.load(fh)
+                fixtures.append(json.load(fh))
         except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ConfigurationError(f"fixture {path} is not readable JSON: {exc}") from exc
-        kind = data.get("kind") if isinstance(data, dict) else None
-        schema = _FIXTURE_KEYS.get(kind, "") if isinstance(kind, str) else ""
-        _check_keys(f"fixture {path}", data, schema)
-        data["_path"] = str(path)
-        fixtures.append(data)
     return fixtures
 
 
-def _check_keys(where, data, schema):
-    keys, lists = (schema, {}) if isinstance(schema, str) else schema
-    if not isinstance(data, dict):
-        raise ConfigurationError(f"{where} is not a JSON object")
-    for key in keys.split():
-        name = key.rstrip("#[]")
-        if name not in data:
-            raise ConfigurationError(f"{where} lacks {name!r}")
-        if key.endswith("#"):
-            data[name] = _integer_entry(data[name], f"{where}: {name}")
-        elif key.endswith("[]") and not isinstance(data[name], list):
-            raise ConfigurationError(f"{where}: {name} is not a list")
-    for name, item_schema in lists.items():
-        for i, item in enumerate(data[name]):
-            _check_keys(f"{where}: {name}[{i}]", item, item_schema)
-
-
-def run_all(directory=None) -> list[CheckResult]:
-    """Run every check against every fixture in the directory."""
-    fixtures = load_fixtures(directory)
-    results: list[CheckResult] = []
-    if not fixtures:
-        results.append(CheckResult("fixture set", True, "warning: no fixtures found"))
-        return results
+def run_all() -> list[CheckResult]:
+    """Run every check against every packaged fixture."""
+    fixtures = load_fixtures()
     checks = {"fan": check_fan, "level1": check_level1, "level2": check_level2,
               "level4": check_level4}
-    for fx in fixtures:
-        kind = fx.get("kind")
-        if isinstance(kind, str) and kind in checks:
-            results.extend(checks[kind](fx))
-        else:
-            results.append(
-                CheckResult(f"fixture {fx['_path']}", False, f"unknown kind {kind!r}")
-            )
+    results = [r for fx in fixtures for r in checks[fx["kind"]](fx)]
     results.extend(check_oracle_equivalence(fixtures))
     results.extend(check_structure(fixtures))
     results.extend(check_counting())
@@ -235,7 +184,7 @@ def check_level2(fx) -> list[CheckResult]:
         mu = tuple(cls["mu"])
         table = string_table(spec, mu, fx["level"], -depth)
         tables[cls["name"]] = table
-        base_labels = [[int(x) for x in w.labels] for w in table.base.weights]
+        base_labels = [list(w.labels) for w in table.base.weights]
         ok = base_labels == cls["base"]
         sigma = [list(r) for r in table.coefficients]
         ok = ok and sigma == cls["sigma"]
@@ -269,7 +218,7 @@ def check_level4(fx) -> list[CheckResult]:
     level = fx["level"]
     out = []
     base, _ = module_class(spec, fx["base"][0], level)
-    ok = [[int(x) for x in w.labels] for w in base.weights] == fx["base"]
+    ok = [list(w.labels) for w in base.weights] == fx["base"]
     out.append(CheckResult(f"level {level} class I: base weights and order", ok))
     folded, _ = build_folded_fans(spec, base, depth)
     p = len(base)
@@ -335,12 +284,11 @@ def _fixture_modules(fixtures):
     """(spec, mu labels, level, depth) for every module any fixture mentions."""
     modules = []
     for fx in fixtures:
-        kind = fx.get("kind")
+        kind = fx["kind"]
         if kind == "level1":
             spec = load_algebra(fx["algebra"])
             for base in enumerate_class_weights(spec, 1).values():
-                labels = tuple(int(x) for x in base.weights[0].labels)
-                modules.append((spec, labels, 1, fx["depth"]))
+                modules.append((spec, base.weights[0].labels, 1, fx["depth"]))
         elif kind in ("level2", "level4"):
             spec = load_algebra(fx["algebra"])
             for module in fx["classes" if kind == "level2" else "modules"]:

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import affstr
-from affstr import build_fan, build_folded_fans, cli, string_table, weyl
+from affstr import build_fan, build_folded_fans, cli, string_table, verify, weyl
 from affstr import fan as fan_module
 from affstr.cli import main
 from affstr.strings import module_class
@@ -359,127 +359,29 @@ def test_verify_default_fixtures(capsys):
     assert "checks passed" in out
 
 
-def test_verify_empty_fixture_dir(tmp_path, capsys):
-    code, out, _ = run(capsys, "verify", "--fixtures", str(tmp_path))
-    assert code == 0
-    assert "warning" in out
-
-
-def test_verify_missing_fixture_dir(tmp_path, capsys):
-    code, _, err = run(capsys, "verify", "--fixtures", str(tmp_path / "nope"))
-    assert code == 2
-
-
-def _level4_without_eta():
-    fixture = json.loads((fixture_dir() / "level4_a2_classI.json").read_text())
-    del fixture["eta"]
-    return fixture
-
-
-@pytest.mark.parametrize(
-    "fixture,named",
-    [
-        ([{"kind": "fan", "algebra": "A2", "cutoff": 2}], "not a JSON object"),
-        ({"kind": "fan", "algebra": "A2"}, "'cutoff'"),
-        (_level4_without_eta(), "'eta'"),
-    ],
-)
-def test_verify_refuses_a_malformed_fixture(tmp_path, capsys, fixture, named):
-    # a file that is not an object, or a known kind without one of its
-    # keys, exits 2 with an error naming the file and the key
-    (tmp_path / "bad.json").write_text(json.dumps(fixture))
-    code, out, err = run(capsys, "verify", "--fixtures", str(tmp_path))
-    assert code == 2 and out == ""
-    assert err.startswith("error:") and "bad.json" in err and named in err
-
-
-def _level2_without_mu():
-    fixture = json.loads((fixture_dir() / "level2_a2.json").read_text())
-    del fixture["classes"][1]["mu"]
-    return fixture
-
-
-def _level1_with_text_depth():
-    fixture = json.loads((fixture_dir() / "level1_a2.json").read_text())
-    fixture["depth"] = "20"
-    return fixture
-
-
-def _level4_with_a_number_for_a_row():
-    fixture = json.loads((fixture_dir() / "level4_a2_classI.json").read_text())
-    fixture["eta_annotations"][0]["row"] = 3
-    return fixture
-
-
-@pytest.mark.parametrize(
-    "fixture,named",
-    [
-        (_level2_without_mu(), "classes[1] lacks 'mu'"),
-        (_level1_with_text_depth(), "depth '20' is not an integer"),
-        (_level4_with_a_number_for_a_row(), "eta_annotations[0]: row is not a list"),
-        ({"kind": "level2", "algebra": "A2", "level": 2, "depth": 4, "classes": {}},
-         "classes is not a list"),
-        ({"kind": "level2", "algebra": "A2", "level": 2, "depth": 4, "classes": [7]},
-         "classes[0] is not a JSON object"),
-    ],
-    ids=["level2-class-without-mu", "level1-text-depth", "level4-number-row",
-         "level2-classes-object", "level2-class-number"],
-)
-def test_verify_refuses_a_malformed_nested_fixture(tmp_path, capsys, fixture, named):
-    # a nested key the checks read, or an integer field, is checked when the
-    # fixture is loaded: exit 2 and one error line, not a traceback
-    (tmp_path / "bad.json").write_text(json.dumps(fixture))
-    code, out, err = run(capsys, "verify", "--fixtures", str(tmp_path))
-    assert code == 2 and out == ""
-    assert err.startswith("error:") and "bad.json" in err and named in err
-    assert len(err.splitlines()) == 1
-
-
-def test_verify_refuses_a_non_utf8_fixture(tmp_path, capsys):
-    (tmp_path / "bad.json").write_bytes(b"\xff\xfe{\x00}\x00")
-    code, out, err = run(capsys, "verify", "--fixtures", str(tmp_path))
-    assert code == 2 and out == ""
-    assert err.startswith("error:") and "bad.json" in err and len(err.splitlines()) == 1
-
-
-def test_verify_fixture_path_that_is_a_file(tmp_path, capsys):
-    target = tmp_path / "level2_a2.json"
-    shutil.copy(fixture_dir() / "level2_a2.json", target)
-    code, out, err = run(capsys, "verify", "--fixtures", str(target))
-    assert code == 2 and out == ""
-    assert err == f"error: fixture directory {target} is not a directory\n"
-    code, _, err = run(capsys, "verify", "--fixtures", str(tmp_path / "nope"))
-    assert code == 2 and err == f"error: fixture directory {tmp_path / 'nope'} does not exist\n"
-
-
-def test_verify_reports_a_kind_that_is_not_a_string_as_a_failed_check(tmp_path, capsys):
-    # a list cannot key a dict: the kind used to crash the loader
-    (tmp_path / "odd.json").write_text(json.dumps({"kind": ["fan"]}))
-    code, out, _ = run(capsys, "verify", "--fixtures", str(tmp_path))
-    assert code == 3
-    assert [line for line in out.splitlines() if line.startswith("FAIL")] == [
-        f"FAIL  fixture {tmp_path / 'odd.json'}  unknown kind ['fan']"
-    ]
-
-
-def test_verify_reports_an_unknown_kind_as_a_failed_check(tmp_path, capsys):
-    # an unknown kind, even one without an algebra, is one FAIL line
-    (tmp_path / "odd.json").write_text(json.dumps({"kind": "level3"}))
-    code, out, _ = run(capsys, "verify", "--fixtures", str(tmp_path))
-    assert code == 3
-    assert [line for line in out.splitlines() if line.startswith("FAIL")] == [
-        f"FAIL  fixture {tmp_path / 'odd.json'}  unknown kind 'level3'"
-    ]
-
-
-def test_verify_locates_injected_fault(tmp_path, capsys):
+def _packaged_fixtures_in(tmp_path, monkeypatch):
+    """Point the harness at a copy of the packaged fixtures in tmp_path."""
     for path in fixture_dir().glob("*.json"):
         shutil.copy(path, tmp_path / path.name)
+    monkeypatch.setattr(verify, "fixture_dir", lambda: tmp_path)
+
+
+def test_verify_refuses_a_non_utf8_fixture(tmp_path, capsys, monkeypatch):
+    # a damaged install: one error line naming the file, not a traceback
+    _packaged_fixtures_in(tmp_path, monkeypatch)
+    (tmp_path / "level2_a2.json").write_bytes(b"\xff\xfe{\x00}\x00")
+    code, out, err = run(capsys, "verify")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "level2_a2.json" in err and len(err.splitlines()) == 1
+
+
+def test_verify_locates_injected_fault(tmp_path, capsys, monkeypatch):
+    _packaged_fixtures_in(tmp_path, monkeypatch)
     target = tmp_path / "level2_a2.json"
     data = json.loads(target.read_text())
     data["classes"][0]["sigma"][0][4] += 1
     target.write_text(json.dumps(data))
-    code, out, _ = run(capsys, "verify", "--fixtures", str(tmp_path))
+    code, out, _ = run(capsys, "verify")
     assert code == 3
     assert any(
         line.startswith("FAIL") and "class I" in line for line in out.splitlines()

@@ -90,6 +90,20 @@ def test_equal_base_weight_sets_share_one_fold():
     assert BaseWeightSet(spec, base.level, weights) != base
 
 
+def test_memoised_folds_and_positions_cannot_be_changed_by_a_caller():
+    # an edit of a shared fold used to change every later table of its class
+    spec = fresh_a2()
+    base, _ = module_class(spec, (1, 1), 4)
+    folded, _ = build_folded_fans(spec, base, 10)
+    key = next(k for k in folded[0].entries if k[1] == 3)
+    with pytest.raises(TypeError):
+        folded[0].entries[key] += 1
+    with pytest.raises(TypeError):
+        base.positions[(9, 9)] = 0
+    want = string_table(fresh_a2(), (0, 0), 4, -10).coefficients
+    assert string_table(spec, (0, 0), 4, -10).coefficients == want
+
+
 def test_record_hashes_and_reprs_are_unchanged(a2):
     # set and dict orders, and every printed record, stay as they were
     for w in (AffineWeight((1, 0), 1, -2), AffineWeight((Fraction(2, 2), 3), 2, 0)):

@@ -178,6 +178,24 @@ def test_assemble_system_refusals(a2, case, error, match):
 
 
 @pytest.mark.parametrize(
+    "entry, shown",
+    [
+        pytest.param((5, 0), "target 5, offset 0", id="target-past-base-grade-0"),
+        pytest.param((5, 1), "target 5, offset 1", id="target-past-base"),
+        pytest.param((0, -1), "target 0, offset -1", id="negative-offset"),
+    ],
+)
+def test_assemble_system_refuses_entries_outside_the_base(a2, entry, shown):
+    # the first two raised a bare IndexError in the solve; a negative
+    # offset was dropped and the system solved without it
+    base, _ = module_class(a2, (0, 0), 1)
+    assert len(base) == 1
+    folded = [FoldedFan(0, 1, {(0, 0): -1, entry: 1})]
+    with pytest.raises(ConfigurationError, match=f"^folded fan 0 has an entry at {shown}: "):
+        solve_strings(assemble_system(base, folded, 0, -1))
+
+
+@pytest.mark.parametrize(
     "mu_index, u, what",
     [
         pytest.param(0, -2.5, "cutoff", id="float-cutoff"),
