@@ -88,7 +88,12 @@ class AffineWeight:
         _set_grade(self, grade if type(grade) is int else _integer_entry(grade, "grade"))
 
     def shift_grade(self, dn) -> "AffineWeight":
-        return AffineWeight(self.labels, self.level, self.grade + _integer_entry(dn, "grade"))
+        # labels, level and grade are ints already; only dn is checked
+        w = _new(AffineWeight)
+        _set_labels(w, self.labels)
+        _set_level(w, self.level)
+        _set_grade(w, self.grade + (dn if type(dn) is int else _integer_entry(dn, "grade")))
+        return w
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:

@@ -2,10 +2,12 @@
 
 The Racah-type recursion below walks the unfolded fan directly, so it
 shares nothing with the folding pipeline beyond the algebra data and the
-chamber-reduction kernel.  It adjudicates table typos and is the second leg of
-the two-path verification: folded solve and unfolded recursion must agree
-exactly on every multiplicity.  `certify` is the one place they are
-compared, on the fan object the fold read, which it also gates.
+chamber-reduction kernel, which holds the oracle's shift loop, `expand`,
+beside the fold's `fold` (weyl.py).  It adjudicates table typos and is
+the second leg of the two-path verification: folded solve and unfolded
+recursion must agree exactly on every multiplicity.  `certify` is the
+one place they are compared, on the fan object the fold read, which it
+also gates.
 
 Each shift is priced before it is reduced.  The invariant form is
 Weyl-invariant, so the child of a state (lambda, grade) under a shift
@@ -16,13 +18,18 @@ gamma has grade
 and no dominant level-k weight is longer than the longest vertex
 k Lambda_i / a_i^vee of the dominant chamber.  A shift that this bound puts
 above grade 0 is skipped unreduced, and every reduced child must meet the
-identity exactly or ConsistencyError is raised.  A query whose reduction
-runs past `weyl.ASK_AFTER` reflections is priced by the same bound: above
-grade 0 its multiplicity is 0 at once, else the reduction runs on and a
-budget error stands.  The oracle takes every norm and the bound from its
-own integer Gram matrix of the fundamental weights, built from the Cartan
-data, never from the norms the fold prices with, so one wrong number
-cannot make both paths skip the same term.
+identity exactly or ConsistencyError is raised.  The kernel's `expand`
+runs that loop for one state: the shifts come sorted by price, so it
+stops at the first one the bound prices out; it skips a shift that starts
+above grade 0, reduces the rest with the kernel's own steps, recording no
+word, checks each child against the oracle's own norms and sums the
+children, and it returns a failure as a tuple, which the oracle raises.
+A query whose reduction runs past `weyl.ASK_AFTER` reflections is priced
+by the same bound: above grade 0 its multiplicity is 0 at once, else the
+reduction runs on and a budget error stands.  The oracle takes every norm
+and the bound from its own integer Gram matrix of the fundamental
+weights, built from the Cartan data, never from the norms the fold prices
+with, so one wrong number cannot make both paths skip the same term.
 
 Only the singular term depends on the highest weight.  The Gram matrix,
 the priced shifts and each state's expansion (its children with summed
@@ -45,16 +52,16 @@ Euler function from fan._euler_power, the package's one q-series power.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
-from operator import add, itemgetter, mul
+from operator import itemgetter, mul
 from typing import NamedTuple
 
+from . import weyl
 from .algebra import AffineWeight, AlgebraSpec, algebra_memo
 from .errors import ConfigurationError, ConsistencyError, NonterminationError, OutOfWindowError
 from .fan import DenominatorReport, Fan, _euler_power, verify_denominator
 from .folding import build_folded_fans
 from .strings import StringTable, classifier_for
-from .weyl import reduce_labels, to_dominant
+from .weyl import _kernel, reduce_labels, to_dominant
 
 __all__ = ["Certificate", "RacahOracle", "certify", "euler_square_series", "level1_eta_series"]
 
@@ -118,7 +125,8 @@ class _Recursion:
         return forms.get(labels) or forms.setdefault(labels, self.form(labels[1:]))
 
     def price_order(self, labels: tuple) -> tuple:
-        """(prices, shifts) of the dominant labels, sorted by grade-free price.
+        """(price, labels, grade, mult, classical labels) of each shift at the
+        dominant labels, sorted by grade-free price.
 
         A shift's price at labels lambda is 2k grade(gamma) + |gamma-bar|^2 +
         2 (lambda-bar|gamma-bar), so a state at grade g admits exactly the
@@ -137,7 +145,7 @@ class _Recursion:
                 ),
                 key=itemgetter(0),
             )
-            order = self.orders.setdefault(labels, ([p[0] for p in priced], priced))
+            order = self.orders.setdefault(labels, tuple(priced))
         return order
 
 
@@ -252,32 +260,32 @@ class RacahOracle:
         return expansion
 
     def _children(self, labels: tuple, grade: int):
-        """(dominant child state, shift multiplicity) for every shift that can reach grade 0."""
+        """(dominant child state, summed shift multiplicity) for every shift
+        that can reach grade 0, expanded by the kernel."""
         if grade < -self.fan.cutoff:
             raise OutOfWindowError(f"grade {grade} is beyond the fan cutoff {self.fan.cutoff}")
-        spec, r = self.spec, self._recursion
-        two_k, state_form = r.two_k, r.state_form
+        r = self._recursion
         # 2k child_grade = 2k (grade + grade(gamma)) + |lambda + gamma|^2 - |child|^2
         # = base + price - |child|^2, and |child|^2 <= top: a shift priced
         # above top - base leaves a child above grade 0, and the child's own
-        # norm fixes its grade exactly.
-        base = two_k * grade + state_form(labels)[0]
-        prices, priced = r.price_order(labels)
-        admitted = bisect_right(prices, r.top - base)
-        for price, shift, shift_grade, mult, classical in priced[:admitted]:
-            # Reduction only raises the grade.
-            if grade + shift_grade > 0:
-                continue
-            child, child_grade, _ = reduce_labels(
-                spec, map(add, labels, shift), grade + shift_grade
-            )
-            if two_k * child_grade != base + price - state_form(child)[0]:
-                raise ConsistencyError(
-                    f"shift {classical} at grade {shift_grade} of state {labels} at grade "
-                    f"{grade} reaches grade {child_grade}, which the invariant form does not give"
-                )
-            if child_grade <= 0:
-                yield (child, child_grade), mult
+        # norm fixes its grade exactly.  Reduction only raises the grade, so
+        # a shift that starts above grade 0 is skipped unreduced.
+        base = r.two_k * grade + r.state_form(labels)[0]
+        limit = weyl.DEFAULT_STEP_LIMIT
+        children: dict[tuple, int] = {}
+        failure = _kernel(self.spec).expand(
+            labels, grade, base, r.top - base, r.price_order(labels), r.two_k, r.state_form,
+            limit, children,
+        )
+        if failure is None:
+            return children.items()
+        kind, classical, shift_grade, child_grade = failure
+        if kind == 0:
+            raise NonterminationError(f"reduction exceeded {limit} steps")
+        raise ConsistencyError(
+            f"shift {classical} at grade {shift_grade} of state {labels} at grade "
+            f"{grade} reaches grade {child_grade}, which the invariant form does not give"
+        )
 
 
 class Certificate(NamedTuple):

@@ -35,7 +35,8 @@ from fractions import Fraction
 from itertools import islice
 from math import comb
 from operator import itemgetter, mul
-from typing import NamedTuple
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
 from . import fan
 from .algebra import AffineWeight, AlgebraSpec, _integer_entry, algebra_memo
@@ -108,11 +109,13 @@ def classifier_for(spec: AlgebraSpec) -> CongruenceClassifier:
 
 
 @algebra_memo
-def enumerate_class_weights(spec: AlgebraSpec, level: int, /) -> dict:
+def enumerate_class_weights(spec: AlgebraSpec, level: int, /) -> Mapping:
     """All dominant level-k grade-0 weights, partitioned by congruence class.
 
     Within a class, weights are ordered by their simple-root coordinates,
-    the order level-plane tables are conventionally listed in.  A level
+    the order level-plane tables are conventionally listed in.  The
+    mapping of class ids to base weight sets is read-only, as its memo
+    shares it with every caller.  A level
     with more than fan.DEFAULT_NODE_LIMIT dominant weights raises
     ResourceLimitError, at once when the lower bound C(k // max comark +
     rank, rank) on their count already passes it.
@@ -135,7 +138,7 @@ def enumerate_class_weights(spec: AlgebraSpec, level: int, /) -> dict:
     for cid in sorted(buckets, key=lambda c: c.residue):
         weights = sorted(buckets[cid], key=lambda w: classify._scaled_roots(w.labels))
         out[cid] = BaseWeightSet(spec, level, tuple(weights), cid)
-    return out
+    return MappingProxyType(out)
 
 
 def _dominant_labels(comarks, budget, prefix=()):

@@ -20,7 +20,12 @@ fold's pair loop, `fold`, which `folding.build_folded_fan` calls once
 per base weight: for each fan vector it prices the pair, reduces it
 with the same steps as `reduce` (keeping no word), checks it and adds it
 to the folded entries, and it returns a failure as a tuple for
-`build_folded_fan` to raise.  There is no other reflection loop in the
+`build_folded_fan` to raise.  It also holds the oracle's shift loop,
+`expand`, which `oracle.RacahOracle` calls once per state: for each
+shift its price admits it reduces the state plus the shift with the same
+steps (keeping no word), checks the child against the oracle's own
+invariant form and sums the children, and it returns a failure as a
+tuple for the oracle to raise.  There is no other reflection loop in the
 package.  The source holds only integer literals, each written
 with `%d` from the int Cartan data, and its own local names; nothing of a
 config file (not even the algebra's label) enters it, and it runs with no
@@ -60,7 +65,8 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .algebra import AffineWeight, AlgebraSpec, _integer_entry, algebra_memo
+from .algebra import _INT, AffineWeight, AlgebraSpec, _integer_entry, algebra_memo
+from .algebra import _new, _set_grade, _set_labels, _set_level
 from .errors import ConfigurationError, NonterminationError
 
 __all__ = [
@@ -116,9 +122,18 @@ class _Kernel:
     at the first fold that fails: kind 0 ran `limit` reflections, 1 lies
     below its grade, 2 lands outside `positions`, 3 breaks the invariant
     form.
+    expand(state, state_grade, base, ceiling, priced, two_k, state_form,
+    limit, children) is the shift loop of `oracle.RacahOracle`: it reduces
+    the state plus each priced shift up to the first price above
+    `ceiling`, skipping those that start above grade 0, checks each child
+    against the oracle's own form `state_form`, sums the multiplicities of
+    the children at or below grade 0 into `children` and returns None, or
+    returns (kind, shift's classical labels, shift's grade, child's grade)
+    at the first failure: kind 0 ran `limit` reflections, 1 breaks the
+    invariant form.
     """
 
-    __slots__ = ("dominant", "reduce", "replay", "orbit", "fold")
+    __slots__ = ("dominant", "reduce", "replay", "orbit", "fold", "expand")
 
 
 # The kernel's source, filled in per algebra; {names} is "l0, l1, ..., lr".
@@ -129,6 +144,12 @@ class _Kernel:
 # grade 0, so the reduced grade is the offset.  Walls are kept: ordinary
 # weight multiplicities are Weyl-invariant, so wall targets accumulate like
 # any other.  A sum of multiplicities that cancels to 0 drops its entry.
+# In `expand`, the state's labels are x0..xr, each priced shift unpacks to
+# its price, labels, grade g, multiplicity and classical labels, and the
+# identity checked is 2k child_grade = base + price - |child|^2, with base
+# 2k state_grade + |state|^2.  The priced shifts are sorted by price, so the
+# first one above `ceiling` ends the loop.  A child's summed multiplicity
+# is kept even when it cancels to 0, as the oracle walks every child.
 _SOURCE = """\
 def reduce({names}, grade, word, limit):
     for _ in range(limit):
@@ -180,6 +201,25 @@ def fold(xi, pairing, xi_norm, top, two_k, cutoff, vectors, positions, norms, li
                 entries[key] = mult
             else:
                 del entries[key]
+
+def expand(state, state_grade, base, ceiling, priced, two_k, state_form, limit, children):
+    {bases}, = state
+    for price, ({names}), g, mult, classical in priced:
+        if price > ceiling:
+            break
+        grade = state_grade + g
+        if grade > 0:
+            continue
+{shift}
+        for _ in range(limit):
+{fold_step}
+        else:
+            return 0, classical, g, grade
+        if two_k * grade != base + price - state_form(({names}))[0]:
+            return 1, classical, g, grade
+        if grade <= 0:
+            key = ({names}), grade
+            children[key] = children.get(key, 0) + mult
 """
 
 # One reduction step: reflect at the most negative label, the lowest index
@@ -337,15 +377,28 @@ def descending_orbit(spec: AlgebraSpec, labels, grade, floor):
 
 
 def apply_word(spec: AlgebraSpec, word, w: AffineWeight) -> AffineWeight:
-    """Apply reflections in the order they were recorded."""
-    checked = []
-    for i in word:
-        i = _integer_entry(i, "reflection index")
-        if not 0 <= i <= spec.rank:
-            raise ConfigurationError(f"reflection index {i} out of range 0..{spec.rank}")
-        checked.append(i)
-    labels, grade = _kernel(spec).replay(*spec.affine_labels(w), w.grade, checked)
-    return AffineWeight(labels[1:], w.level, grade)
+    """Apply reflections in the order they were recorded.
+
+    A word of ints in 0..rank, such as a recorded one, is replayed as it
+    is; any other index is converted or refused one at a time.
+    """
+    word = tuple(word)
+    if word and not (
+        _INT.issuperset(map(type, word)) and min(word) >= 0 and max(word) <= spec.rank
+    ):
+        checked = []
+        for i in word:
+            i = _integer_entry(i, "reflection index")
+            if not 0 <= i <= spec.rank:
+                raise ConfigurationError(f"reflection index {i} out of range 0..{spec.rank}")
+            checked.append(i)
+        word = checked
+    labels, grade = _kernel(spec).replay(*spec.affine_labels(w), w.grade, word)
+    image = _new(AffineWeight)
+    _set_labels(image, labels[1:])
+    _set_level(image, w.level)
+    _set_grade(image, grade)
+    return image
 
 
 def to_dominant(spec: AlgebraSpec, w: AffineWeight, *, give_up=None) -> WeylOutcome:

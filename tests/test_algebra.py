@@ -512,6 +512,15 @@ def test_shift_grade_keeps_ints_and_converts_integral_fractions(a2):
     assert whole.grade == -4 and type(whole.grade) is int
 
 
+def test_shift_grade_keeps_the_labels_and_level_and_freezes_the_result(a2):
+    w = a2.weight((1, 0), 1, -2)
+    shifted = w.shift_grade(-3)
+    assert shifted == AffineWeight((1, 0), 1, -5) and hash(shifted) == hash(((1, 0), 1, -5))
+    assert shifted.labels is w.labels and w.grade == -2
+    with pytest.raises(AttributeError):
+        shifted.grade = 0
+
+
 def _build(how, a2, component, value):
     """A weight with `value` as its component, the others ints."""
     labels, level, grade = (1, 0), 2, -1

@@ -1,4 +1,7 @@
+from fractions import Fraction
+
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import denominator_reference as reference
 from affstr import (
@@ -15,6 +18,7 @@ from affstr import fan as fan_module
 from affstr import weyl
 from affstr.fan import Fan, _denominator_series, _euler_power
 from fan_reference import fan_vector
+from test_folding import REFERENCE_CASES
 from weyl_reference import add, sub, weyl_vector
 
 
@@ -152,6 +156,122 @@ def test_denominator_detects_perturbation(a2):
     assert not report.ok
     assert report.mismatch == ((1, 1), 2, 0, 1)
     assert report.checked_terms == intact.checked_terms + 1
+
+
+# Every fan of test_folding.REFERENCE_CASES up to its cutoff, and the
+# rank-3 and rank-4 algebras off the A series one or two grades further.
+GATED = [
+    (name, n) for name, (_, cutoff) in REFERENCE_CASES.items() for n in range(cutoff + 1)
+] + [("B3", 4), ("C3", 4), ("D4", 3), ("F4", 3)]
+
+
+F4 = [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -2, 2, -1], [0, 0, -1, 2]]
+
+
+def _gated_spec(name):
+    cartan = REFERENCE_CASES[name][0] if name in REFERENCE_CASES else INLINE_CARTAN.get(name, F4)
+    return AlgebraSpec(name, cartan)
+
+
+@pytest.mark.parametrize("name", sorted({name for name, _ in GATED}))
+def test_evaluated_gate_gives_the_exact_report(name):
+    # both points agree on every correct fan, and the report is the one
+    # the exact expansion gives, its terms the fan's vectors
+    spec = _gated_spec(name)
+    for n in [n for gated, n in GATED if gated == name]:
+        fan = build_fan(spec, n)
+        terms = fan_module._fan_terms(fan)
+        assert all(fan_module._agrees_at(spec, n, terms, x) for x in fan_module._points(spec, n))
+        report = verify_denominator(fan)
+        assert report == fan_module._compare_exactly(fan) == (True, None, len(fan))
+
+
+CORRUPTED = {name: AlgebraSpec(name, REFERENCE_CASES[name][0]) for name in ("A1", "A2", "G2", "A3")}
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_evaluated_gate_fails_with_the_exact_mismatch(data):
+    # one vector corrupted: its sign flipped, dropped, its root moved by a
+    # simple root, its grade moved by one, or a spurious vector added.  Each
+    # point tells the fan from the product on its own wherever the vectors
+    # stay in the window, and the report is the exact comparison's.
+    name = data.draw(st.sampled_from(sorted(CORRUPTED)))
+    spec = CORRUPTED[name]
+    cutoff = data.draw(st.integers(0, min(REFERENCE_CASES[name][1], 4)))
+    vectors = list(build_fan(spec, cutoff).vectors)
+    k = data.draw(st.integers(0, len(vectors) - 1))
+    root, grade, mult = vectors[k][:3]
+    step = data.draw(st.sampled_from([-1, 1]))
+    how = data.draw(st.sampled_from(["sign", "drop", "root", "grade", "spurious"]))
+    if how == "sign":
+        vectors[k] = fan_vector(spec, root, grade, -mult)
+    elif how == "drop":
+        del vectors[k]
+    elif how == "root":
+        i = data.draw(st.integers(0, spec.rank - 1))
+        moved = root[:i] + (root[i] + step,) + root[i + 1:]
+        vectors[k] = fan_vector(spec, moved, grade, mult)
+    elif how == "grade":
+        vectors[k] = fan_vector(spec, root, grade + step, mult)
+    else:
+        extra = data.draw(st.tuples(*[st.integers(-4, 4)] * spec.rank))
+        vectors.append(fan_vector(spec, extra, data.draw(st.integers(0, cutoff)), step))
+    keys = {(v.root, v.grade) for v in vectors}
+    assume(len(keys) == len(vectors))
+    broken = Fan(spec, cutoff, vectors)
+    exact = fan_module._compare_exactly(broken)
+    assert not exact.ok
+    assert verify_denominator(broken) == exact
+    terms = fan_module._fan_terms(broken)
+    if terms is not None:
+        points = fan_module._points(spec, cutoff)
+        assert not any(fan_module._agrees_at(spec, cutoff, terms, x) for x in points)
+
+
+@pytest.mark.parametrize("how", ["mult-off-by-the-prime", "grade-past-the-cutoff", "root-too-long"])
+def test_gate_expands_what_evaluation_cannot_judge(a2, how):
+    # a multiplicity the prime cannot tell from the true one, a vector
+    # outside the grade window and a root of another rank go to the exact
+    # comparison, whose mismatch names them
+    fan = build_fan(a2, 3)
+    vectors = list(fan.vectors)
+    v = vectors[4]
+    if how == "mult-off-by-the-prime":
+        vectors[4] = v._replace(mult=v.mult + fan_module.PRIME)
+        mismatch = (v.root, v.grade, v.mult, v.mult + fan_module.PRIME)
+    elif how == "grade-past-the-cutoff":
+        vectors.append(fan_vector(a2, (1, 1), 4, 1))
+        mismatch = ((1, 1), 4, 0, 1)
+    else:
+        vectors[4] = v._replace(root=v.root + (0,))
+        mismatch = (v.root, v.grade, v.mult, 0)
+    assert fan_module._fan_terms(Fan(a2, 3, vectors)) is None
+    report = _broken(fan, vectors)
+    assert not report.ok and report.mismatch == mismatch
+
+
+@pytest.mark.parametrize("number", [float, Fraction])
+def test_gate_compares_entries_that_are_not_ints_exactly(a2, number):
+    # 1.0 and Fraction(1) are the ints they equal to the exact comparison,
+    # which passes the fan; a residue cannot be taken of them
+    fan = build_fan(a2, 3)
+    vectors = list(fan.vectors)
+    v = vectors[4]
+    vectors[4] = v._replace(root=tuple(map(number, v.root)), grade=number(v.grade), mult=number(v.mult))
+    assert fan_module._fan_terms(Fan(a2, 3, vectors)) is None
+    assert _broken(fan, vectors) == (True, None, len(fan))
+
+
+def test_evaluation_points_are_pinned(a2):
+    # the points depend on the Cartan matrix and the cutoff alone, never on
+    # the hash seed: the first point of (A2, 24) is this one in every process
+    points = fan_module._points(a2, 24)
+    assert points[0] == (198486359578730460, 155505306290634665)
+    assert fan_module._points(AlgebraSpec("other", a2.cartan), 24) == points
+    assert len(points) == 2 and points[1] != points[0]
+    assert all(0 < c < fan_module.PRIME for x in points for c in x)
+    assert fan_module._points(a2, 25) != points
 
 
 def test_orbit_exactness(a2):

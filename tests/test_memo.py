@@ -104,6 +104,20 @@ def test_memoised_folds_and_positions_cannot_be_changed_by_a_caller():
     assert string_table(spec, (0, 0), 4, -10).coefficients == want
 
 
+def test_memoised_classes_cannot_be_changed_by_a_caller():
+    # clearing the shared classes used to make the next table of the level
+    # raise a bare KeyError for its class id
+    spec = fresh_a2()
+    classes = enumerate_class_weights(spec, 2)
+    with pytest.raises(AttributeError):
+        classes.clear()
+    with pytest.raises(TypeError):
+        classes[next(iter(classes))] = None
+    assert enumerate_class_weights(spec, 2) is classes and len(classes) == 3
+    want = string_table(fresh_a2(), (1, 0), 2, -3).coefficients
+    assert string_table(spec, (1, 0), 2, -3).coefficients == want
+
+
 def test_record_hashes_and_reprs_are_unchanged(a2):
     # set and dict orders, and every printed record, stay as they were
     for w in (AffineWeight((1, 0), 1, -2), AffineWeight((Fraction(2, 2), 3), 2, 0)):

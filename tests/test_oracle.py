@@ -1,5 +1,6 @@
 import random
 import sys
+from types import SimpleNamespace
 
 import pytest
 
@@ -7,6 +8,7 @@ import oracle_reference
 from affstr import (
     ConfigurationError,
     ConsistencyError,
+    NonterminationError,
     OutOfWindowError,
     RacahOracle,
     build_fan,
@@ -17,6 +19,7 @@ from affstr import (
     weight_multiplicity,
 )
 from affstr import oracle as oracle_module
+from affstr import weyl
 from affstr.algebra import AlgebraSpec
 from affstr.fan import Fan, _euler_power, pentagonal_series
 from affstr.oracle import certify
@@ -199,19 +202,22 @@ def test_priced_oracle_matches_reference_oracle(name, monkeypatch):
 
 
 def test_oracle_off_the_norm_identity_raises(a2, monkeypatch):
-    # a reduction one grade too high stays dominant and in the class, so
-    # only the invariant-form identity can catch it.  A fresh algebra: the
-    # session's A2 may hold these states' expansions from an earlier test.
+    # a child norm off by one still leaves a dominant child in the class,
+    # so only the invariant-form identity can catch it.  The query's own
+    # labels keep their norm, so its state is priced as before, and only
+    # its children's norms are off.  A fresh algebra: the session's A2 may
+    # hold these states' expansions from an earlier test.
     spec = AlgebraSpec("A2", a2.cartan)
     fan = build_fan(spec, 4)
     mu, query = spec.weight((0, 0), 2, 0), spec.weight((1, 1), 2, -3)
-    reduce_labels = oracle_module.reduce_labels
+    state_form = oracle_module._Recursion.state_form
+    query_labels = spec.affine_labels(query)
 
-    def one_grade_high(spec, labels, grade):
-        labels, grade, word = reduce_labels(spec, labels, grade)
-        return labels, grade + 1, word
+    def one_off(recursion, labels):
+        norm, pairing = state_form(recursion, labels)
+        return norm + (labels != query_labels), pairing
 
-    monkeypatch.setattr(oracle_module, "reduce_labels", one_grade_high)
+    monkeypatch.setattr(oracle_module._Recursion, "state_form", one_off)
     oracle = RacahOracle(spec, mu, fan)
     # a failed expansion is not shared: the same query, on this oracle and
     # on the next one of the fan, meets the identity again
@@ -224,16 +230,66 @@ def test_oracle_off_the_norm_identity_raises(a2, monkeypatch):
     assert oracle_reference.ReferenceOracle(spec, mu, fan).multiplicity(query) == expected
 
 
+def test_oracle_reduction_past_the_step_budget_raises(a2, monkeypatch):
+    # the query is dominant and its rho-shifted labels too, so only a
+    # child's reduction, in the kernel's expand, can outrun one step; the
+    # failed expansion is not kept
+    spec = AlgebraSpec("A2", a2.cartan)
+    fan = build_fan(spec, 4)
+    mu, query = spec.weight((0, 0), 2, 0), spec.weight((1, 1), 2, -3)
+    monkeypatch.setattr(weyl, "DEFAULT_STEP_LIMIT", 1)
+    with pytest.raises(NonterminationError, match="reduction exceeded 1 steps") as failure:
+        RacahOracle(spec, mu, fan).multiplicity(query)
+    assert failure.traceback[-1].name == "_children"
+    monkeypatch.undo()
+    assert RacahOracle(spec, mu, fan).multiplicity(query) == 12
+
+
+def test_expand_reduces_no_shift_priced_out(a2):
+    # the kernel's expand stops at the first shift priced above the
+    # ceiling: a shift put just past the admitted prefix, whose price
+    # breaks the identity, is never reduced, and fails at once when the
+    # ceiling admits it
+    spec = AlgebraSpec("A2", a2.cartan)
+    oracle = RacahOracle(spec, spec.weight((0, 0), 2, 0), build_fan(spec, 4))
+    r, expand = oracle._recursion, weyl._kernel(spec).expand
+    labels, grade = (2, 0, 0), -2
+    base = r.two_k * grade + r.state_form(labels)[0]
+    ceiling = r.top - base
+    priced = r.price_order(labels)
+    admitted = [p for p in priced if p[0] <= ceiling]
+    shift = next(p for p in admitted if grade + p[2] <= 0)
+    faked = (*admitted, (ceiling + 1, *shift[1:]), *priced[len(admitted):])
+    args = (r.two_k, r.state_form, weyl.DEFAULT_STEP_LIMIT)
+    want, got = {}, {}
+    assert expand(labels, grade, base, ceiling, priced, *args, want) is None
+    assert expand(labels, grade, base, ceiling, faked, *args, got) is None
+    assert got == want and want == dict(oracle._children(labels, grade))
+    failure = expand(labels, grade, base, ceiling + 1, faked, *args, {})
+    assert failure == (1, shift[4], shift[2], failure[3])
+
+
 def _count_reductions(monkeypatch):
-    """Count the calls of affstr.oracle.reduce_labels from now on."""
-    reduce_labels = oracle_module.reduce_labels
+    """Count what affstr.oracle reduces from now on.
+
+    Both the kernel's expansions of a state, each of which reduces every
+    shift the state admits, and the singular term's reduce_labels calls
+    count, one each, so a count of 0 means that nothing was reduced.
+    """
+    kernel, reduce_labels = oracle_module._kernel, oracle_module.reduce_labels
     calls = [0]
 
-    def counted(*args):
-        calls[0] += 1
-        return reduce_labels(*args)
+    def counted(reduce):
+        def call(*args):
+            calls[0] += 1
+            return reduce(*args)
 
-    monkeypatch.setattr(oracle_module, "reduce_labels", counted)
+        return call
+
+    monkeypatch.setattr(
+        oracle_module, "_kernel", lambda spec: SimpleNamespace(expand=counted(kernel(spec).expand))
+    )
+    monkeypatch.setattr(oracle_module, "reduce_labels", counted(reduce_labels))
     return calls
 
 

@@ -202,6 +202,26 @@ def test_reflect_index_guard(a2):
         apply_word(a2, [3], a2.weight((1, 0), 1, 0))
 
 
+def test_apply_word_converts_or_refuses_what_is_not_an_index(a2):
+    # a word of ints in range is replayed as it is; an integral bool,
+    # Fraction or float is the int it equals, anywhere in the word, and
+    # anything else is refused by name
+    from fractions import Fraction
+
+    w = a2.weight((1, 2), 3, -4)
+    want = apply_word(a2, (0, 1, 2, 0), w)
+    assert want == reference.apply_word(a2, (0, 1, 2, 0), w)
+    for word in ([0, True, 2, 0], (0, Fraction(2, 2), 2.0, 0), iter([0, 1, 2, 0])):
+        got = apply_word(a2, word, w)
+        assert got == want
+        assert all(type(x) is int for x in (*got.labels, got.level, got.grade))
+    assert apply_word(a2, (), w) == w
+    for word, match in (([0, -1], "out of range"), ([1, 3], "out of range"),
+                        ([0, 1.5], "not an integer"), (["1"], "not an integer")):
+        with pytest.raises(ConfigurationError, match=match):
+            apply_word(a2, word, w)
+
+
 # -- the integer kernel against the reference reduction --------------------
 
 CONFIGS = {
@@ -456,13 +476,17 @@ def test_import_and_load_compile_no_kernel():
 
 # No `seen` or `add`: the orbit walk keeps no set of visited points.  The
 # fold's own names follow `append`; its indexed locals are the base
-# weight's labels x0..xr, the pairing p1..pr and the root r1..rr.
+# weight's labels x0..xr, the pairing p1..pr and the root r1..rr.  The
+# oracle's `expand` follows the fold; its indexed locals are the state's
+# labels x0..xr.
 KERNEL_NAMES = {
     "dominant", "reduce", "replay", "orbit", "labels", "level", "grade", "word", "limit",
     "low", "x", "i", "_", "g", "floor", "start", "queue", "parent", "node", "range",
     "append",
     "fold", "xi", "pairing", "xi_norm", "top", "two_k", "cutoff", "vectors", "positions",
     "norms", "entries", "mult", "norm", "s", "key", "get",
+    "expand", "state", "state_grade", "base", "ceiling", "priced", "state_form", "children",
+    "price", "classical",
 }
 
 
