@@ -22,8 +22,9 @@ identity exactly or ConsistencyError is raised.  The kernel's `expand`
 runs that loop for one state: the shifts come sorted by price, so it
 stops at the first one the bound prices out; it skips a shift that starts
 above grade 0, reduces the rest with the kernel's own steps, recording no
-word, checks each child against the oracle's own norms and sums the
-children, and it returns a failure as a tuple, which the oracle raises.
+word, checks each child against the oracle's own norms and hands it out
+with its shift's multiplicity, and it returns a failure as a tuple, which
+the oracle raises; `_expansion` sums the children.
 A query whose reduction runs past `weyl.ASK_AFTER` reflections is priced
 by the same bound: above grade 0 its multiplicity is 0 at once, else the
 reduction runs on and a budget error stands.  The oracle takes every norm
@@ -260,8 +261,8 @@ class RacahOracle:
         return expansion
 
     def _children(self, labels: tuple, grade: int):
-        """(dominant child state, summed shift multiplicity) for every shift
-        that can reach grade 0, expanded by the kernel."""
+        """(dominant child state, shift multiplicity) for every shift that
+        can reach grade 0, expanded by the kernel."""
         if grade < -self.fan.cutoff:
             raise OutOfWindowError(f"grade {grade} is beyond the fan cutoff {self.fan.cutoff}")
         r = self._recursion
@@ -272,13 +273,13 @@ class RacahOracle:
         # a shift that starts above grade 0 is skipped unreduced.
         base = r.two_k * grade + r.state_form(labels)[0]
         limit = weyl.DEFAULT_STEP_LIMIT
-        children: dict[tuple, int] = {}
+        children: list = []
         failure = _kernel(self.spec).expand(
             labels, grade, base, r.top - base, r.price_order(labels), r.two_k, r.state_form,
             limit, children,
         )
         if failure is None:
-            return children.items()
+            return children
         kind, classical, shift_grade, child_grade = failure
         if kind == 0:
             raise NonterminationError(f"reduction exceeded {limit} steps")

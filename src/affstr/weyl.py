@@ -24,12 +24,12 @@ to the folded entries, and it returns a failure as a tuple for
 `expand`, which `oracle.RacahOracle` calls once per state: for each
 shift its price admits it reduces the state plus the shift with the same
 steps (keeping no word), checks the child against the oracle's own
-invariant form and sums the children, and it returns a failure as a
-tuple for the oracle to raise.  There is no other reflection loop in the
-package.  The source holds only integer literals, each written
-with `%d` from the int Cartan data, and its own local names; nothing of a
-config file (not even the algebra's label) enters it, and it runs with no
-builtin but `range`.
+invariant form and hands the child out with the shift's multiplicity,
+and it returns a failure as a tuple for the oracle to raise.  There is
+no other reflection loop in the package.  The source holds only integer
+literals, each written with `%d` from the int Cartan data, and its own
+local names; nothing of a config file (not even the algebra's label)
+enters it, and it runs with no builtin but `range`.
 
 Reduction (`reduce_labels`, `to_dominant`) applies the reflection at the
 most negative label, the lowest index on ties, until all labels are
@@ -65,7 +65,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .algebra import _INT, AffineWeight, AlgebraSpec, _integer_entry, algebra_memo
+from .algebra import AffineWeight, AlgebraSpec, _integer_entry, algebra_memo
 from .algebra import _new, _set_grade, _set_labels, _set_level
 from .errors import ConfigurationError, NonterminationError
 
@@ -126,11 +126,11 @@ class _Kernel:
     limit, children) is the shift loop of `oracle.RacahOracle`: it reduces
     the state plus each priced shift up to the first price above
     `ceiling`, skipping those that start above grade 0, checks each child
-    against the oracle's own form `state_form`, sums the multiplicities of
-    the children at or below grade 0 into `children` and returns None, or
-    returns (kind, shift's classical labels, shift's grade, child's grade)
-    at the first failure: kind 0 ran `limit` reflections, 1 breaks the
-    invariant form.
+    against the oracle's own form `state_form`, appends (child state, shift
+    multiplicity) for each child at or below grade 0 to `children` and
+    returns None, or returns (kind, shift's classical labels, shift's
+    grade, child's grade) at the first failure: kind 0 ran `limit`
+    reflections, 1 breaks the invariant form.
     """
 
     __slots__ = ("dominant", "reduce", "replay", "orbit", "fold", "expand")
@@ -148,8 +148,8 @@ class _Kernel:
 # its price, labels, grade g, multiplicity and classical labels, and the
 # identity checked is 2k child_grade = base + price - |child|^2, with base
 # 2k state_grade + |state|^2.  The priced shifts are sorted by price, so the
-# first one above `ceiling` ends the loop.  A child's summed multiplicity
-# is kept even when it cancels to 0, as the oracle walks every child.
+# first one above `ceiling` ends the loop.  Each child goes out with its
+# shift's multiplicity; the oracle sums them.
 _SOURCE = """\
 def reduce({names}, grade, word, limit):
     for _ in range(limit):
@@ -218,8 +218,7 @@ def expand(state, state_grade, base, ceiling, priced, two_k, state_form, limit, 
         if two_k * grade != base + price - state_form(({names}))[0]:
             return 1, classical, g, grade
         if grade <= 0:
-            key = ({names}), grade
-            children[key] = children.get(key, 0) + mult
+            children.append(((({names}), grade), mult))
 """
 
 # One reduction step: reflect at the most negative label, the lowest index
@@ -379,21 +378,16 @@ def descending_orbit(spec: AlgebraSpec, labels, grade, floor):
 def apply_word(spec: AlgebraSpec, word, w: AffineWeight) -> AffineWeight:
     """Apply reflections in the order they were recorded.
 
-    A word of ints in 0..rank, such as a recorded one, is replayed as it
-    is; any other index is converted or refused one at a time.
+    An index that is not an int is converted or refused by `_integer_entry`.
     """
-    word = tuple(word)
-    if word and not (
-        _INT.issuperset(map(type, word)) and min(word) >= 0 and max(word) <= spec.rank
-    ):
-        checked = []
-        for i in word:
+    rank, checked = spec.rank, []
+    for i in word:
+        if type(i) is not int:
             i = _integer_entry(i, "reflection index")
-            if not 0 <= i <= spec.rank:
-                raise ConfigurationError(f"reflection index {i} out of range 0..{spec.rank}")
-            checked.append(i)
-        word = checked
-    labels, grade = _kernel(spec).replay(*spec.affine_labels(w), w.grade, word)
+        if not 0 <= i <= rank:
+            raise ConfigurationError(f"reflection index {i} out of range 0..{rank}")
+        checked.append(i)
+    labels, grade = _kernel(spec).replay(*spec.affine_labels(w), w.grade, checked)
     image = _new(AffineWeight)
     _set_labels(image, labels[1:])
     _set_level(image, w.level)

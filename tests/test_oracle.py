@@ -171,33 +171,44 @@ def test_two_path_mismatches_lists_every_disagreement(a2):
 def test_priced_oracle_matches_reference_oracle(name, monkeypatch):
     # skipping the shifts the invariant form prices above grade 0 loses no
     # child: one module of every class at levels 1-3 gives the unpriced
-    # recursion's multiplicity at every string point, with fewer reductions
+    # recursion's multiplicity at every string point.  Each expanded state
+    # reduces its singular term and every shift that can reach grade 0, and
+    # the priced oracle only those whose child's norm keeps it at or below
+    # grade 0, 2k (grade + g) + |lambda-bar + gamma-bar|^2 <= top: no more.
     cartan, cutoff = REFERENCE_CASES[name]
     spec = AlgebraSpec(name, cartan)
     fan = build_fan(spec, cutoff)
-    reduce_labels = oracle_module.reduce_labels
-    reductions = {}
 
-    def counted(key):
-        def reduce(*args):
-            reductions[key] = reductions.get(key, 0) + 1
-            return reduce_labels(*args)
+    def reached(r, labels, grade, priced):
+        count = 0
+        for _, g, _, shift, _ in fan.vectors:
+            child = [x + y for x, y in zip(labels[1:], shift[1:])]
+            if grade + g > 0 or priced and r.two_k * (grade + g) + r.form(child)[0] > r.top:
+                continue
+            count += 1
+        return count
 
-        return reduce
-
+    reductions = {"priced": 0, "reference": 0}
+    expected = {"priced": 0, "reference": 0}
     for level in (1, 2, 3):
+        recursions = {}
         for base in enumerate_class_weights(spec, level).values():
             queries = [xi.shift_grade(-d) for xi in base.weights for d in range(cutoff + 1)]
             answers = {}
             for key, make in (
                 ("priced", RacahOracle), ("reference", oracle_reference.ReferenceOracle)
             ):
-                # the singular term reduces through affstr.oracle in both
-                monkeypatch.setattr(oracle_module, "reduce_labels", counted(key))
-                monkeypatch.setattr(oracle_reference, "reduce_labels", counted(key))
+                calls = _count_reductions(monkeypatch)
                 oracle = make(spec, base.weights[0], fan)
                 answers[key] = [oracle.multiplicity(q) for q in queries]
+                monkeypatch.undo()
+                reductions[key] += calls[0]
+                recursions[key] = oracle._recursion
             assert answers["priced"] == answers["reference"]
+        for key, r in recursions.items():
+            for labels, grade in r.expansions:
+                expected[key] += 1 + reached(r, labels, grade, key == "priced")
+    assert reductions == expected
     assert reductions["priced"] < reductions["reference"]
 
 
@@ -261,35 +272,44 @@ def test_expand_reduces_no_shift_priced_out(a2):
     shift = next(p for p in admitted if grade + p[2] <= 0)
     faked = (*admitted, (ceiling + 1, *shift[1:]), *priced[len(admitted):])
     args = (r.two_k, r.state_form, weyl.DEFAULT_STEP_LIMIT)
-    want, got = {}, {}
+    want, got = [], []
     assert expand(labels, grade, base, ceiling, priced, *args, want) is None
     assert expand(labels, grade, base, ceiling, faked, *args, got) is None
-    assert got == want and want == dict(oracle._children(labels, grade))
-    failure = expand(labels, grade, base, ceiling + 1, faked, *args, {})
+    assert got == want == oracle._children(labels, grade)
+    failure = expand(labels, grade, base, ceiling + 1, faked, *args, [])
     assert failure == (1, shift[4], shift[2], failure[3])
 
 
 def _count_reductions(monkeypatch):
-    """Count what affstr.oracle reduces from now on.
+    """Count what the oracles reduce from now on.
 
-    Both the kernel's expansions of a state, each of which reduces every
-    shift the state admits, and the singular term's reduce_labels calls
-    count, one each, so a count of 0 means that nothing was reduced.
+    Every shift the kernel's expand reduces counts once (expand asks the
+    oracle's state_form once per reduced child), and so does every
+    reduce_labels call of affstr.oracle (the singular term) and of the
+    reference oracle (its shifts), so a count of 0 means that nothing was
+    reduced.
     """
-    kernel, reduce_labels = oracle_module._kernel, oracle_module.reduce_labels
+    kernel = oracle_module._kernel
     calls = [0]
 
-    def counted(reduce):
-        def call(*args):
+    def counted(call):
+        def counting(*args):
             calls[0] += 1
-            return reduce(*args)
+            return call(*args)
 
-        return call
+        return counting
 
-    monkeypatch.setattr(
-        oracle_module, "_kernel", lambda spec: SimpleNamespace(expand=counted(kernel(spec).expand))
-    )
-    monkeypatch.setattr(oracle_module, "reduce_labels", counted(reduce_labels))
+    def counted_kernel(spec):
+        expand = kernel(spec).expand
+
+        def counted_expand(labels, grade, base, ceiling, priced, two_k, state_form, *rest):
+            return expand(labels, grade, base, ceiling, priced, two_k, counted(state_form), *rest)
+
+        return SimpleNamespace(expand=counted_expand)
+
+    monkeypatch.setattr(oracle_module, "_kernel", counted_kernel)
+    for module in (oracle_module, oracle_reference):
+        monkeypatch.setattr(module, "reduce_labels", counted(module.reduce_labels))
     return calls
 
 
