@@ -32,17 +32,17 @@ and the bound from its own integer Gram matrix of the fundamental
 weights, built from the Cartan data, never from the norms the fold prices
 with, so one wrong number cannot make both paths skip the same term.
 
-Only the singular term depends on the highest weight.  The Gram matrix,
-the priced shifts and each state's expansion (its children with summed
-multiplicities, and its rho-shifted reduction) are computed once per
-algebra, fan object and level, and shared by every oracle on them
-(algebra.algebra_memo), so the modules of one class reduce each state's
-shifts once.  Per dominant labels the shifts are kept sorted by their
-grade-free price, and a state at any grade takes the prefix its bound
-admits.  Sharing keeps the check independent of the fold: every admitted
-shift is still reduced at its state's own grade and checked against the
-identity, nothing is reused across grades, and an expansion that raises
-is not kept.
+Only the singular term depends on the highest weight, and every state is
+dominant, so it is 1 at (mu, 0) and 0 elsewhere.  The Gram matrix, the
+priced shifts and each state's expansion (its children with summed
+multiplicities) are computed once per algebra, fan object and level, and
+shared by every oracle on them (algebra.algebra_memo), so the modules of
+one class reduce each state's shifts once.  Per dominant labels the
+shifts are kept sorted by their grade-free price, and a state at any
+grade takes the prefix its bound admits.  Sharing keeps the check
+independent of the fold: every admitted shift is still reduced at its
+state's own grade and checked against the identity, nothing is reused
+across grades, and an expansion that raises is not kept.
 
 The level-1 closed forms are pure q-series: the single string function
 is the reciprocal of the squared Euler product, and the level-1 shift
@@ -62,7 +62,7 @@ from .errors import ConfigurationError, ConsistencyError, NonterminationError, O
 from .fan import DenominatorReport, Fan, _euler_power, verify_denominator
 from .folding import build_folded_fans
 from .strings import StringTable, classifier_for
-from .weyl import _kernel, reduce_labels, to_dominant
+from .weyl import _kernel, to_dominant
 
 __all__ = ["Certificate", "RacahOracle", "certify", "euler_square_series", "level1_eta_series"]
 
@@ -180,8 +180,7 @@ class RacahOracle:
         self.mu = mu
         self.fan = fan
         self.mu_class = classifier_for(spec).id_of(mu.labels)
-        # (mu + rho, 0): the only regular dominant state of the singular term.
-        self._mu_rho = (tuple(x + 1 for x in spec.affine_labels(mu)), 0)
+        self._mu_state = (spec.affine_labels(mu), 0)
         self._recursion = _recursion(spec, fan, mu.level, type(self)._children)
         self._cache: dict[tuple, int] = {}
 
@@ -216,19 +215,18 @@ class RacahOracle:
         # children pushed) on its first visit and summed on its second.  An
         # uncached child this call expanded lies on its path: a cycle.  Other
         # threads may cache a state this call expanded, so test cache first.
-        cache, expanded, mu_rho = self._cache, {}, self._mu_rho
+        cache, expanded, singular = self._cache, {}, self._singular
         stack = [(labels, grade)]
         while stack:
             state = stack[-1]
             if state in cache:
                 stack.pop()
             elif state in expanded:
-                children, shifted, sign = expanded.pop(state)
-                value = sign if shifted == mu_rho else 0
-                cache[state] = value + sum(m * cache[c] for c, m in children)
+                children = expanded.pop(state)
+                cache[state] = singular(state) + sum(m * cache[c] for c, m in children)
             else:
-                expanded[state] = expansion = self._expansion(state)
-                for child, _ in expansion[0]:
+                expanded[state] = children = self._expansion(state)
+                for child, _ in children:
                     if child not in cache:
                         if child in expanded:
                             raise ConsistencyError(
@@ -237,27 +235,26 @@ class RacahOracle:
                         stack.append(child)
         return cache[labels, grade]
 
-    def _expansion(self, state: tuple) -> tuple:
-        """(children, shifted state, sign) of a state, shared through _recursion.
+    def _singular(self, state: tuple) -> int:
+        """The singular term of a dominant state: 1 at (mu, 0), else 0.
 
-        The children are (child state, summed shift multiplicity) pairs; the
-        shifted state is the state plus rho (every affine label 1) reduced,
-        whose singular term is the sign when it is (mu + rho, 0), and the
-        sign is 0 when the shifted labels lie on a wall.  An expansion that
-        raises stores nothing.
+        The term is the sign of w where w(lambda + rho) is (mu + rho, 0), and
+        0 where lambda + rho lies on a wall.  Every affine label of a
+        dominant lambda + rho is positive, so it is regular and dominant
+        already: w is 1, and the term is 1 exactly at lambda = mu, grade 0.
         """
+        return 1 if state == self._mu_state else 0
+
+    def _expansion(self, state: tuple) -> tuple:
+        """The (child state, summed shift multiplicity) pairs of a state,
+        shared through _recursion.  An expansion that raises stores nothing."""
         expansions = self._recursion.expansions
         expansion = expansions.get(state)
         if expansion is None:
             children: dict[tuple, int] = {}
             for child, mult in self._children(*state):
                 children[child] = children.get(child, 0) + mult
-            labels, grade = state
-            shifted, shifted_grade, word = reduce_labels(self.spec, [x + 1 for x in labels], grade)
-            sign = 0 if 0 in shifted else -1 if len(word) % 2 else 1
-            expansion = expansions.setdefault(
-                state, (tuple(children.items()), (shifted, shifted_grade), sign)
-            )
+            expansion = expansions.setdefault(state, tuple(children.items()))
         return expansion
 
     def _children(self, labels: tuple, grade: int):
@@ -290,11 +287,14 @@ class RacahOracle:
 
 
 class Certificate(NamedTuple):
-    """The gate of the fan both paths read, and (string, depth, folded,
-    unfolded) wherever the table and the recursion disagree."""
+    """The gate of the fan both paths read, and a tuple of (string, depth,
+    folded, unfolded) wherever the table and the recursion disagree.
+
+    Every caller of certify shares one certificate, so nothing in it can
+    be changed."""
 
     gate: DenominatorReport
-    mismatches: list
+    mismatches: tuple
 
 
 def certify(table: StringTable) -> Certificate:
@@ -306,12 +306,12 @@ def certify(table: StringTable) -> Certificate:
 def _certify(spec: AlgebraSpec, table: StringTable, /) -> Certificate:
     _, fan = build_folded_fans(spec, table.base, table.depth)  # the fold's own fan object
     oracle = RacahOracle(spec, table.mu, fan)
-    return Certificate(_gate(spec, fan), [
+    return Certificate(_gate(spec, fan), tuple(
         (s, d, folded, unfolded)
         for s, xi in enumerate(table.base.weights)
         for d, folded in enumerate(table.coefficients[s])
         if (unfolded := oracle.multiplicity(xi.shift_grade(-d))) != folded
-    ])
+    ))
 
 
 @algebra_memo

@@ -3,7 +3,9 @@
 This is the Racah-type recursion the package used before it priced each
 shift by the invariant form and skipped the shifts that cannot reach
 grade 0.  It reduces every shift of the grade window through the same
-chamber-reduction kernel and keeps the children at or below grade 0; the
+chamber-reduction kernel and keeps the children at or below grade 0, and
+it takes each state's singular term from the rho-shifted state's
+reduction, as the package did before it read the term off the state; the
 priced oracle is tested against it multiplicity for multiplicity.
 """
 
@@ -26,3 +28,12 @@ class ReferenceOracle(RacahOracle):
             )
             if child_grade <= 0:
                 yield (child, child_grade), mult
+
+    def _singular(self, state: tuple) -> int:
+        # the sign of w where w(lambda + rho) is (mu + rho, 0), 0 on a wall
+        labels, grade = state
+        shifted, shifted_grade, word = reduce_labels(self.spec, [x + 1 for x in labels], grade)
+        mu_rho = tuple(x + 1 for x in self.spec.affine_labels(self.mu))
+        if 0 in shifted or (shifted, shifted_grade) != (mu_rho, 0):
+            return 0
+        return -1 if len(word) % 2 else 1

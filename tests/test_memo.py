@@ -11,6 +11,7 @@ from affstr import (
     BaseWeightSet,
     build_fan,
     build_folded_fans,
+    certify,
     string_table,
     verify_denominator,
 )
@@ -116,6 +117,21 @@ def test_memoised_classes_cannot_be_changed_by_a_caller():
     assert enumerate_class_weights(spec, 2) is classes and len(classes) == 3
     want = string_table(fresh_a2(), (1, 0), 2, -3).coefficients
     assert string_table(spec, (1, 0), 2, -3).coefficients == want
+
+
+def test_memoised_certificates_cannot_be_changed_by_a_caller():
+    # every caller of certify shares one certificate: clearing its
+    # mismatches would have passed every later check of the same table
+    spec = fresh_a2()
+    table = string_table(spec, (0, 0), 2, -4)
+    rows = [list(r) for r in table.coefficients]
+    rows[1][3] += 1
+    bad = table._replace(coefficients=tuple(map(tuple, rows)))
+    mismatches = certify(bad).mismatches
+    with pytest.raises(AttributeError):
+        mismatches.clear()
+    assert certify(bad).mismatches is mismatches
+    assert mismatches == ((1, 3, rows[1][3], table.coefficients[1][3]),)
 
 
 def test_record_hashes_and_reprs_are_unchanged(a2):

@@ -74,7 +74,7 @@ def test_grade_independence_line_fails_on_a_two_path_mismatch(monkeypatch):
     def injected(table):
         certificate = certify(table)
         if (table.mu.labels, table.level) == ((1, 1), 4):
-            certificate = certificate._replace(mismatches=certificate.mismatches + [(1, 3, 5, 4)])
+            certificate = certificate._replace(mismatches=certificate.mismatches + ((1, 3, 5, 4),))
         return certificate
 
     monkeypatch.setattr(verify, "certify", injected)
